@@ -125,15 +125,32 @@ def unrank_permutation(n: int, rank: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def domain_size(shape: Sequence[tuple[str, int]]) -> int:
+class BudgetExceeded(Exception):
+    pass
+
+
+def domain_size(shape: Sequence[tuple[str, int]], budget: int) -> int:
+    """Number of points of a randomness space with the given draw shape.
+
+    Raises BudgetExceeded as soon as the product passes `budget`, so a
+    space of astronomical size is refused without being computed.
+    """
     total = 1
     for kind, n in shape:
         total *= math.factorial(n) if kind == "perm" else n
+        if total > budget:
+            raise BudgetExceeded(
+                "randomness space exceeds the budget of %d points" % budget
+            )
     return total
 
 
-class BudgetExceeded(Exception):
-    pass
+def record_shape(builder) -> list[tuple[str, int]]:
+    """The draw shape of `builder`, learned from one run against a
+    RecordingSource."""
+    rec = RecordingSource()
+    builder(rec)
+    return rec.shape
 
 
 def enumerate_sources(builder, budget: int = 1 << 20) -> Iterator[RandomSource]:
@@ -143,14 +160,8 @@ def enumerate_sources(builder, budget: int = 1 << 20) -> Iterator[RandomSource]:
     against a RecordingSource to learn the draw shape (which must not
     depend on drawn values), then each point is replayed.
     """
-    rec = RecordingSource()
-    builder(rec)
-    shape = rec.shape
-    total = domain_size(shape)
-    if total > budget:
-        raise BudgetExceeded(
-            "randomness space has %d points, budget %d" % (total, budget)
-        )
+    shape = record_shape(builder)
+    domain_size(shape, budget)
     sizes = [math.factorial(n) if k == "perm" else n for k, n in shape]
 
     point = [0] * len(shape)

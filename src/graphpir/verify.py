@@ -2,20 +2,39 @@
 
 Privacy is checked at one of three tiers:
 
-* exact: the scheme's whole randomness space is enumerated and the
-  per-server query distributions are compared exactly across theta;
+* exact: per-server query distributions are compared exactly across
+  theta, by enumeration (see below);
 * structural: canonical per-server query patterns (bit indices renamed
   per file by first appearance) are compared as multisets over seeds;
 * statistical: empirical pattern distributions are sampled and compared
   by total-variation distance.
 
+The exact tier enumerates only the scheme's own draws. Every scheme
+draws its per-file index permutations in assemble_transcript, uniformly
+and independently of everything else, and uses them nowhere else (a
+runner passed in as a callable must do the same for a pass to be
+exact). For a fixed point of the scheme's own draws, a server's view is
+therefore uniform over the orbit of its identity-permutation view under
+per-file index permutations: the wire is re-sorted when it is
+canonical, and kept in insertion order, which no permutation changes,
+when it is not. So raw-view distributions agree across theta exactly
+when the distributions of those orbits do. The tier runs the scheme
+with identity permutations, enumerates the remaining draws (choices,
+and any permutation the scheme draws itself), and compares the exact
+distributions of each server's orbit_label. The label is an injective
+per-file relabelling of the view, so equal labels mean equal orbits and
+a pass is exact. Labels of one orbit can differ, so a difference is
+only a candidate fail: it is confirmed by enumerating the full space,
+file permutations included, which then gives the verdict and the
+witness. The budget applies to the full space, so the tier runs, and
+confirms, on exactly the graphs where full enumeration fits.
+
 The statistical tier samples canonical patterns rather than raw
-queries. For every scheme built here the per-file index permutations
-are uniform and independent, so conditioned on the pattern the concrete
-indices are uniform over the pattern's orbit regardless of theta; the
-total-variation distance between raw query distributions therefore
-equals the distance between pattern distributions, and the pattern is a
-sufficient statistic with a far smaller support.
+queries. By the same orbit argument, conditioned on the pattern the
+concrete indices are uniform over the pattern's orbit regardless of
+theta; the total-variation distance between raw query distributions
+therefore equals the distance between pattern distributions, and the
+pattern is a sufficient statistic with a far smaller support.
 """
 from __future__ import annotations
 
@@ -27,6 +46,8 @@ from typing import Sequence
 
 from .bounds import bound_report
 from .core import (
+    LinearForm,
+    _raw_encoding,
     answer_all,
     decode,
     measured_rate,
@@ -37,7 +58,13 @@ from .core import (
     AttributionUndefined,
 )
 from .graphs import GraphSpec
-from .rng import BudgetExceeded, SeededSource, enumerate_sources
+from .rng import (
+    BudgetExceeded,
+    SeededSource,
+    domain_size,
+    enumerate_sources,
+    record_shape,
+)
 from .runner import all_thetas, resolve_scheme
 
 EXACT_BUDGET = 1 << 20
@@ -90,46 +117,95 @@ def verify_reliability(
     return CheckResult("reliability", True, "all theta and seeds decode")
 
 
-def _server_views(t) -> tuple:
-    return tuple(
-        tuple(
-            tuple(sorted((f.edge, f.copy, b) for f, b in r.form))
-            for r in server
-        )
-        for server in t.requests
-    )
+def orbit_label(forms: Sequence[LinearForm]) -> tuple:
+    """One server's request sequence with each file's bit indices renamed
+    1, 2, ... in order of first appearance along the wire (within one
+    request, in index order), and each request's tokens sorted.
+
+    The renaming is an injective per-file relabelling, so sequences with
+    equal labels lie in one orbit of the per-file index permutations.
+    The converse can fail: two fresh bits of one file in one request are
+    named by their index order, which a permutation can swap.
+    """
+    names: dict[tuple[int, int], dict[int, int]] = {}
+    out = []
+    for form in forms:
+        toks = []
+        for edge, copy, bit in _raw_encoding(form):
+            per_file = names.setdefault((edge, copy), {})
+            toks.append((edge, copy, per_file.setdefault(bit, len(per_file) + 1)))
+        out.append(tuple(sorted(toks)))
+    return tuple(out)
 
 
-def verify_privacy_exact(scheme, g: GraphSpec, budget: int = EXACT_BUDGET) -> CheckResult:
-    """Enumerate the full randomness space per theta and compare exact
-    per-server query distributions. Raises BudgetExceeded when the space
-    is too large for enumeration."""
-    name, run = resolve_scheme(scheme, g)
+def _raw_view(forms: Sequence[LinearForm]) -> tuple:
+    return tuple(_raw_encoding(f) for f in forms)
+
+
+def _privacy_sweep(run, g: GraphSpec, view, budget: int, **run_kw):
+    """Enumerate the randomness space of `run` (called with `run_kw`) per
+    theta and compare the exact distributions of `view` of each server's
+    request sequence. Returns (first difference or None, points); the
+    difference is {"server", "theta_a", "theta_b"}."""
     dists = {}
+    points = 0
     for theta in all_thetas(g):
+        def build(src, theta=theta):
+            return run(g, theta, src, **run_kw)
+
         counters = [Counter() for _ in range(g.n_vertices)]
         total = 0
-        for src in enumerate_sources(lambda s: run(g, theta, s), budget):
-            views = _server_views(run(g, theta, src))
-            for c, v in zip(counters, views):
-                c[v] += 1
+        for src in enumerate_sources(build, budget):
+            t = build(src)
+            for c, server in zip(counters, t.requests):
+                c[view([r.form for r in server])] += 1
             total += 1
         dists[theta] = [
             {q: Fraction(n, total) for q, n in c.items()} for c in counters
         ]
-    ref_theta = next(iter(dists))
+        points += total
+    ref = next(iter(dists))
     for theta, d in dists.items():
-        for s, (da, db) in enumerate(zip(dists[ref_theta], d), start=1):
+        for s, (da, db) in enumerate(zip(dists[ref], d), start=1):
             if da != db:
-                return CheckResult(
-                    "privacy-exact", False,
-                    "query distribution depends on theta",
-                    {"scheme": name, "server": s,
-                     "theta_a": ref_theta, "theta_b": theta},
-                )
+                return {"server": s, "theta_a": ref, "theta_b": theta}, points
+    return None, points
+
+
+def verify_privacy_exact(scheme, g: GraphSpec, budget: int = EXACT_BUDGET) -> CheckResult:
+    """Exact per-server query distributions compared across theta, by
+    enumerating the scheme's own draws under identity file permutations
+    and comparing orbit labels; a difference is confirmed by enumerating
+    the full space. Raises BudgetExceeded when the full randomness space
+    (file permutations included) is too large for enumeration."""
+    name, run = resolve_scheme(scheme, g)
+    thetas = all_thetas(g)
+    draws = 0
+    for theta in thetas:
+        shape = record_shape(lambda src: run(g, theta, src))
+        draws += domain_size(shape, budget)
+    diff, points = _privacy_sweep(
+        run, g, orbit_label, budget, identity_perms=True
+    )
+    if diff is None:
+        return CheckResult(
+            "privacy-exact", True,
+            "distributions identical across %d theta values "
+            "(%d quotient points for %d draws)" % (len(thetas), points, draws),
+        )
+    diff, _ = _privacy_sweep(run, g, _raw_view, budget)
+    if diff is None:
+        return CheckResult(
+            "privacy-exact", True,
+            "distributions identical across %d theta values "
+            "(full enumeration of %d draws; quotient labels differed)"
+            % (len(thetas), draws),
+        )
     return CheckResult(
-        "privacy-exact", True,
-        "distributions identical across %d theta values" % len(dists),
+        "privacy-exact", False,
+        "query distribution depends on theta "
+        "(confirmed by full enumeration of %d draws)" % draws,
+        {"scheme": name, **diff},
     )
 
 
@@ -271,22 +347,30 @@ def verify_srp(scheme, g: GraphSpec, seeds: Sequence = range(5)) -> CheckResult:
 
 
 def verify_rate(scheme, g: GraphSpec) -> tuple[CheckResult, Fraction]:
+    """The measured rate at every theta against every applicable exact
+    upper bound; returns the check and the largest rate measured."""
     name, run = resolve_scheme(scheme, g)
-    theta = all_thetas(g)[0]
-    t = run(g, theta, SeededSource(_seed_for(0, theta, "rate")))
-    rate = measured_rate(t)
-    for e in bound_report(g):
-        if e.kind == "upper" and e.exact and e.applicable and not e.asymptotic:
+    bounds = [
+        e for e in bound_report(g)
+        if e.kind == "upper" and e.exact and e.applicable and not e.asymptotic
+    ]
+    rates = []
+    for theta in all_thetas(g):
+        t = run(g, theta, SeededSource(_seed_for(0, theta, "rate")))
+        rate = measured_rate(t)
+        for e in bounds:
             if rate > e.value:
                 return (
                     CheckResult(
                         "rate", False,
                         "measured rate %s exceeds bound %s (%s)"
                         % (rate, e.value, e.source),
-                        {"scheme": name},
+                        {"scheme": name, "theta": theta},
                     ),
                     rate,
                 )
+        rates.append(rate)
+    rate = max(rates)
     return CheckResult("rate", True, "measured rate %s within all exact bounds" % rate), rate
 
 

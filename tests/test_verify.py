@@ -1,22 +1,31 @@
-from collections import Counter
+import time
+from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from graphpir.graphs import build_family
+from graphpir.core import FileId
+from graphpir.graphs import build_family, parse_graph
 from graphpir.mutants import (
     MUTANTS,
     compose_stars_no_decoy,
     compose_stars_theta_ordered,
     drop_planned_request,
 )
-from graphpir.rng import BudgetExceeded
-from graphpir.schemes import path_scheme
+from graphpir.rng import BudgetExceeded, domain_size
+from graphpir.runner import all_thetas, resolve_scheme
+from graphpir.schemes import compose_stars, path_scheme
 from graphpir.verify import (
+    EXACT_BUDGET,
+    _privacy_sweep,
+    _raw_view,
+    orbit_label,
     tv_distance,
     verify_privacy,
     verify_privacy_exact,
     verify_privacy_statistical,
     verify_privacy_structural,
+    verify_rate,
     verify_reliability,
     verify_scheme,
     verify_srp,
@@ -126,3 +135,137 @@ def test_failed_check_carries_witness():
     c = verify_privacy_exact(compose_stars_theta_ordered, g)
     assert not c.passed
     assert "server" in c.witness
+
+
+def test_domain_size_refuses_past_budget():
+    assert domain_size([("perm", 4), ("choice", 3)], 72) == 72
+    with pytest.raises(BudgetExceeded) as exc:
+        domain_size([("choice", 2)] * 3 + [("perm", 5000)], 4)
+    assert str(exc.value) == "randomness space exceeds the budget of 4 points"
+
+
+def test_exact_privacy_refuses_huge_space_quickly():
+    # complete:8's full space has thousands of digits: the refusal must
+    # be quick and must not format that number
+    g = parse_graph("complete:8")
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        verify_privacy_exact("complete", g)
+    assert time.perf_counter() - start < 1.0
+    assert str(EXACT_BUDGET) in str(exc.value)
+    assert len(str(exc.value)) < 80
+
+
+def test_exact_privacy_detail_counts_quotient_points():
+    # one quotient point per theta stands for the 2^3 permutation draws
+    c = verify_privacy_exact("path", build_family("path", [4]))
+    assert c.passed
+    assert "3 quotient points for 24 draws" in c.detail
+
+
+def test_exact_privacy_fail_is_confirmed():
+    g = build_family("complete_bipartite", [2, 2])
+    c = verify_privacy_exact(compose_stars_no_decoy, g)
+    assert not c.passed
+    assert "confirmed by full enumeration of 64 draws" in c.detail
+
+
+def test_exact_privacy_on_lifted_path_is_fast():
+    g = parse_graph("path:3^2")
+    start = time.perf_counter()
+    c = verify_privacy_exact("lift:path", g)
+    assert c.passed, c.detail
+    assert time.perf_counter() - start < 5.0
+
+
+def compose_stars_drop_request(g, theta, rng, **kw):
+    return drop_planned_request(compose_stars(g, theta, rng, **kw))
+
+
+CROSS_VALIDATION = (
+    [("auto", "path:%d" % n) for n in range(2, 7)]
+    + [("auto", "star:%d" % n) for n in range(3, 7)]
+    + [("auto", "complete_bipartite:2,%d" % n) for n in (2, 3, 4)]
+    + [("auto", "path:2^2")]
+    + [
+        (mutant, "complete_bipartite:2,%d" % n)
+        for mutant in (
+            compose_stars_theta_ordered,
+            compose_stars_no_decoy,
+            compose_stars_drop_request,
+        )
+        for n in (2, 3)
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "scheme,graph", CROSS_VALIDATION,
+    ids=["%s-%s" % (getattr(s, "__name__", s), g) for s, g in CROSS_VALIDATION],
+)
+def test_quotient_agrees_with_full_enumeration(scheme, graph):
+    g = parse_graph(graph)
+    _, run = resolve_scheme(scheme, g)
+    quotient, _ = _privacy_sweep(
+        run, g, orbit_label, EXACT_BUDGET, identity_perms=True
+    )
+    full, _ = _privacy_sweep(run, g, _raw_view, EXACT_BUDGET)
+    assert quotient == full
+    c = verify_privacy_exact(scheme, g)
+    assert c.passed == (full is None)
+    if full is not None:
+        assert {k: c.witness[k] for k in full} == full
+
+
+FILES = [FileId(e, c) for e in (1, 2) for c in (1, 2)]
+
+
+@st.composite
+def request_sequences(draw):
+    coords = st.tuples(st.sampled_from(FILES), st.integers(1, 8))
+    n = draw(st.integers(0, 6))
+    return [frozenset(draw(st.sets(coords, max_size=5))) for _ in range(n)]
+
+
+def _incidences(requests) -> dict:
+    """Per file, the multiset of request-index sets its bit indices occur
+    in; equal for two sequences iff one is an injective per-file
+    relabelling of the other."""
+    where = defaultdict(set)
+    for i, req in enumerate(requests):
+        for edge, copy, bit in req:
+            where[(edge, copy, bit)].add(i)
+    out = defaultdict(Counter)
+    for (edge, copy, _bit), idx in where.items():
+        out[(edge, copy)][frozenset(idx)] += 1
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(request_sequences())
+def test_orbit_label_is_an_injective_per_file_relabelling(seq):
+    label = orbit_label(seq)
+    raw = [[(f.edge, f.copy, b) for f, b in form] for form in seq]
+    assert len(label) == len(raw)
+    for req, form in zip(label, raw):
+        assert len(req) == len(form)
+        assert list(req) == sorted(set(req))
+    assert _incidences(label) == _incidences(raw)
+    # names run 1, 2, ... per file
+    for edge, copy in {(e, c) for req in label for e, c, _ in req}:
+        names = {b for req in label for e, c, b in req if (e, c) == (edge, copy)}
+        assert names == set(range(1, len(names) + 1))
+
+
+def test_verify_rate_checks_every_theta():
+    g = build_family("path", [3])
+    first, second = all_thetas(g)
+
+    def inflated(g, theta, rng, **kw):
+        t = path_scheme(g, theta, rng, **kw)
+        return t if theta == first else drop_planned_request(t)
+
+    c, rate = verify_rate(inflated, g)
+    assert not c.passed
+    assert c.witness["theta"] == second
+    assert rate > verify_rate("path", g)[1]
