@@ -217,8 +217,3 @@ def tightness_check(g: GraphSpec) -> TightnessResult:
         return TightnessResult("unknown")
     lo, hi = max(lows), min(highs)
     return TightnessResult("tight" if lo == hi else "gap", lo, hi)
-
-
-def best_exact_bounds(g: GraphSpec):
-    t = tightness_check(g)
-    return t.lower, t.upper

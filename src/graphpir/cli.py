@@ -1,7 +1,14 @@
 """Command-line front end.
 
-Subcommands: run, verify, bounds, table, sweep. Exit codes: 0 success,
-1 verification failure, 2 usage error.
+Subcommands: run, verify, bounds, table, sweep. Exit codes:
+
+0  success;
+1  verification failure (a check of `verify` failed);
+2  usage error (bad flag, graph, theta, or a scheme that does not fit
+   the graph);
+3  cannot verify: the verifier refused a valid request (a transcript it
+   cannot canonicalise or attribute, or a randomness space beyond the
+   exact tier's budget).
 """
 from __future__ import annotations
 
@@ -14,9 +21,9 @@ import sys
 from fractions import Fraction
 
 from .bounds import bound_report, tightness_check
-from .core import FileId, dump_transcript, measured_rate
+from .core import FileId, TranscriptError, dump_transcript, measured_rate
 from .graphs import GraphSpecError, build_family, parse_graph
-from .rng import SeededSource
+from .rng import BudgetExceeded, SeededSource
 from .runner import SCHEME_NAMES, all_thetas, resolve_scheme
 from .schemes import SchemeError
 from .tables import render_table
@@ -64,8 +71,6 @@ def cmd_verify(args) -> int:
         tolerance=args.tol,
         seeds=range(args.seeds),
     )
-    if args.privacy == "statistical":
-        pass  # already included through verify_scheme
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -225,6 +230,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except (TranscriptError, BudgetExceeded) as exc:
+        print("error: cannot verify: %s" % exc, file=sys.stderr)
+        return 3
     except (UsageError, GraphSpecError, SchemeError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -25,7 +25,6 @@ class FileId(NamedTuple):
 
 
 # A coordinate is (FileId, bit index); a form is a frozenset of them.
-Coordinate = tuple[FileId, int]
 LinearForm = frozenset
 
 
@@ -314,7 +313,7 @@ def transcript_patterns(t: Transcript) -> tuple:
 # ---------------------------------------------------------------------------
 # text dump
 
-def coordinate_token(coord: Coordinate) -> str:
+def coordinate_token(coord: tuple[FileId, int]) -> str:
     f, b = coord
     return "%d.%d@%d" % (f.edge, f.copy, b)
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .core import FileId, Transcript, assemble_transcript
 from .graphs import GraphSpec
 from .rng import RandomSource
-from .schemes import KernelFactory, SchemeError, kernel_factory, _theta_file
+from .schemes import BASE_KINDS, SchemeError, _theta_file, bind
 
 
 def _lex(subset: frozenset) -> tuple:
@@ -98,19 +98,16 @@ def lift_scheme(
     g: GraphSpec,
     theta,
     rng: RandomSource,
-    *,
-    factory: KernelFactory | None = None,
     **assemble_kw,
 ) -> Transcript:
     """Lift the named base scheme (path, star, or complete) of g's base
     graph to g's multiplicity."""
+    if base_kind not in BASE_KINDS:
+        raise SchemeError("no SRP base scheme of kind %r" % base_kind)
+    (factory,) = bind(base_kind, g.base())
     r = g.multiplicity
     f = _theta_file(g, theta)
     e, j = f
-    if factory is None:
-        factory = kernel_factory(base_kind, g.base())
-    if base_kind not in ("path", "star", "complete"):
-        raise SchemeError("no SRP base scheme of kind %r" % base_kind)
     Lp = factory.length
     L = 2 ** (r - 1) * Lp
     bp = build_block_plan(r, j)

@@ -1,28 +1,28 @@
 """Name-based scheme dispatch shared by the CLI and the verifier."""
 from __future__ import annotations
 
-from typing import Callable
-
-from .core import FileId, Transcript
+from .core import FileId
 from .graphs import GraphSpec, classify_family
 from .lift import lift_scheme
 from .schemes import (
+    BASE_KINDS,
     SchemeError,
+    bind,
     complete_scheme,
     compose_stars,
     path_scheme,
     star_scheme,
 )
 
-SCHEME_NAMES = (
-    "path",
-    "star",
-    "complete",
-    "compose-stars",
-    "lift:path",
-    "lift:star",
-    "lift:complete",
-)
+# Scheme names that run on a multiplicity-1 graph; every base kind also
+# has a "lift:" name for its r-multigraph extension.
+STANDALONE = {
+    "path": path_scheme,
+    "star": star_scheme,
+    "complete": complete_scheme,
+    "compose-stars": compose_stars,
+}
+SCHEME_NAMES = tuple(STANDALONE) + tuple("lift:" + kind for kind in BASE_KINDS)
 
 
 def auto_scheme_name(g: GraphSpec) -> str:
@@ -37,36 +37,33 @@ def auto_scheme_name(g: GraphSpec) -> str:
     elif "complete_bipartite" in fam and g.multiplicity == 1:
         return "compose-stars"
     if base is None:
-        raise SchemeError("no scheme available for this graph")
+        family = ", ".join(sorted(fam)) or "unknown"
+        if g.multiplicity > 1:
+            family += " at multiplicity %d" % g.multiplicity
+        raise SchemeError("no scheme for family %s" % family)
     return base if g.multiplicity == 1 else "lift:" + base
 
 
-def scheme_runner(name: str) -> Callable[..., Transcript]:
-    """A callable (g, theta, rng, **assemble_kw) -> Transcript."""
-    if name.startswith("lift:"):
-        base = name.split(":", 1)[1]
-
-        def run(g, theta, rng, **kw):
-            return lift_scheme(base, g, theta, rng, **kw)
-
-        return run
-    simple = {
-        "path": path_scheme,
-        "star": star_scheme,
-        "complete": complete_scheme,
-        "compose-stars": compose_stars,
-    }
-    if name not in simple:
-        raise SchemeError("unknown scheme %r" % name)
-    return simple[name]
-
-
 def resolve_scheme(scheme, g: GraphSpec):
-    """(name, runner) from a scheme name, 'auto', or a callable."""
+    """(name, run) from a scheme name, 'auto', or a callable, where
+    run(g, theta, rng, **assemble_kw) returns a Transcript. A named
+    scheme is bound to g here, so one that does not fit g is refused
+    before it runs."""
     if callable(scheme):
         return getattr(scheme, "__name__", "custom"), scheme
     name = auto_scheme_name(g) if scheme == "auto" else scheme
-    return name, scheme_runner(name)
+    if name not in SCHEME_NAMES:
+        raise SchemeError("unknown scheme %r" % name)
+    if name in STANDALONE:
+        bind(name, g)
+        return name, STANDALONE[name]
+    kind = name.removeprefix("lift:")
+    bind(kind, g.base())
+
+    def run(g, theta, rng, **kw):
+        return lift_scheme(kind, g, theta, rng, **kw)
+
+    return name, run
 
 
 def all_thetas(g: GraphSpec) -> list[FileId]:

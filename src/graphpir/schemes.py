@@ -1,12 +1,14 @@
 """Standalone schemes, edge-disjoint composition, and kernel factories.
 
-A kernel factory binds a scheme kind to a (sub)graph once and can then
-produce kernel runs for any desired edge and orientation. Standalone
-schemes expand kernel symbols to FileIds and assemble a transcript; the
-composition and lift modules reuse the same factories.
+A kernel factory binds a base kernel kind to a set of a graph's base
+edges and can then produce kernel runs for any desired edge and
+orientation. `bind` is the one place where a scheme kind meets a graph:
+it validates the pair once and returns the scheme's factories, which
+standalone schemes, compositions and the lift all run from.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,9 +16,18 @@ from typing import Sequence
 
 from . import complete as comp
 from .core import FileId, Transcript, assemble_transcript
-from .graphs import GraphSpec, path_vertex_order, star_center, star_decomposition
+from .graphs import (
+    GraphSpec,
+    build_family,
+    path_vertex_order,
+    star_center,
+    star_decomposition,
+)
 from .kernels import KernelRun, path_kernel, star_kernel
 from .rng import RandomSource
+
+
+BASE_KINDS = ("path", "star", "complete")
 
 
 class SchemeError(ValueError):
@@ -110,6 +121,44 @@ def kernel_factory(
     raise SchemeError("unknown scheme kind %r" % kind)
 
 
+@functools.cache
+def bind(
+    kind: str, g: GraphSpec, parts: tuple | None = None
+) -> tuple[KernelFactory, ...]:
+    """The kernel factories of scheme `kind` on g, validated once.
+
+    `kind` is a base kind (one part over all of g's base edges),
+    "compose" over `parts`, a tuple of (edge index tuple, base kind)
+    pairs, or "compose-stars", the "compose" binding with one star
+    part per left vertex of a complete bipartite graph. g must have
+    multiplicity 1, the parts must partition its base edges, and each
+    part's edges must form its kind's graph.
+
+    Cached for the life of the process, per (kind, g, parts): GraphSpec
+    is frozen and hashable, and a factory is immutable and draws no
+    randomness until it runs, so a binding carries no state from one
+    run to the next.
+    """
+    if g.multiplicity != 1:
+        raise SchemeError("%s scheme runs on multiplicity-1 graphs" % kind)
+    if kind == "compose-stars":
+        stars = tuple(
+            (tuple(g.edges.index(e) + 1 for e in s.edges), "star")
+            for s in star_decomposition(g)
+        )
+        return bind("compose", g, stars)
+    if kind in BASE_KINDS:
+        parts = ((tuple(range(1, g.n_base_edges + 1)), kind),)
+    elif kind != "compose":
+        raise SchemeError("unknown scheme kind %r" % kind)
+    if not parts:
+        raise SchemeError("no parts")
+    covered = sorted(e for edges, _ in parts for e in edges)
+    if covered != list(range(1, g.n_base_edges + 1)):
+        raise SchemeError("part edge sets must partition the graph's edges")
+    return tuple(kernel_factory(k, g, edges) for edges, k in parts)
+
+
 def _theta_file(g: GraphSpec, theta) -> FileId:
     if isinstance(theta, FileId):
         f = theta
@@ -122,56 +171,83 @@ def _theta_file(g: GraphSpec, theta) -> FileId:
     return f
 
 
-def _kernel_transcript(
-    g: GraphSpec, kr: KernelRun, theta: FileId, rng, **assemble_kw
+def _run_bound(
+    g: GraphSpec,
+    factories: Sequence[KernelFactory],
+    theta,
+    rng,
+    *,
+    orientation: int = 1,
+    skip_decoys: bool = False,
+    theta_part_first: bool = False,
+    **assemble_kw,
 ) -> Transcript:
-    requests = [
-        (server, frozenset((FileId(sym, 1), m) for sym, m in form))
-        for server, form in kr.requests
-    ]
-    return assemble_transcript(
-        g, kr.length, theta, requests, kr.plan, rng, **assemble_kw
+    """One transcript from bound factories, composed as `compose`
+    describes; every kernel runs with the given orientation."""
+    f = _theta_file(g, theta)
+    if theta_part_first:
+        factories = sorted(factories, key=lambda fa: f.edge not in fa.edge_indices)
+    L = math.lcm(*(fa.length for fa in factories))
+
+    requests: list = []
+    plan: list = [None] * L
+    for fa in factories:
+        is_theta_part = f.edge in fa.edge_indices
+        if skip_decoys and not is_theta_part:
+            continue
+        target = f.edge if is_theta_part else fa.edge_indices[
+            rng.choice_index(len(fa.edge_indices))
+        ]
+        for rep in range(L // fa.length):
+            off = rep * fa.length
+            kr = fa.run(target, orientation, rng)
+            base_idx = len(requests)
+            for server, form in kr.requests:
+                requests.append(
+                    (
+                        server,
+                        frozenset((FileId(sym, 1), m + off) for sym, m in form),
+                    )
+                )
+            if is_theta_part:
+                for m, entry in enumerate(kr.plan, start=1):
+                    plan[off + m - 1] = frozenset(base_idx + k for k in entry)
+    if any(p is None for p in plan):
+        raise SchemeError("desired part did not cover all targets")
+    return assemble_transcript(g, L, f, requests, plan, rng, **assemble_kw)
+
+
+def _as_graph(g, kind: str) -> GraphSpec:
+    return g if isinstance(g, GraphSpec) else build_family(kind, [int(g)])
+
+
+def _standalone(kind: str, g, theta, rng, orientation: int, **assemble_kw) -> Transcript:
+    """One base kernel over all of g's base edges."""
+    g = _as_graph(g, kind)
+    return _run_bound(
+        g, bind(kind, g), theta, rng, orientation=orientation, **assemble_kw
     )
-
-
-def _as_graph(g, family: str) -> GraphSpec:
-    from .graphs import build_family
-
-    return g if isinstance(g, GraphSpec) else build_family(family, [int(g)])
 
 
 def path_scheme(g, theta, rng, orientation: int = 1, **assemble_kw) -> Transcript:
     """Path scheme; g may be a GraphSpec or the vertex count N."""
-    g = _as_graph(g, "path")
-    if g.multiplicity != 1:
-        raise SchemeError("path scheme runs on multiplicity-1 graphs")
-    f = _theta_file(g, theta)
-    kr = kernel_factory("path", g).run(f.edge, orientation, rng)
-    return _kernel_transcript(g, kr, f, rng, **assemble_kw)
+    return _standalone("path", g, theta, rng, orientation, **assemble_kw)
 
 
 def star_scheme(g, theta, rng, orientation: int = 1, **assemble_kw) -> Transcript:
     """Trivial star scheme; g may be a GraphSpec or the vertex count N."""
-    g = _as_graph(g, "star")
-    if g.multiplicity != 1:
-        raise SchemeError("star scheme runs on multiplicity-1 graphs")
-    f = _theta_file(g, theta)
-    kr = kernel_factory("star", g).run(f.edge, orientation, rng)
-    return _kernel_transcript(g, kr, f, rng, **assemble_kw)
+    return _standalone("star", g, theta, rng, orientation, **assemble_kw)
 
 
 def complete_scheme(g, theta, rng, orientation: int = 1, **assemble_kw) -> Transcript:
-    """Complete-graph scheme; theta is an edge index or endpoint pair."""
+    """Complete-graph scheme; g may be a GraphSpec or the vertex count N,
+    and theta an edge index or endpoint pair."""
     g = _as_graph(g, "complete")
-    if g.multiplicity != 1:
-        raise SchemeError("complete scheme runs on multiplicity-1 graphs")
     if isinstance(theta, tuple) and not isinstance(theta, FileId) and len(theta) == 2:
         u, v = sorted(theta)
         if (u, v) in g.edges:
             theta = g.edges.index((u, v)) + 1
-    f = _theta_file(g, theta)
-    kr = kernel_factory("complete", g).run(f.edge, orientation, rng)
-    return _kernel_transcript(g, kr, f, rng, **assemble_kw)
+    return _standalone("complete", g, theta, rng, orientation, **assemble_kw)
 
 
 def compose(
@@ -196,56 +272,18 @@ def compose(
     visible when canonical ordering is disabled) deliberately break
     privacy; they exist as negative controls for the verifier.
     """
-    if g.multiplicity != 1:
-        raise SchemeError("composition runs on multiplicity-1 graphs")
-    if not parts:
-        raise SchemeError("no parts")
-    covered = sorted(e for edges, _ in parts for e in edges)
-    if covered != list(range(1, g.n_base_edges + 1)):
-        raise SchemeError("part edge sets must partition the graph's edges")
-    f = _theta_file(g, theta)
-
-    if theta_part_first:
-        parts = sorted(parts, key=lambda pk: f.edge not in pk[0])
-    factories = [kernel_factory(kind, g, edges) for edges, kind in parts]
-    L = math.lcm(*(fa.length for fa in factories))
-
-    requests: list = []
-    plan: list = [None] * L
-    for fa in factories:
-        is_theta_part = f.edge in fa.edge_indices
-        if skip_decoys and not is_theta_part:
-            continue
-        target = f.edge if is_theta_part else fa.edge_indices[
-            rng.choice_index(len(fa.edge_indices))
-        ]
-        for rep in range(L // fa.length):
-            off = rep * fa.length
-            kr = fa.run(target, 1, rng)
-            base_idx = len(requests)
-            for server, form in kr.requests:
-                requests.append(
-                    (
-                        server,
-                        frozenset((FileId(sym, 1), m + off) for sym, m in form),
-                    )
-                )
-            if is_theta_part:
-                for m, entry in enumerate(kr.plan, start=1):
-                    plan[off + m - 1] = frozenset(base_idx + k for k in entry)
-    if any(p is None for p in plan):
-        raise SchemeError("desired part did not cover all targets")
-    return assemble_transcript(g, L, f, requests, plan, rng, **assemble_kw)
+    parts = tuple((tuple(edges), kind) for edges, kind in parts)
+    return _run_bound(
+        g, bind("compose", g, parts), theta, rng,
+        skip_decoys=skip_decoys, theta_part_first=theta_part_first,
+        **assemble_kw,
+    )
 
 
 def compose_stars(g: GraphSpec, theta, rng, **kw) -> Transcript:
     """Composition of one trivial star scheme per left vertex of a
     complete bipartite graph."""
-    stars = star_decomposition(g)
-    parts = []
-    for s in stars:
-        edges = tuple(g.edges.index(e) + 1 for e in s.edges)
-        parts.append((edges, "star"))
+    parts = [(fa.edge_indices, fa.kind) for fa in bind("compose-stars", g)]
     return compose(g, parts, theta, rng, **kw)
 
 

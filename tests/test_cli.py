@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from graphpir.cli import main, parse_theta
+from graphpir.cli import build_parser, main, parse_theta
 from graphpir.core import FileId
+from graphpir.graphs import parse_graph
 
 
 def run_cli(capsys, *argv):
@@ -159,3 +163,75 @@ def test_seed_env_default(capsys, monkeypatch):
     a = run_cli(capsys, "run", "--graph", "path:4")
     b = run_cli(capsys, "run", "--graph", "path:4", "--seed", "123")
     assert a == b
+
+
+def test_verifier_refusal_exits_3(capsys, monkeypatch):
+    import graphpir.cli as cli
+    from graphpir.core import TranscriptError
+
+    def refuse(scheme, g, **kw):
+        raise TranscriptError("pattern tie groups too large to canonicalize")
+
+    monkeypatch.setattr(cli, "verify_scheme", refuse)
+    code, out, err = run_cli(capsys, "verify", "--graph", "path:4")
+    assert code == 3
+    assert out == ""
+    assert err == "error: cannot verify: pattern tie groups too large to canonicalize\n"
+
+
+def test_exact_budget_refusal_exits_3(capsys):
+    code, _, err = run_cli(capsys, "verify", "--graph", "complete:4",
+                           "--privacy", "exact", "--seeds", "1")
+    assert code == 3
+    assert err.startswith("error: cannot verify: randomness space exceeds")
+
+
+def test_no_scheme_for_family_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--graph", "cycle:5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no scheme for family cycle\n"
+    code, out, _ = run_cli(capsys, "bounds", "--graph", "cycle:5")
+    assert code == 0
+    assert "tightness:" in out
+
+
+def readme_commands() -> list[list[str]]:
+    """Every `graphpir ...` line in the README's code blocks as an argv,
+    with each loop variable expanded to every value of its loop."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    # Fences alternate open/close, so the code blocks are the odd pieces.
+    for block in re.split(r"^```.*$", readme, flags=re.M)[1::2]:
+        loop = {}
+        for line in block.replace("\\\n", " ").splitlines():
+            m = re.match(r"\s*for (\w+) in (.*); do$", line)
+            if m:
+                loop = {"$" + m.group(1): m.group(2).split()}
+            if not line.lstrip().startswith("graphpir "):
+                continue
+            words = shlex.split(line, comments=True)[1:]
+            if "||" in words:
+                words = words[: words.index("||")]
+            variables = [w for w in words if w in loop]
+            for value in loop[variables[0]] if variables else [None]:
+                commands.append([value if w in loop else w for w in words])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "run", "verify", "bounds", "table", "sweep"
+    }
+    assert ["table", "--name", "tableIV"] in commands
+    assert ["verify", "--graph", "complete:3^2", "--seeds", "5"] in commands
+    parser = build_parser()
+    for argv in commands:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail("README command does not parse: graphpir %s"
+                        % " ".join(argv))
+        if hasattr(args, "graph"):
+            parse_graph(args.graph)
