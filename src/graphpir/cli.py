@@ -27,7 +27,7 @@ from .rng import BudgetExceeded, SeededSource
 from .runner import SCHEME_NAMES, all_thetas, resolve_scheme
 from .schemes import SchemeError
 from .tables import render_table
-from .verify import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, verify_scheme
+from .verify import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, PRIVACY_MODES, verify_scheme
 
 SWEEP_N_CAP = 8
 SWEEP_R_CAP = 4
@@ -192,10 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--scheme", default="auto",
                      choices=("auto",) + SCHEME_NAMES)
     ver.add_argument("--graph", required=True)
-    ver.add_argument(
-        "--privacy", default="auto",
-        choices=("auto", "exact", "structural", "statistical"),
-    )
+    ver.add_argument("--privacy", default="auto", choices=PRIVACY_MODES)
     ver.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     ver.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     ver.add_argument("--seeds", type=int, default=10)

@@ -87,9 +87,6 @@ class Transcript:
     def request_at(self, server: int, pos: int) -> Request:
         return self.requests[server - 1][pos - 1]
 
-    def server_forms(self, server: int) -> tuple[LinearForm, ...]:
-        return tuple(r.form for r in self.requests[server - 1])
-
 
 def assemble_transcript(
     graph: GraphSpec,

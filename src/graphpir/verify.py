@@ -1,40 +1,46 @@
 """Verification engine: reliability, privacy, SRP, and rate checks.
 
-Privacy is checked at one of three tiers:
+A scheme is private when each server's query distribution is the same
+for every desired file theta. One engine checks this for every privacy
+tier: _distributions runs the scheme once per source of a per-theta
+stream and counts a view of each server's request sequence; _compare
+finds the first theta pair whose counts differ (exactly, in integers)
+and the largest total-variation distance. The tiers configure it:
 
-* exact: per-server query distributions are compared exactly across
-  theta, by enumeration (see below);
-* structural: canonical per-server query patterns (bit indices renamed
-  per file by first appearance) are compared as multisets over seeds;
-* statistical: empirical pattern distributions are sampled and compared
-  by total-variation distance.
+* exact: every point of the scheme's own draws, viewed through
+  orbit_label; passes when no pair differs;
+* structural: one seeded run per seed and theta, viewed through the
+  canonical pattern (core.server_pattern); passes when no pair differs;
+* statistical: `samples` seeded runs per theta (one if the first draws
+  nothing), viewed through the pattern; passes when the largest
+  distance is within the tolerance.
 
-The exact tier enumerates only the scheme's own draws. Every scheme
+Why the exact tier may leave the file permutations out: every scheme
 draws its per-file index permutations in assemble_transcript, uniformly
 and independently of everything else, and uses them nowhere else (a
 runner passed in as a callable must do the same for a pass to be
-exact). For a fixed point of the scheme's own draws, a server's view is
-therefore uniform over the orbit of its identity-permutation view under
-per-file index permutations: the wire is re-sorted when it is
-canonical, and kept in insertion order, which no permutation changes,
-when it is not. So raw-view distributions agree across theta exactly
-when the distributions of those orbits do. The tier runs the scheme
-with identity permutations, enumerates the remaining draws (choices,
-and any permutation the scheme draws itself), and compares the exact
-distributions of each server's orbit_label. The label is an injective
-per-file relabelling of the view, so equal labels mean equal orbits and
-a pass is exact. Labels of one orbit can differ, so a difference is
-only a candidate fail: it is confirmed by enumerating the full space,
-file permutations included, which then gives the verdict and the
-witness. The budget applies to the full space, so the tier runs, and
-confirms, on exactly the graphs where full enumeration fits.
+exact). For a fixed point of the scheme's own draws (choices, and any
+permutation the scheme draws itself), a server's view is therefore
+uniform over the orbit of its identity-permutation view under per-file
+index permutations: the wire is re-sorted when it is canonical, and
+kept in insertion order, which no permutation changes, when it is not.
+So raw-view distributions agree across theta exactly when the
+distributions of those orbits do, and the tier runs the scheme with
+identity permutations. orbit_label is an injective per-file
+relabelling of the view, so equal labels mean equal orbits and a pass
+is exact. Labels of one orbit can differ, so a difference is only a
+candidate fail: it is confirmed by enumerating the full space, file
+permutations included, which then gives the verdict and the witness.
+The budget applies to the full space, so the tier runs, and confirms,
+on exactly the graphs where full enumeration fits.
 
-The statistical tier samples canonical patterns rather than raw
-queries. By the same orbit argument, conditioned on the pattern the
-concrete indices are uniform over the pattern's orbit regardless of
-theta; the total-variation distance between raw query distributions
-therefore equals the distance between pattern distributions, and the
-pattern is a sufficient statistic with a far smaller support.
+The structural and statistical tiers view canonical patterns rather
+than raw queries. By the same orbit argument, conditioned on the
+pattern the concrete indices are uniform over the pattern's orbit
+regardless of theta; the total-variation distance between raw query
+distributions therefore equals the distance between pattern
+distributions, and the pattern is a sufficient statistic with a far
+smaller support.
 """
 from __future__ import annotations
 
@@ -53,8 +59,8 @@ from .core import (
     measured_rate,
     random_store,
     srp_attribution,
+    server_pattern,
     symbolic_decode_check,
-    transcript_patterns,
     AttributionUndefined,
 )
 from .graphs import GraphSpec
@@ -70,6 +76,7 @@ from .runner import all_thetas, resolve_scheme
 EXACT_BUDGET = 1 << 20
 DEFAULT_SAMPLES = 200_000
 DEFAULT_TOLERANCE = 0.02
+PRIVACY_MODES = ("auto", "exact", "structural", "statistical")
 
 
 @dataclass
@@ -92,28 +99,38 @@ def _seed_for(base_seed, theta, tag: str) -> str:
     return "%s/%d.%d/%s" % (base_seed, theta.edge, theta.copy, tag)
 
 
+def _seeded(g: GraphSpec, seeds: Sequence, tag: str):
+    """(theta, seed, source) for every theta and, within it, every seed;
+    each source is seeded from (seed, theta, tag)."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    for theta in all_thetas(g):
+        for seed in seeds:
+            yield theta, seed, SeededSource(_seed_for(seed, theta, tag))
+
+
 def verify_reliability(
     scheme, g: GraphSpec, seeds: Sequence = range(10), n_stores: int = 2
 ) -> CheckResult:
     """Symbolic zero-error decoding over all theta and seeds, plus
     end-to-end decoding on random stores."""
     name, run = resolve_scheme(scheme, g)
-    for theta in all_thetas(g):
-        for seed in seeds:
-            t = run(g, theta, SeededSource(_seed_for(seed, theta, "rel")))
-            if not symbolic_decode_check(t):
+    for theta, seed, src in _seeded(g, seeds, "rel"):
+        t = run(g, theta, src)
+        if not symbolic_decode_check(t):
+            return CheckResult(
+                "reliability", False, "symbolic decode failed",
+                {"scheme": name, "theta": theta, "seed": seed},
+            )
+        data_rng = random.Random(_seed_for(seed, theta, "store"))
+        for k in range(n_stores):
+            store = random_store(g, t.file_length, data_rng)
+            if decode(t, answer_all(store, t)) != store[theta]:
                 return CheckResult(
-                    "reliability", False, "symbolic decode failed",
-                    {"scheme": name, "theta": theta, "seed": seed},
+                    "reliability", False, "end-to-end decode mismatch",
+                    {"scheme": name, "theta": theta, "seed": seed, "store": k},
                 )
-            data_rng = random.Random(_seed_for(seed, theta, "store"))
-            for k in range(n_stores):
-                store = random_store(g, t.file_length, data_rng)
-                if decode(t, answer_all(store, t)) != store[theta]:
-                    return CheckResult(
-                        "reliability", False, "end-to-end decode mismatch",
-                        {"scheme": name, "theta": theta, "seed": seed, "store": k},
-                    )
     return CheckResult("reliability", True, "all theta and seeds decode")
 
 
@@ -142,34 +159,54 @@ def _raw_view(forms: Sequence[LinearForm]) -> tuple:
     return tuple(_raw_encoding(f) for f in forms)
 
 
-def _privacy_sweep(run, g: GraphSpec, view, budget: int, **run_kw):
-    """Enumerate the randomness space of `run` (called with `run_kw`) per
-    theta and compare the exact distributions of `view` of each server's
-    request sequence. Returns (first difference or None, points); the
-    difference is {"server", "theta_a", "theta_b"}."""
+def _distributions(run, g: GraphSpec, view, sources, **run_kw):
+    """({theta: (one Counter of `view` per server, runs)}, runs in all),
+    running `run` (with `run_kw`) once per source that
+    `sources(theta, build)` yields. Callers name the view (say
+    server_pattern) at call time, never in a default or a table, so a
+    rebinding of the module attribute, as a tracer does, sees every call."""
     dists = {}
-    points = 0
     for theta in all_thetas(g):
         def build(src, theta=theta):
             return run(g, theta, src, **run_kw)
 
         counters = [Counter() for _ in range(g.n_vertices)]
-        total = 0
-        for src in enumerate_sources(build, budget):
-            t = build(src)
-            for c, server in zip(counters, t.requests):
+        n = 0
+        for src in sources(theta, build):
+            for c, server in zip(counters, build(src).requests):
                 c[view([r.form for r in server])] += 1
-            total += 1
-        dists[theta] = [
-            {q: Fraction(n, total) for q, n in c.items()} for c in counters
-        ]
-        points += total
-    ref = next(iter(dists))
-    for theta, d in dists.items():
-        for s, (da, db) in enumerate(zip(dists[ref], d), start=1):
-            if da != db:
-                return {"server": s, "theta_a": ref, "theta_b": theta}, points
-    return None, points
+            n += 1
+        dists[theta] = counters, n
+    return dists, sum(n for _, n in dists.values())
+
+
+def _compare(dists):
+    """Over the theta pairs of `dists` in order, servers innermost:
+    (largest total-variation distance, its witness, first pair whose
+    distributions differ or None), each witness {"server", "theta_a",
+    "theta_b"}. Equality is transitive, so a differing pair is first
+    found against the first theta."""
+    thetas, worst, worst_at, diff = list(dists), 0.0, {}, None
+    for i, ta in enumerate(thetas):
+        for tb in thetas[i + 1:]:
+            (cas, na), (cbs, nb) = dists[ta], dists[tb]
+            for s, (ca, cb) in enumerate(zip(cas, cbs), start=1):
+                at = {"server": s, "theta_a": ta, "theta_b": tb}
+                if (d := tv_distance(ca, cb, na, nb)) > worst:
+                    worst, worst_at = d, at
+                if diff is None and any(ca[k] * nb != cb[k] * na for k in ca | cb):
+                    diff = at
+    return worst, worst_at, diff
+
+
+def _privacy_sweep(run, g: GraphSpec, view, budget: int, **run_kw):
+    """The engine over every point of the randomness space of `run`
+    (called with `run_kw`): (first differing pair or None, points)."""
+    dists, points = _distributions(
+        run, g, view, lambda theta, build: enumerate_sources(build, budget),
+        **run_kw,
+    )
+    return _compare(dists)[2], points
 
 
 def verify_privacy_exact(scheme, g: GraphSpec, budget: int = EXACT_BUDGET) -> CheckResult:
@@ -187,19 +224,14 @@ def verify_privacy_exact(scheme, g: GraphSpec, budget: int = EXACT_BUDGET) -> Ch
     diff, points = _privacy_sweep(
         run, g, orbit_label, budget, identity_perms=True
     )
+    how = "%d quotient points for %d draws" % (points, draws)
+    if diff is not None:
+        diff, _ = _privacy_sweep(run, g, _raw_view, budget)
+        how = "full enumeration of %d draws; quotient labels differed" % draws
     if diff is None:
         return CheckResult(
             "privacy-exact", True,
-            "distributions identical across %d theta values "
-            "(%d quotient points for %d draws)" % (len(thetas), points, draws),
-        )
-    diff, _ = _privacy_sweep(run, g, _raw_view, budget)
-    if diff is None:
-        return CheckResult(
-            "privacy-exact", True,
-            "distributions identical across %d theta values "
-            "(full enumeration of %d draws; quotient labels differed)"
-            % (len(thetas), draws),
+            "distributions identical across %d theta values (%s)" % (len(thetas), how),
         )
     return CheckResult(
         "privacy-exact", False,
@@ -215,26 +247,19 @@ def verify_privacy_structural(
     """Canonical pattern multisets per server must be identical across
     theta (over the same number of seeds)."""
     name, run = resolve_scheme(scheme, g)
-    dists = {}
-    for theta in all_thetas(g):
-        counters = [Counter() for _ in range(g.n_vertices)]
-        for seed in seeds:
-            t = run(
-                g, theta, SeededSource(_seed_for(seed, theta, "struct")),
-                identity_perms=True, validate=False,
-            )
-            for c, p in zip(counters, transcript_patterns(t)):
-                c[p] += 1
-        dists[theta] = counters
-    ref = next(iter(dists))
-    for theta, counters in dists.items():
-        for s, (ca, cb) in enumerate(zip(dists[ref], counters), start=1):
-            if ca != cb:
-                return CheckResult(
-                    "privacy-structural", False,
-                    "pattern multiset depends on theta",
-                    {"scheme": name, "server": s, "theta_a": ref, "theta_b": theta},
-                )
+    runs = {}
+    for theta, _, src in _seeded(g, seeds, "struct"):
+        runs.setdefault(theta, []).append(src)
+    dists, _ = _distributions(
+        run, g, server_pattern, lambda theta, build: runs[theta],
+        identity_perms=True, validate=False,
+    )
+    diff = _compare(dists)[2]
+    if diff is not None:
+        return CheckResult(
+            "privacy-structural", False, "pattern multiset depends on theta",
+            {"scheme": name, **diff},
+        )
     return CheckResult(
         "privacy-structural", True,
         "patterns theta-invariant over %d seeds" % len(list(seeds)),
@@ -258,46 +283,27 @@ def verify_privacy_statistical(
     """Empirical per-server pattern distributions per theta, compared by
     max pairwise total-variation distance.
 
-    If a scheme consumes no randomness beyond the file permutations
-    (already factored out of the pattern statistic), its pattern per
-    theta is a constant and one evaluation stands for all samples.
+    If a run draws nothing (the file permutations are factored out of
+    the pattern), every run of that theta is the same and one stands
+    for all samples.
     """
     if samples < 10_000:
         raise ValueError("need at least 10^4 samples")
     name, run = resolve_scheme(scheme, g)
-    dists = {}
-    totals = {}
-    for theta in all_thetas(g):
-        counters = [Counter() for _ in range(g.n_vertices)]
+
+    def sampled(theta, build):
         src = SeededSource(_seed_for(seed, theta, "stat"))
-        t = run(g, theta, src, identity_perms=True, validate=False)
-        first = transcript_patterns(t)
-        deterministic = src.draws == 0
-        n = 1 if deterministic else samples
-        for c, p in zip(counters, first):
-            c[p] += 1 if not deterministic else n
-        if not deterministic:
-            for _ in range(samples - 1):
-                t = run(g, theta, src, identity_perms=True, validate=False)
-                for c, p in zip(counters, transcript_patterns(t)):
-                    c[p] += 1
-        dists[theta] = counters
-        totals[theta] = n
-    thetas = list(dists)
-    worst = 0.0
-    worst_at = {}
-    for a_i, ta in enumerate(thetas):
-        for tb in thetas[a_i + 1:]:
-            for s in range(g.n_vertices):
-                d = tv_distance(
-                    dists[ta][s], dists[tb][s], totals[ta], totals[tb]
-                )
-                if d > worst:
-                    worst = d
-                    worst_at = {"server": s + 1, "theta_a": ta, "theta_b": tb}
-    passed = worst <= tolerance
+        for _ in range(samples):
+            yield src
+            if not src.draws:
+                return
+
+    dists, _ = _distributions(
+        run, g, server_pattern, sampled, identity_perms=True, validate=False
+    )
+    worst, worst_at, _ = _compare(dists)
     return CheckResult(
-        "privacy-statistical", passed,
+        "privacy-statistical", worst <= tolerance,
         "max TV %.5f (tolerance %g, %d samples)" % (worst, tolerance, samples),
         {"scheme": name, "max_tv": worst, **worst_at},
     )
@@ -327,22 +333,21 @@ def verify_privacy(
 
 def verify_srp(scheme, g: GraphSpec, seeds: Sequence = range(5)) -> CheckResult:
     name, run = resolve_scheme(scheme, g)
-    for theta in all_thetas(g):
-        for seed in seeds:
-            t = run(g, theta, SeededSource(_seed_for(seed, theta, "srp")))
-            half = t.file_length // 2
-            try:
-                attr = srp_attribution(t)
-            except AttributionUndefined as exc:
-                return CheckResult(
-                    "srp", False, "attribution undefined: %s" % exc,
-                    {"scheme": name, "theta": theta, "seed": seed},
-                )
-            if attr != (half, half):
-                return CheckResult(
-                    "srp", False, "attribution %s, expected (%d, %d)" % (attr, half, half),
-                    {"scheme": name, "theta": theta, "seed": seed},
-                )
+    for theta, seed, src in _seeded(g, seeds, "srp"):
+        t = run(g, theta, src)
+        half = t.file_length // 2
+        try:
+            attr = srp_attribution(t)
+        except AttributionUndefined as exc:
+            return CheckResult(
+                "srp", False, "attribution undefined: %s" % exc,
+                {"scheme": name, "theta": theta, "seed": seed},
+            )
+        if attr != (half, half):
+            return CheckResult(
+                "srp", False, "attribution %s, expected (%d, %d)" % (attr, half, half),
+                {"scheme": name, "theta": theta, "seed": seed},
+            )
     return CheckResult("srp", True, "every theta splits evenly")
 
 
@@ -355,9 +360,8 @@ def verify_rate(scheme, g: GraphSpec) -> tuple[CheckResult, Fraction]:
         if e.kind == "upper" and e.exact and e.applicable and not e.asymptotic
     ]
     rates = []
-    for theta in all_thetas(g):
-        t = run(g, theta, SeededSource(_seed_for(0, theta, "rate")))
-        rate = measured_rate(t)
+    for theta, _, src in _seeded(g, [0], "rate"):
+        rate = measured_rate(run(g, theta, src))
         for e in bounds:
             if rate > e.value:
                 return (

@@ -10,6 +10,7 @@ import pytest
 from graphpir.cli import build_parser, main, parse_theta
 from graphpir.core import FileId
 from graphpir.graphs import parse_graph
+from graphpir.verify import PRIVACY_MODES
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +185,23 @@ def test_exact_budget_refusal_exits_3(capsys):
                            "--privacy", "exact", "--seeds", "1")
     assert code == 3
     assert err.startswith("error: cannot verify: randomness space exceeds")
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_verify_without_seeds_exits_2(capsys, seeds):
+    # no transcript is built, so no check may pass
+    code, out, err = run_cli(capsys, "verify", "--graph", "complete:4",
+                             "--seeds", seeds)
+    assert code == 2
+    assert out == ""
+    assert err == "error: need at least one seed\n"
+
+
+def test_privacy_choices_are_the_verifier_modes():
+    for mode in PRIVACY_MODES:
+        args = build_parser().parse_args(
+            ["verify", "--graph", "path:3", "--privacy", mode])
+        assert args.privacy == mode
 
 
 def test_no_scheme_for_family_exits_2(capsys):

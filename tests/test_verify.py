@@ -269,3 +269,74 @@ def test_verify_rate_checks_every_theta():
     assert not c.passed
     assert c.witness["theta"] == second
     assert rate > verify_rate("path", g)[1]
+
+
+def test_privacy_mode_names_are_checked():
+    with pytest.raises(ValueError):
+        verify_privacy("path", build_family("path", [3]), mode="bogus")
+
+
+def test_zero_seeds_are_refused():
+    with pytest.raises(ValueError, match="need at least one seed"):
+        verify_privacy_structural("path", parse_graph("path:4"), seeds=range(0))
+
+
+def _witness(scheme, server, edge_b):
+    return {
+        "scheme": scheme,
+        "server": str(server),
+        "theta_a": "FileId(edge=1, copy=1)",
+        "theta_b": "FileId(edge=%d, copy=1)" % edge_b,
+    }
+
+
+TIERS = {
+    "exact": verify_privacy_exact,
+    "structural": verify_privacy_structural,
+    "statistical": lambda s, g: verify_privacy_statistical(s, g, samples=10_000),
+}
+NO_DECOY, THETA_ORDERED = compose_stars_no_decoy, compose_stars_theta_ordered
+
+# (tier, scheme, graph, passed, detail, witness) of CheckResult.to_dict()
+GOLDEN = [
+    ("exact", "auto", "path:5", True,
+     "distributions identical across 4 theta values "
+     "(4 quotient points for 64 draws)", {}),
+    ("exact", THETA_ORDERED, "complete_bipartite:2,2", False,
+     "query distribution depends on theta "
+     "(confirmed by full enumeration of 128 draws)",
+     _witness("compose_stars_theta_ordered", 3, 3)),
+    ("exact", NO_DECOY, "complete_bipartite:2,2", False,
+     "query distribution depends on theta "
+     "(confirmed by full enumeration of 64 draws)",
+     _witness("compose_stars_no_decoy", 1, 3)),
+    ("exact", compose_stars_drop_request, "complete_bipartite:2,2", False,
+     "query distribution depends on theta "
+     "(confirmed by full enumeration of 128 draws)",
+     _witness("compose_stars_drop_request", 1, 3)),
+    ("structural", "auto", "complete:3", True,
+     "patterns theta-invariant over 20 seeds", {}),
+    ("structural", THETA_ORDERED, "complete_bipartite:2,2", False,
+     "pattern multiset depends on theta",
+     _witness("compose_stars_theta_ordered", 3, 3)),
+    ("statistical", "lift:path", "path:3^2", True,
+     "max TV 0.00000 (tolerance 0.02, 10000 samples)",
+     {"scheme": "lift:path", "max_tv": "0.0"}),
+    # deterministic: one run per theta, so the TV is exactly 1
+    ("statistical", NO_DECOY, "complete_bipartite:2,2", False,
+     "max TV 1.00000 (tolerance 0.02, 10000 samples)",
+     {"max_tv": "1.0", **_witness("compose_stars_no_decoy", 1, 3)}),
+]
+
+
+@pytest.mark.parametrize(
+    "tier,scheme,graph,passed,detail,witness", GOLDEN,
+    ids=["%s-%s-%s" % (t, getattr(s, "__name__", s), g)
+         for t, s, g, *_ in GOLDEN],
+)
+def test_tier_outputs_are_pinned(tier, scheme, graph, passed, detail, witness):
+    c = TIERS[tier](scheme, parse_graph(graph))
+    assert c.to_dict() == {
+        "check": "privacy-" + tier, "passed": passed, "detail": detail,
+        "witness": witness,
+    }
