@@ -300,13 +300,6 @@ def server_pattern(forms: Sequence[LinearForm]):
     return best
 
 
-def transcript_patterns(t: Transcript) -> tuple:
-    """Canonical pattern per server, as a tuple indexed by server - 1."""
-    return tuple(
-        server_pattern([r.form for r in server]) for server in t.requests
-    )
-
-
 # ---------------------------------------------------------------------------
 # text dump
 

@@ -12,6 +12,8 @@ import math
 import random
 from typing import Iterator, Sequence
 
+from .core import TranscriptError
+
 
 class RandomSource:
     def permutation(self, n: int) -> tuple[int, ...]:
@@ -36,10 +38,8 @@ class RandomSource:
 class SeededSource(RandomSource):
     def __init__(self, seed) -> None:
         self._rng = random.Random(seed)
-        self.draws = 0
 
     def permutation(self, n: int) -> tuple[int, ...]:
-        self.draws += 1
         vals = list(range(1, n + 1))
         self._rng.shuffle(vals)
         return tuple(vals)
@@ -47,7 +47,6 @@ class SeededSource(RandomSource):
     def choice_index(self, n: int) -> int:
         if n <= 0:
             raise ValueError("empty choice")
-        self.draws += 1
         return self._rng.randrange(n)
 
 
@@ -65,22 +64,23 @@ class CanonicalSource(RandomSource):
 
 
 class ReplaySource(RandomSource):
-    """Replays one point of an enumerated randomness space.
+    """Replays one point of a randomness space.
 
-    `point` is a list of draw values: for a permutation draw, the
-    lexicographic rank of the permutation; for a choice draw, the index
-    itself. The draw shapes must match the recorded shape exactly.
+    `point` holds one value per draw of `shape`: the permutation itself
+    for a permutation draw, the index for a choice draw. A run must draw
+    exactly `shape`, in order; a draw that differs raises TranscriptError
+    at once, and finish() raises it if values are left over.
     """
 
-    def __init__(self, shape: list[tuple[str, int]], point: Sequence[int]) -> None:
+    def __init__(self, shape: list[tuple[str, int]], point: Sequence) -> None:
         self.shape = shape
-        self.point = list(point)
+        self.point = point
         self.pos = 0
 
-    def _next(self, kind: str, n: int) -> int:
+    def _next(self, kind: str, n: int):
         if self.pos >= len(self.shape) or self.shape[self.pos] != (kind, n):
-            raise RuntimeError(
-                "randomness draw shape mismatch at draw %d: got (%s, %d)"
+            raise TranscriptError(
+                "draw shape depends on drawn values: draw %d is (%s, %d)"
                 % (self.pos, kind, n)
             )
         val = self.point[self.pos]
@@ -88,12 +88,19 @@ class ReplaySource(RandomSource):
         return val
 
     def permutation(self, n: int) -> tuple[int, ...]:
-        return unrank_permutation(n, self._next("perm", n))
+        return self._next("perm", n)
 
     def choice_index(self, n: int) -> int:
         if n <= 0:
             raise ValueError("empty choice")
         return self._next("choice", n)
+
+    def finish(self) -> None:
+        if self.pos != len(self.shape):
+            raise TranscriptError(
+                "draw shape depends on drawn values: %d of %d draws made"
+                % (self.pos, len(self.shape))
+            )
 
 
 class RecordingSource(RandomSource):
@@ -153,6 +160,15 @@ def record_shape(builder) -> list[tuple[str, int]]:
     return rec.shape
 
 
+def draw_point(src: RandomSource, shape: Sequence[tuple[str, int]]) -> tuple:
+    """One value per draw of `shape`, drawn from `src` in order: the
+    draws a run of that shape would make, as a point to replay."""
+    return tuple([
+        src.permutation(n) if kind == "perm" else src.choice_index(n)
+        for kind, n in shape
+    ])
+
+
 def enumerate_sources(builder, budget: int = 1 << 20) -> Iterator[RandomSource]:
     """Yield one ReplaySource per point of the builder's randomness space.
 
@@ -166,7 +182,10 @@ def enumerate_sources(builder, budget: int = 1 << 20) -> Iterator[RandomSource]:
 
     point = [0] * len(shape)
     while True:
-        yield ReplaySource(shape, point)
+        yield ReplaySource(shape, [
+            unrank_permutation(n, v) if kind == "perm" else v
+            for (kind, n), v in zip(shape, point)
+        ])
         for i in range(len(shape) - 1, -1, -1):
             point[i] += 1
             if point[i] < sizes[i]:

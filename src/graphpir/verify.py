@@ -2,8 +2,8 @@
 
 A scheme is private when each server's query distribution is the same
 for every desired file theta. One engine checks this for every privacy
-tier: _distributions runs the scheme once per source of a per-theta
-stream and counts a view of each server's request sequence; _compare
+tier: _distributions counts a view of each server's request sequence
+over the runs of a per-theta stream of random sources; _compare
 finds the first theta pair whose counts differ (exactly, in integers)
 and the largest total-variation distance. The tiers configure it:
 
@@ -11,9 +11,19 @@ and the largest total-variation distance. The tiers configure it:
   orbit_label; passes when no pair differs;
 * structural: one seeded run per seed and theta, viewed through the
   canonical pattern (core.server_pattern); passes when no pair differs;
-* statistical: `samples` seeded runs per theta (one if the first draws
-  nothing), viewed through the pattern; passes when the largest
-  distance is within the tolerance.
+* statistical: `samples` seeded runs per theta, viewed through the
+  pattern; passes when the largest distance is within the tolerance.
+
+With identity file permutations a run's views are a function of the
+scheme's own draws, and those draws take few values (3 points per
+theta for the K_{2,3} star composition), so the seeded and sampled
+streams build and view each distinct point once per theta: each source
+is drawn from exactly as the scheme would draw, the points are tallied,
+and each point's views count as often as it was drawn. Sample streams,
+counts and verdicts are those of a run per source. The enumerated
+stream of the exact tier never repeats a point, so it keeps no memo.
+Every tier refuses a scheme whose draw shape depends on its drawn
+values (TranscriptError).
 
 Why the exact tier may leave the file permutations out: every scheme
 draws its per-file index permutations in assemble_transcript, uniformly
@@ -44,6 +54,7 @@ smaller support.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -66,8 +77,10 @@ from .core import (
 from .graphs import GraphSpec
 from .rng import (
     BudgetExceeded,
+    ReplaySource,
     SeededSource,
     domain_size,
+    draw_point,
     enumerate_sources,
     record_shape,
 )
@@ -159,23 +172,49 @@ def _raw_view(forms: Sequence[LinearForm]) -> tuple:
     return tuple(_raw_encoding(f) for f in forms)
 
 
-def _distributions(run, g: GraphSpec, view, sources, **run_kw):
+def _distributions(run, g: GraphSpec, view, sources, memo: bool, **run_kw):
     """({theta: (one Counter of `view` per server, runs)}, runs in all),
     running `run` (with `run_kw`) once per source that
-    `sources(theta, build)` yields. Callers name the view (say
+    `sources(theta, build)` yields (ReplaySources, unless `memo`); a run
+    that leaves values of its replay undrawn is refused, like one that
+    draws past them. Callers name the view (say
     server_pattern) at call time, never in a default or a table, so a
-    rebinding of the module attribute, as a tracer does, sees every call."""
+    rebinding of the module attribute, as a tracer does, sees every call.
+
+    With `memo`, each distinct point of the scheme's own draws is built
+    and viewed once per theta, with the counts of a run per source: the
+    draw shape is learned once (record_shape), each source gives up one
+    value per draw of it in the order the run would draw them
+    (draw_point), and the points are tallied; then each point runs the
+    scheme on a replay of its values, which must draw exactly that
+    shape, and its views count as often as it was drawn. The tally
+    holds at most one entry per distinct point drawn and is dropped
+    after each theta.
+    """
     dists = {}
     for theta in all_thetas(g):
         def build(src, theta=theta):
             return run(g, theta, src, **run_kw)
 
+        def views(replay):
+            t = build(replay)
+            replay.finish()
+            return tuple(view([r.form for r in server]) for server in t.requests)
+
+        if memo:
+            shape = record_shape(build)
+            tally = Counter(draw_point(src, shape) for src in sources(theta, build))
+            weighted = (
+                (views(ReplaySource(shape, point)), k) for point, k in tally.items()
+            )
+        else:
+            weighted = ((views(src), 1) for src in sources(theta, build))
         counters = [Counter() for _ in range(g.n_vertices)]
         n = 0
-        for src in sources(theta, build):
-            for c, server in zip(counters, build(src).requests):
-                c[view([r.form for r in server])] += 1
-            n += 1
+        for vs, k in weighted:
+            for c, v in zip(counters, vs):
+                c[v] += k
+            n += k
         dists[theta] = counters, n
     return dists, sum(n for _, n in dists.values())
 
@@ -204,7 +243,7 @@ def _privacy_sweep(run, g: GraphSpec, view, budget: int, **run_kw):
     (called with `run_kw`): (first differing pair or None, points)."""
     dists, points = _distributions(
         run, g, view, lambda theta, build: enumerate_sources(build, budget),
-        **run_kw,
+        memo=False, **run_kw,
     )
     return _compare(dists)[2], points
 
@@ -247,12 +286,13 @@ def verify_privacy_structural(
     """Canonical pattern multisets per server must be identical across
     theta (over the same number of seeds)."""
     name, run = resolve_scheme(scheme, g)
+    seeds = list(seeds)
     runs = {}
     for theta, _, src in _seeded(g, seeds, "struct"):
         runs.setdefault(theta, []).append(src)
     dists, _ = _distributions(
         run, g, server_pattern, lambda theta, build: runs[theta],
-        identity_perms=True, validate=False,
+        memo=True, identity_perms=True, validate=False,
     )
     diff = _compare(dists)[2]
     if diff is not None:
@@ -262,7 +302,7 @@ def verify_privacy_structural(
         )
     return CheckResult(
         "privacy-structural", True,
-        "patterns theta-invariant over %d seeds" % len(list(seeds)),
+        "patterns theta-invariant over %d seeds" % len(seeds),
     )
 
 
@@ -281,25 +321,17 @@ def verify_privacy_statistical(
     seed=0,
 ) -> CheckResult:
     """Empirical per-server pattern distributions per theta, compared by
-    max pairwise total-variation distance.
-
-    If a run draws nothing (the file permutations are factored out of
-    the pattern), every run of that theta is the same and one stands
-    for all samples.
-    """
+    max pairwise total-variation distance."""
     if samples < 10_000:
         raise ValueError("need at least 10^4 samples")
     name, run = resolve_scheme(scheme, g)
 
     def sampled(theta, build):
-        src = SeededSource(_seed_for(seed, theta, "stat"))
-        for _ in range(samples):
-            yield src
-            if not src.draws:
-                return
+        return itertools.repeat(SeededSource(_seed_for(seed, theta, "stat")), samples)
 
     dists, _ = _distributions(
-        run, g, server_pattern, sampled, identity_perms=True, validate=False
+        run, g, server_pattern, sampled,
+        memo=True, identity_perms=True, validate=False,
     )
     worst, worst_at, _ = _compare(dists)
     return CheckResult(
@@ -424,6 +456,7 @@ def verify_scheme(
     check_srp: bool = True,
 ) -> VerifyReport:
     name, _ = resolve_scheme(scheme, g)
+    seeds = list(seeds)
     checks = [verify_reliability(scheme, g, seeds)]
     checks.append(verify_privacy(scheme, g, privacy, samples, tolerance, seeds))
     if check_srp:

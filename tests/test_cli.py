@@ -3,6 +3,7 @@ import io
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -253,3 +254,14 @@ def test_readme_commands_parse():
                         % " ".join(argv))
         if hasattr(args, "graph"):
             parse_graph(args.graph)
+
+
+def test_statistical_verify_builds_each_draw_point_once(capsys):
+    # 10^4 samples per desired file over 3 draw points: the scheme runs
+    # once per point, not once per sample
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--graph", "complete_bipartite:2,3",
+                             "--privacy", "statistical", "--samples", "10000")
+    assert code == 0, err
+    assert "privacy-statistical" in out
+    assert time.perf_counter() - start < 3.0

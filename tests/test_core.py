@@ -17,7 +17,6 @@ from graphpir.core import (
     server_pattern,
     srp_attribution,
     symbolic_decode_check,
-    transcript_patterns,
     wire_sort_key,
     xor_forms,
 )
@@ -156,10 +155,13 @@ def test_server_pattern_invariant_within_tie_groups():
     assert server_pattern([f1, f2]) == server_pattern([f2, f1])
 
 
-def test_transcript_patterns_theta_invariant_on_path():
+def test_server_patterns_theta_invariant_on_path():
     g = build_family("path", [5])
     pats = {
-        theta: transcript_patterns(path_scheme(g, theta, SeededSource(9)))
+        theta: tuple(
+            server_pattern([r.form for r in server])
+            for server in path_scheme(g, theta, SeededSource(9)).requests
+        )
         for theta in range(1, 5)
     }
     vals = set(pats.values())

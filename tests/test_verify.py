@@ -1,10 +1,11 @@
+import dataclasses
 import time
 from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphpir.core import FileId
+from graphpir.core import FileId, TranscriptError, server_pattern
 from graphpir.graphs import build_family, parse_graph
 from graphpir.mutants import (
     MUTANTS,
@@ -12,11 +13,12 @@ from graphpir.mutants import (
     compose_stars_theta_ordered,
     drop_planned_request,
 )
-from graphpir.rng import BudgetExceeded, domain_size
+from graphpir.rng import BudgetExceeded, SeededSource, domain_size
 from graphpir.runner import all_thetas, resolve_scheme
 from graphpir.schemes import compose_stars, path_scheme
 from graphpir.verify import (
     EXACT_BUDGET,
+    _distributions,
     _privacy_sweep,
     _raw_view,
     orbit_label,
@@ -340,3 +342,113 @@ def test_tier_outputs_are_pinned(tier, scheme, graph, passed, detail, witness):
         "check": "privacy-" + tier, "passed": passed, "detail": detail,
         "witness": witness,
     }
+
+
+def _sources(theta):
+    """Ten fresh seeded sources (the structural stream), then one source
+    drawn from 200 times (the statistical stream)."""
+    fresh = [SeededSource("%d/%s/memo" % (seed, tuple(theta))) for seed in range(10)]
+    return fresh + [SeededSource("%s/memo" % (tuple(theta),))] * 200
+
+
+def _direct_counts(run, g):
+    """The reference for the memo: one build and one pattern per source."""
+    dists = {}
+    for theta in all_thetas(g):
+        counters = [Counter() for _ in range(g.n_vertices)]
+        n = 0
+        for src in _sources(theta):
+            t = run(g, theta, src, identity_perms=True, validate=False)
+            for c, server in zip(counters, t.requests):
+                c[server_pattern([r.form for r in server])] += 1
+            n += 1
+        dists[theta] = counters, n
+    return dists
+
+
+def compose_stars_cut_wires(g, theta, rng, **kw):
+    """Every server's wire cut short at a drawn length: unlike the
+    schemes, whose patterns are the same at every point, its views
+    differ with each of its draws."""
+    t = compose_stars(g, theta, rng, **kw)
+    return dataclasses.replace(t, requests=tuple(
+        server[:rng.choice_index(len(server) + 1)] for server in t.requests
+    ))
+
+
+MEMO_CASES = [
+    (compose_stars_cut_wires, "complete_bipartite:2,3"),
+    ("compose-stars", "complete_bipartite:2,3"),
+    ("complete", "complete:4"),
+    ("lift:complete", "complete:3^2"),
+    ("lift:path", "path:3^2"),
+] + [
+    (mutant, "complete_bipartite:2,3")
+    for mutant in (NO_DECOY, THETA_ORDERED, compose_stars_drop_request)
+]
+
+
+@pytest.mark.parametrize(
+    "scheme,graph", MEMO_CASES,
+    ids=["%s-%s" % (getattr(s, "__name__", s), g) for s, g in MEMO_CASES],
+)
+def test_memoised_counts_equal_a_run_per_source(scheme, graph):
+    g = parse_graph(graph)
+    _, run = resolve_scheme(scheme, g)
+    dists, runs = _distributions(
+        run, g, server_pattern, lambda theta, build: _sources(theta),
+        memo=True, identity_perms=True, validate=False,
+    )
+    assert dists == _direct_counts(run, g)
+    assert runs == 210 * len(all_thetas(g))
+
+
+def test_statistical_scheme_runs_do_not_grow_with_samples():
+    g = parse_graph("complete_bipartite:2,3")
+
+    def scheme_runs(samples):
+        runs = 0
+
+        def counted(g, theta, rng, **kw):
+            nonlocal runs
+            runs += 1
+            return compose_stars(g, theta, rng, **kw)
+
+        assert verify_privacy_statistical(counted, g, samples=samples).passed
+        return runs
+
+    # per theta: one run to learn the draw shape, one per distinct point
+    assert scheme_runs(10_000) == scheme_runs(20_000) <= len(all_thetas(g)) * (1 + 3)
+
+
+def _more_draws_after_one(g, theta, rng, **kw):
+    if rng.choice_index(2):
+        rng.choice_index(3)
+    return path_scheme(g, theta, rng, **kw)
+
+
+def _fewer_draws_after_one(g, theta, rng, **kw):
+    if not rng.choice_index(2):
+        rng.choice_index(3)
+    return path_scheme(g, theta, rng, **kw)
+
+
+@pytest.mark.parametrize("scheme", [_more_draws_after_one, _fewer_draws_after_one])
+@pytest.mark.parametrize("tier", [
+    verify_privacy_exact,
+    verify_privacy_structural,
+    lambda s, g: verify_privacy_statistical(s, g, samples=10_000),
+], ids=["exact", "structural", "statistical"])
+def test_value_dependent_draw_shape_is_refused(tier, scheme):
+    with pytest.raises(TranscriptError, match="draw shape depends on drawn values"):
+        tier(scheme, parse_graph("path:3"))
+
+
+def test_seed_iterators_are_read_once():
+    g = parse_graph("complete:3")
+    once = verify_scheme("auto", g, seeds=iter(range(3)))
+    assert once.to_dict() == verify_scheme("auto", g, seeds=range(3)).to_dict()
+    assert once.checks[1].name == "privacy-structural"
+    c = verify_privacy_structural("path", parse_graph("path:4"),
+                                  seeds=(s for s in range(3)))
+    assert c.detail == "patterns theta-invariant over 3 seeds"
