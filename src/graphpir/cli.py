@@ -6,9 +6,10 @@ Subcommands: run, verify, bounds, table, sweep. Exit codes:
 1  verification failure (a check of `verify` failed);
 2  usage error (bad flag, graph, theta, or a scheme that does not fit
    the graph);
-3  cannot verify: the verifier refused a valid request (a transcript it
-   cannot canonicalise or attribute, or a randomness space beyond the
-   exact tier's budget).
+3  cannot verify: the verifier refused a valid request (an
+   inconclusive privacy comparison, a transcript it cannot attribute,
+   or a randomness space beyond the exact tier's budget);
+141  standard output was closed early (128 + SIGPIPE, as `cat` exits).
 """
 from __future__ import annotations
 
@@ -226,7 +227,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone (`| head`): keep the exit's own flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (TranscriptError, BudgetExceeded) as exc:
         print("error: cannot verify: %s" % exc, file=sys.stderr)
         return 3

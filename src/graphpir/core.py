@@ -11,7 +11,6 @@ the inverse permutation at the end.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -242,62 +241,27 @@ def srp_attribution(t: Transcript) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# canonical per-server query patterns
+# per-server query patterns
 
-_PATTERN_COMBO_CAP = 100_000
+def server_pattern(forms: Sequence[LinearForm]) -> tuple:
+    """One server's request sequence with each file's bit indices renamed
+    1, 2, ... in order of first appearance along the wire (within one
+    request, in index order), and each request's tokens sorted.
 
-
-def server_pattern(forms: Sequence[LinearForm]):
-    """Canonical pattern of one server's ordered request list.
-
-    Per-file bit indices are renamed 1,2,3,... in order of first
-    appearance; adjacent requests whose per-request patterns tie are
-    reordered to make the result minimal. The wire order itself is kept:
-    on a canonically ordered wire a different permutation draw can only
-    permute requests within such a tie group, so the result is invariant
-    under any per-file index permutation of the underlying queries,
-    while order anomalies (a non-canonical wire) stay visible.
+    The renaming is an injective per-file relabelling, so sequences with
+    equal patterns lie in one orbit of the per-file index permutations.
+    The converse can fail: two fresh bits of one file in one request are
+    named by their index order, which a permutation can swap.
     """
-    keyed = [(request_pattern(f), _raw_encoding(f)) for f in forms]
-    groups: list[list[tuple]] = []
-    for pat, raw in keyed:
-        if groups and groups[-1][0][0] == pat:
-            groups[-1].append((pat, raw))
-        else:
-            groups.append([(pat, raw)])
-
-    combos = 1
-    for grp in groups:
-        for i in range(2, len(grp) + 1):
-            combos *= i
-        if combos > _PATTERN_COMBO_CAP:
-            raise TranscriptError("pattern tie groups too large to canonicalize")
-
-    def rename(order: list[tuple]) -> tuple:
-        seen: dict[tuple[int, int], dict[int, int]] = {}
-        out = []
-        for _pat, raw in order:
-            toks = []
-            for edge, copy, bit in raw:
-                per_file = seen.setdefault((edge, copy), {})
-                if bit not in per_file:
-                    per_file[bit] = len(per_file) + 1
-                toks.append((edge, copy, per_file[bit]))
-            out.append(tuple(toks))
-        return tuple(out)
-
-    if all(len(g) == 1 for g in groups):
-        return rename([g[0] for g in groups])
-
-    best = None
-    for perm_choice in itertools.product(
-        *(itertools.permutations(g) for g in groups)
-    ):
-        order = [item for grp in perm_choice for item in grp]
-        cand = rename(order)
-        if best is None or cand < best:
-            best = cand
-    return best
+    names: dict[tuple[int, int], dict[int, int]] = {}
+    out = []
+    for form in forms:
+        toks = []
+        for edge, copy, bit in _raw_encoding(form):
+            per_file = names.setdefault((edge, copy), {})
+            toks.append((edge, copy, per_file.setdefault(bit, len(per_file) + 1)))
+        out.append(tuple(sorted(toks)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -182,7 +185,7 @@ def test_verifier_refusal_exits_3(capsys, monkeypatch):
 
 
 def test_exact_budget_refusal_exits_3(capsys):
-    code, _, err = run_cli(capsys, "verify", "--graph", "complete:4",
+    code, _, err = run_cli(capsys, "verify", "--graph", "complete:5",
                            "--privacy", "exact", "--seeds", "1")
     assert code == 3
     assert err.startswith("error: cannot verify: randomness space exceeds")
@@ -265,3 +268,17 @@ def test_statistical_verify_builds_each_draw_point_once(capsys):
     assert code == 0, err
     assert "privacy-statistical" in out
     assert time.perf_counter() - start < 3.0
+
+
+def test_closed_stdout_exits_quietly_with_141():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graphpir.cli", "verify", "--graph", "path:4",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader leaves before the first byte
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

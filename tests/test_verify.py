@@ -5,7 +5,9 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphpir.core import FileId, TranscriptError, server_pattern
+from graphpir.core import (
+    FileId, TranscriptError, _raw_encoding, server_pattern, wire_sort_key,
+)
 from graphpir.graphs import build_family, parse_graph
 from graphpir.mutants import (
     MUTANTS,
@@ -13,15 +15,15 @@ from graphpir.mutants import (
     compose_stars_theta_ordered,
     drop_planned_request,
 )
-from graphpir.rng import BudgetExceeded, SeededSource, domain_size
+from graphpir.rng import BudgetExceeded, SeededSource, domain_size, enumerate_sources
 from graphpir.runner import all_thetas, resolve_scheme
 from graphpir.schemes import compose_stars, path_scheme
 from graphpir.verify import (
     EXACT_BUDGET,
+    _colour_classes,
+    _compare,
     _distributions,
-    _privacy_sweep,
-    _raw_view,
-    orbit_label,
+    _verdict,
     tv_distance,
     verify_privacy,
     verify_privacy_exact,
@@ -54,12 +56,16 @@ def test_exact_privacy_passes(scheme, graph):
 
 
 def test_exact_privacy_budget():
-    g = build_family("complete", [4])
+    g = build_family("complete", [5])
     with pytest.raises(BudgetExceeded):
         verify_privacy_exact("complete", g)
     # auto mode falls back to the structural tier
     c = verify_privacy("complete", g, mode="auto")
     assert c.name == "privacy-structural"
+    assert c.passed
+    # complete:4 has 16 points of its own draws per theta: exact
+    c = verify_privacy("complete", build_family("complete", [4]), mode="auto")
+    assert c.name == "privacy-exact"
     assert c.passed
 
 
@@ -162,14 +168,14 @@ def test_exact_privacy_detail_counts_quotient_points():
     # one quotient point per theta stands for the 2^3 permutation draws
     c = verify_privacy_exact("path", build_family("path", [4]))
     assert c.passed
-    assert "3 quotient points for 24 draws" in c.detail
+    assert "(3 quotient points)" in c.detail
 
 
 def test_exact_privacy_fail_is_confirmed():
     g = build_family("complete_bipartite", [2, 2])
     c = verify_privacy_exact(compose_stars_no_decoy, g)
     assert not c.passed
-    assert "confirmed by full enumeration of 64 draws" in c.detail
+    assert "(orbit invariant differs)" in c.detail
 
 
 def test_exact_privacy_on_lifted_path_is_fast():
@@ -201,6 +207,18 @@ CROSS_VALIDATION = (
 )
 
 
+def _sweep(run, g, view, **run_kw):
+    """(differs, witness) of `view` over every point of the randomness
+    space of `run`, file permutations included unless `run_kw` drops
+    them."""
+    dists, _ = _distributions(
+        run, g, view, lambda theta, build: enumerate_sources(build, 1 << 20),
+        memo=False, **run_kw,
+    )
+    differs, _, at = _compare(dists)
+    return differs, at
+
+
 @pytest.mark.parametrize(
     "scheme,graph", CROSS_VALIDATION,
     ids=["%s-%s" % (getattr(s, "__name__", s), g) for s, g in CROSS_VALIDATION],
@@ -208,15 +226,15 @@ CROSS_VALIDATION = (
 def test_quotient_agrees_with_full_enumeration(scheme, graph):
     g = parse_graph(graph)
     _, run = resolve_scheme(scheme, g)
-    quotient, _ = _privacy_sweep(
-        run, g, orbit_label, EXACT_BUDGET, identity_perms=True
-    )
-    full, _ = _privacy_sweep(run, g, _raw_view, EXACT_BUDGET)
+    quotient = _sweep(run, g, server_pattern, identity_perms=True)
+    # the reference: raw requests over the full space
+    full = _sweep(run, g, lambda forms: tuple(_raw_encoding(f) for f in forms))
     assert quotient == full
+    differs, witness = full
     c = verify_privacy_exact(scheme, g)
-    assert c.passed == (full is None)
-    if full is not None:
-        assert {k: c.witness[k] for k in full} == full
+    assert c.passed == (not differs)
+    if differs:
+        assert {k: c.witness[k] for k in witness} == witness
 
 
 FILES = [FileId(e, c) for e in (1, 2) for c in (1, 2)]
@@ -246,7 +264,7 @@ def _incidences(requests) -> dict:
 @settings(max_examples=200, deadline=None)
 @given(request_sequences())
 def test_orbit_label_is_an_injective_per_file_relabelling(seq):
-    label = orbit_label(seq)
+    label = server_pattern(seq)
     raw = [[(f.edge, f.copy, b) for f, b in form] for form in seq]
     assert len(label) == len(raw)
     for req, form in zip(label, raw):
@@ -257,6 +275,33 @@ def test_orbit_label_is_an_injective_per_file_relabelling(seq):
     for edge, copy in {(e, c) for req in label for e, c, _ in req}:
         names = {b for req in label for e, c, b in req if (e, c) == (edge, copy)}
         assert names == set(range(1, len(names) + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(request_sequences(), st.randoms(use_true_random=False))
+def test_colour_class_is_invariant_under_per_file_relabelling(seq, rnd):
+    perms = {f: rnd.sample(range(1, 9), 8) for f in FILES}
+    image = [frozenset((f, perms[f][b - 1]) for f, b in form) for form in seq]
+    a, b = (server_pattern(sorted(s, key=wire_sort_key)) for s in (seq, image))
+    classes = _colour_classes([a, b])
+    assert classes[a] == classes[b]
+
+
+def test_refinement_that_cannot_split_patterns_is_inconclusive():
+    # the wire {a1,a2},{a1,b1},{a2,c1} and its image under the swap
+    # a1<->a2 lie in one orbit; their patterns name a1 and a2 by index
+    # and differ, and colour refinement cannot tell them apart
+    a, b, c = FileId(1, 1), FileId(2, 1), FileId(3, 1)
+    wire = [{(a, 1), (a, 2)}, {(a, 1), (b, 1)}, {(a, 2), (c, 1)}]
+    swapped = [{(a, 1), (a, 2)}, {(a, 2), (b, 1)}, {(a, 1), (c, 1)}]
+    p, q = (server_pattern([frozenset(r) for r in w]) for w in (wire, swapped))
+    assert p != q
+    classes = _colour_classes([p, q])
+    assert classes[p] == classes[q]
+    dists = {a: ([Counter({p: 1})], 1), b: ([Counter({q: 1})], 1)}
+    for tolerance in (0, 0.02):
+        with pytest.raises(TranscriptError, match="inconclusive"):
+            _verdict(dists, tolerance)
 
 
 def test_verify_rate_checks_every_theta():
@@ -283,6 +328,31 @@ def test_zero_seeds_are_refused():
         verify_privacy_structural("path", parse_graph("path:4"), seeds=range(0))
 
 
+@pytest.mark.parametrize("graph", ["complete:6", "complete:4^3"])
+def test_auto_verifies_graphs_with_large_tie_groups(graph):
+    rep = verify_scheme("auto", parse_graph(graph), seeds=range(3))
+    assert rep.passed, rep.to_md()
+    assert rep.checks[1].name == "privacy-structural"
+
+
+def test_empty_draw_shape_draws_no_points(monkeypatch):
+    # a lifted path scheme draws nothing under identity permutations: its
+    # one point is tallied once per sample without being drawn
+    import graphpir.verify as verify
+
+    calls = 0
+    real = verify.draw_point
+
+    def counted(src, shape):
+        nonlocal calls
+        calls += 1
+        return real(src, shape)
+
+    monkeypatch.setattr(verify, "draw_point", counted)
+    assert verify_privacy_statistical("lift:path", parse_graph("path:4^3")).passed
+    assert calls == 0
+
+
 def _witness(scheme, server, edge_b):
     return {
         "scheme": scheme,
@@ -303,18 +373,15 @@ NO_DECOY, THETA_ORDERED = compose_stars_no_decoy, compose_stars_theta_ordered
 GOLDEN = [
     ("exact", "auto", "path:5", True,
      "distributions identical across 4 theta values "
-     "(4 quotient points for 64 draws)", {}),
+     "(4 quotient points)", {}),
     ("exact", THETA_ORDERED, "complete_bipartite:2,2", False,
-     "query distribution depends on theta "
-     "(confirmed by full enumeration of 128 draws)",
+     "query distribution depends on theta (orbit invariant differs)",
      _witness("compose_stars_theta_ordered", 3, 3)),
     ("exact", NO_DECOY, "complete_bipartite:2,2", False,
-     "query distribution depends on theta "
-     "(confirmed by full enumeration of 64 draws)",
+     "query distribution depends on theta (orbit invariant differs)",
      _witness("compose_stars_no_decoy", 1, 3)),
     ("exact", compose_stars_drop_request, "complete_bipartite:2,2", False,
-     "query distribution depends on theta "
-     "(confirmed by full enumeration of 128 draws)",
+     "query distribution depends on theta (orbit invariant differs)",
      _witness("compose_stars_drop_request", 1, 3)),
     ("structural", "auto", "complete:3", True,
      "patterns theta-invariant over 20 seeds", {}),
@@ -448,7 +515,7 @@ def test_seed_iterators_are_read_once():
     g = parse_graph("complete:3")
     once = verify_scheme("auto", g, seeds=iter(range(3)))
     assert once.to_dict() == verify_scheme("auto", g, seeds=range(3)).to_dict()
-    assert once.checks[1].name == "privacy-structural"
+    assert once.checks[1].name == "privacy-exact"
     c = verify_privacy_structural("path", parse_graph("path:4"),
                                   seeds=(s for s in range(3)))
     assert c.detail == "patterns theta-invariant over 3 seeds"
