@@ -82,6 +82,8 @@ def hamiltonian_vt_upper(n: int, r: int) -> Fraction:
 
 def general_upper(g: GraphSpec) -> Fraction:
     """min(Delta/|E|, 1/nu) on the base simple graph."""
+    if not g.edges:
+        raise GraphSpecError("graph has no edges")
     return min(
         Fraction(max_degree(g), g.n_base_edges),
         Fraction(1, matching_number(g)),

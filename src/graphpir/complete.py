@@ -18,8 +18,14 @@ from .kernels import KernelRun, _orient
 from .rng import RandomSource
 
 
-def _lex_key(subset: frozenset) -> tuple:
+def lex_key(subset: frozenset) -> tuple:
     return tuple(sorted(subset))
+
+
+def complement_rep(subset: frozenset, universe: frozenset) -> frozenset:
+    """Canonical representative of the complement pair class of `subset`
+    within `universe`: the smaller side, ties broken lexicographically."""
+    return min(subset, universe - subset, key=lambda p: (len(p), lex_key(p)))
 
 
 def _subsets(base: list[int]):
@@ -41,14 +47,9 @@ class SubsetBijections:
     pairs: tuple  # (P1, P2) in varphi order
 
     def pair_rep(self, subset: frozenset) -> frozenset:
-        """Canonical representative of the complement pair class of a
-        subset of [N] minus {i, i'}: the smaller side, ties broken
-        lexicographically."""
+        """complement_rep of a subset of [N] minus {i, i'}."""
         others = frozenset(range(1, self.n + 1)) - {self.i, self.i_prime}
-        comp = others - subset
-        a = (len(subset), _lex_key(subset))
-        b = (len(comp), _lex_key(comp))
-        return subset if a <= b else comp
+        return complement_rep(subset, others)
 
 
 def build_families(n: int, i: int, i_prime: int) -> SubsetBijections:
@@ -60,18 +61,14 @@ def build_families(n: int, i: int, i_prime: int) -> SubsetBijections:
     fam = [
         p for p in _subsets(universe) if len(p & {i, i_prime}) == 1
     ]
-    fam.sort(key=_lex_key)
+    fam.sort(key=lex_key)
     assert len(fam) == 2 ** (n - 1)
     phi = {p: k + 1 for k, p in enumerate(fam)}
 
     others = [v for v in universe if v not in (i, i_prime)]
     others_set = frozenset(others)
-    reps = []
-    for p in _subsets(others):
-        comp = others_set - p
-        if (len(p), _lex_key(p)) <= (len(comp), _lex_key(comp)):
-            reps.append(p)
-    reps.sort(key=_lex_key)
+    reps = sorted((p for p in _subsets(others) if complement_rep(p, others_set) == p),
+                  key=lex_key)
     assert len(reps) == 2 ** (n - 3)
     varphi = {p: 2 ** (n - 1) + k + 1 for k, p in enumerate(reps)}
     pairs = tuple((p, others_set - p) for p in reps)
@@ -123,7 +120,7 @@ def build_sigma(n: int, i: int, i_prime: int, bij: SubsetBijections,
         if pool_sets:
             used = set(sj.values())
             free = [v for v in range(1, 2 ** (n - 1) + 1) if v not in used]
-            pool_sets.sort(key=_lex_key)
+            pool_sets.sort(key=lex_key)
             drawn = rng.sample_without_replacement(free, len(pool_sets))
             for p, v in zip(pool_sets, drawn):
                 sj[p] = v
@@ -187,7 +184,7 @@ def complete_kernel(
     for j in range(1, n + 1):
         nbrs = [v for v in range(1, n + 1) if v != j]
         for p in sorted(
-            (p for p in _subsets(nbrs) if p), key=lambda s: (len(s), _lex_key(s))
+            (p for p in _subsets(nbrs) if p), key=lambda s: (len(s), lex_key(s))
         ):
             idx = smap.sigma[j][p]
             form = frozenset((symbols[frozenset({j, l})], idx) for l in p)

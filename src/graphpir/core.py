@@ -97,7 +97,6 @@ def assemble_transcript(
     *,
     identity_perms: bool = False,
     canonical_order: bool = True,
-    validate: bool = True,
 ) -> Transcript:
     """Draw per-file permutations, map permuted-index forms to storage
     coordinates, canonically order each server's wire, and resolve the
@@ -123,18 +122,17 @@ def assemble_transcript(
         [] for _ in range(graph.n_vertices)
     ]
     for idx, (server, wform) in enumerate(requests):
-        if validate:
-            for f, m in wform:
-                if not 1 <= m <= L:
-                    raise TranscriptError("index %d out of range" % m)
-                u, v = graph.edge_endpoints(f.edge)
-                if server not in (u, v):
-                    raise TranscriptError(
-                        "server %d asked for file %s it does not store"
-                        % (server, (f.edge, f.copy))
-                    )
+        for f, m in wform:
+            if not 1 <= m <= L:
+                raise TranscriptError("index %d out of range" % m)
+            u, v = graph.edge_endpoints(f.edge)
+            if server not in (u, v):
+                raise TranscriptError(
+                    "server %d asked for file %s it does not store"
+                    % (server, (f.edge, f.copy))
+                )
         storage = frozenset((f, perms[f][m - 1]) for f, m in wform)
-        if validate and len(storage) != len(wform):
+        if len(storage) != len(wform):
             raise TranscriptError("request %d collapses coordinates" % idx)
         per_server[server - 1].append((storage, idx))
 

@@ -169,15 +169,26 @@ def parse_graph(text: str) -> GraphSpec:
     return graph_from_dict(obj)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def graph_from_dict(obj: dict) -> GraphSpec:
+    """The graph of a JSON object: integer n and multiplicity, a list of
+    integer endpoint pairs, a list of string flags."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphSpecError("graph object needs keys 'n' and 'edges'")
-    return GraphSpec(
-        int(obj["n"]),
-        tuple(tuple(e) for e in obj["edges"]),
-        int(obj.get("multiplicity", 1)),
-        frozenset(obj.get("flags", ())),
-    )
+    n, edges = obj["n"], obj["edges"]
+    r, flags = obj.get("multiplicity", 1), obj.get("flags", [])
+    if not (_is_int(n) and _is_int(r)):
+        raise GraphSpecError("'n' and 'multiplicity' must be integers")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
+    ):
+        raise GraphSpecError("'edges' must be a list of integer pairs")
+    if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
+        raise GraphSpecError("'flags' must be a list of strings")
+    return GraphSpec(n, tuple(map(tuple, edges)), r, frozenset(flags))
 
 
 def max_degree(g: GraphSpec) -> int:

@@ -28,14 +28,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import discount
+from .complete import complement_rep, lex_key
 from .core import FileId, Transcript, assemble_transcript
 from .graphs import GraphSpec
 from .rng import RandomSource
 from .schemes import BASE_KINDS, SchemeError, _theta_file, bind
-
-
-def _lex(subset: frozenset) -> tuple:
-    return tuple(sorted(subset))
 
 
 @dataclass(frozen=True)
@@ -54,25 +52,21 @@ def build_block_plan(r: int, j: int) -> BlockPlan:
     offset = 1
     for size in range(1, r):
         subs = sorted(
-            (frozenset(c) for c in itertools.combinations(rest, size)), key=_lex
+            (frozenset(c) for c in itertools.combinations(rest, size)), key=lex_key
         )
         for k, b in enumerate(subs, start=1):
             u[b] = offset + k
         offset += len(subs)
     assert sorted(u.values()) == list(range(1, 2 ** (r - 1) + 1))
 
-    # complement-pair classes: representative is the smaller side (ties
-    # broken lexicographically); classes ranked lexicographically by
-    # representative, the self-paired full set last
+    # complement-pair classes ranked lexicographically by representative
+    # (complement_rep), the self-paired full set last
     full = frozenset(range(1, r + 1))
-    reps = []
-    for k in range(1, r):
-        for c in itertools.combinations(range(1, r + 1), k):
-            a = frozenset(c)
-            b = full - a
-            if (len(a), _lex(a)) <= (len(b), _lex(b)):
-                reps.append(a)
-    reps.sort(key=_lex)
+    reps = sorted((
+        a for k in range(1, r)
+        for a in map(frozenset, itertools.combinations(range(1, r + 1), k))
+        if complement_rep(a, full) == a
+    ), key=lex_key)
     beta: dict = {}
     for rank, a in enumerate(reps, start=1):
         beta[a] = rank
@@ -90,7 +84,7 @@ def lifted_rate(base_rate, r: int) -> Fraction:
     the base download count."""
     if r < 1:
         raise ValueError("r >= 1 required")
-    return Fraction(base_rate) / (2 - Fraction(1, 2 ** (r - 1)))
+    return Fraction(base_rate) / discount(r)
 
 
 def lift_scheme(

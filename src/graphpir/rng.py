@@ -24,9 +24,6 @@ class RandomSource:
         """A uniform index in [0..n)."""
         raise NotImplementedError
 
-    def choice(self, seq: Sequence):
-        return seq[self.choice_index(len(seq))]
-
     def sample_without_replacement(self, seq: Sequence, k: int) -> list:
         pool = list(seq)
         out = []
@@ -52,14 +49,20 @@ class SeededSource(RandomSource):
 
 class CanonicalSource(RandomSource):
     """Deterministic degenerate source: identity permutations, first
-    choices. Used for rendering reference transcripts."""
+    choices. Records the shape (kind, domain size) of every draw. Used
+    for rendering reference transcripts and learning draw shapes."""
+
+    def __init__(self) -> None:
+        self.shape: list[tuple[str, int]] = []
 
     def permutation(self, n: int) -> tuple[int, ...]:
+        self.shape.append(("perm", n))
         return tuple(range(1, n + 1))
 
     def choice_index(self, n: int) -> int:
         if n <= 0:
             raise ValueError("empty choice")
+        self.shape.append(("choice", n))
         return 0
 
 
@@ -103,24 +106,6 @@ class ReplaySource(RandomSource):
             )
 
 
-class RecordingSource(RandomSource):
-    """Records the shape (kind, domain size) of every draw while acting
-    like the canonical source."""
-
-    def __init__(self) -> None:
-        self.shape: list[tuple[str, int]] = []
-
-    def permutation(self, n: int) -> tuple[int, ...]:
-        self.shape.append(("perm", n))
-        return tuple(range(1, n + 1))
-
-    def choice_index(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError("empty choice")
-        self.shape.append(("choice", n))
-        return 0
-
-
 def unrank_permutation(n: int, rank: int) -> tuple[int, ...]:
     """Permutation of [1..n] with the given lexicographic rank."""
     vals = list(range(1, n + 1))
@@ -154,8 +139,8 @@ def domain_size(shape: Sequence[tuple[str, int]], budget: int) -> int:
 
 def record_shape(builder) -> list[tuple[str, int]]:
     """The draw shape of `builder`, learned from one run against a
-    RecordingSource."""
-    rec = RecordingSource()
+    CanonicalSource."""
+    rec = CanonicalSource()
     builder(rec)
     return rec.shape
 
@@ -173,7 +158,7 @@ def enumerate_sources(builder, budget: int = 1 << 20) -> Iterator[RandomSource]:
     """Yield one ReplaySource per point of the builder's randomness space.
 
     `builder` is a callable taking a RandomSource; it is first run once
-    against a RecordingSource to learn the draw shape (which must not
+    against a CanonicalSource to learn the draw shape (which must not
     depend on drawn values), then each point is replayed.
     """
     shape = record_shape(builder)

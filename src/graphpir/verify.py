@@ -1,5 +1,10 @@
 """Verification engine: reliability, privacy, SRP, and rate checks.
 
+Reliability, SRP and rate are per-transcript checks on one seeded
+stream: one transcript per theta and seed, with random file
+permutations, built once and read by each check (_transcript_checks),
+so `seeds` (the CLI's --seeds) governs all three.
+
 A scheme is private when each server's query distribution is the same
 for every desired file theta. One engine checks this for every privacy
 tier: _distributions counts one view of each server's request sequence,
@@ -117,28 +122,68 @@ def _seeded(g: GraphSpec, seeds: Sequence, tag: str):
             yield theta, seed, SeededSource(_seed_for(seed, theta, tag))
 
 
-def verify_reliability(
-    scheme, g: GraphSpec, seeds: Sequence = range(10), n_stores: int = 2
-) -> CheckResult:
-    """Symbolic zero-error decoding over all theta and seeds, plus
-    end-to-end decoding on random stores."""
+def _transcript_checks(scheme, g: GraphSpec, seeds: Sequence, names: Sequence[str]):
+    """([CheckResult per name], rate): the checks `names` applied to one
+    seeded transcript per theta and seed, theta-major, each failing at
+    its own first failing transcript. reliability: symbolic zero-error
+    decoding and decoding of two random stores; srp: theta's fresh bits
+    split evenly between its two servers; rate: within every applicable
+    exact upper bound. rate is the largest rate measured, or the failing
+    one (None unless rate is named)."""
     name, run = resolve_scheme(scheme, g)
-    for theta, seed, src in _seeded(g, seeds, "rel"):
-        t = run(g, theta, src)
+    bounds = [
+        e for e in bound_report(g)
+        if e.kind == "upper" and e.exact and e.applicable and not e.asymptotic
+    ] if "rate" in names else []
+    rates = []
+
+    def reliability(t, theta, seed):
         if not symbolic_decode_check(t):
-            return CheckResult(
-                "reliability", False, "symbolic decode failed",
-                {"scheme": name, "theta": theta, "seed": seed},
-            )
+            return "symbolic decode failed", {"seed": seed}
         data_rng = random.Random(_seed_for(seed, theta, "store"))
-        for k in range(n_stores):
+        for k in range(2):
             store = random_store(g, t.file_length, data_rng)
             if decode(t, answer_all(store, t)) != store[theta]:
-                return CheckResult(
-                    "reliability", False, "end-to-end decode mismatch",
-                    {"scheme": name, "theta": theta, "seed": seed, "store": k},
-                )
-    return CheckResult("reliability", True, "all theta and seeds decode")
+                return "end-to-end decode mismatch", {"seed": seed, "store": k}
+
+    def srp(t, theta, seed):
+        half = t.file_length // 2
+        try:
+            attr = srp_attribution(t)
+        except AttributionUndefined as exc:
+            return "attribution undefined: %s" % exc, {"seed": seed}
+        if attr != (half, half):
+            return "attribution %s, expected (%d, %d)" % (attr, half, half), {"seed": seed}
+
+    def rate(t, theta, seed):
+        rates.append(measured_rate(t))
+        for e in bounds:
+            if rates[-1] > e.value:
+                return ("measured rate %s exceeds bound %s (%s)"
+                        % (rates[-1], e.value, e.source), {})
+
+    faults = {"reliability": reliability, "srp": srp, "rate": rate}
+    failed = {}
+    for theta, seed, src in _seeded(g, seeds, "rel"):
+        t = run(g, theta, src)
+        for check in names:
+            if check not in failed and (fault := faults[check](t, theta, seed)):
+                failed[check] = CheckResult(
+                    check, False, fault[0], {"scheme": name, "theta": theta, **fault[1]})
+        if len(failed) == len(names):
+            break
+    top = rates[-1] if "rate" in failed else max(rates, default=None)
+    passes = {
+        "reliability": "all theta and seeds decode",
+        "srp": "every theta splits evenly",
+        "rate": "measured rate %s within all exact bounds" % top,
+    }
+    return [failed.get(c) or CheckResult(c, True, passes[c]) for c in names], top
+
+
+def verify_reliability(scheme, g: GraphSpec, seeds: Sequence = range(10)) -> CheckResult:
+    """Zero-error decoding over all theta and seeds (_transcript_checks)."""
+    return _transcript_checks(scheme, g, seeds, ["reliability"])[0][0]
 
 
 def _distributions(run, g: GraphSpec, view, sources, memo: bool, **run_kw):
@@ -276,14 +321,14 @@ def _verdict(dists, tolerance: float = 0) -> tuple[bool, float, dict]:
     return False, tv, at
 
 
-def verify_privacy_exact(scheme, g: GraphSpec, budget: int = EXACT_BUDGET) -> CheckResult:
+def verify_privacy_exact(scheme, g: GraphSpec) -> CheckResult:
     """Exact per-server query distributions compared across theta, by
     enumerating every point of the scheme's own draws under identity
     file permutations. Raises BudgetExceeded when those points number
-    more than `budget` for some theta."""
+    more than EXACT_BUDGET for some theta."""
     name, run = resolve_scheme(scheme, g)
     dists, points = _distributions(
-        run, g, server_pattern, lambda theta, build: enumerate_sources(build, budget),
+        run, g, server_pattern, lambda theta, build: enumerate_sources(build, EXACT_BUDGET),
         memo=False, identity_perms=True,
     )
     passed, _, at = _verdict(dists)
@@ -310,10 +355,8 @@ def verify_privacy_structural(
     runs = {}
     for theta, _, src in _seeded(g, seeds, "struct"):
         runs.setdefault(theta, []).append(src)
-    dists, _ = _distributions(
-        run, g, server_pattern, lambda theta, build: runs[theta],
-        memo=True, identity_perms=True, validate=False,
-    )
+    dists, _ = _distributions(run, g, server_pattern, lambda theta, build: runs[theta],
+                              memo=True, identity_perms=True)
     passed, _, at = _verdict(dists)
     if not passed:
         return CheckResult(
@@ -327,10 +370,7 @@ def verify_privacy_structural(
 
 
 def tv_distance(p: Counter, q: Counter, n_p: int, n_q: int) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(
-        abs(p.get(k, 0) / n_p - q.get(k, 0) / n_q) for k in keys
-    )
+    return 0.5 * sum(abs(p.get(k, 0) / n_p - q.get(k, 0) / n_q) for k in set(p) | set(q))
 
 
 def verify_privacy_statistical(
@@ -338,21 +378,19 @@ def verify_privacy_statistical(
     g: GraphSpec,
     samples: int = DEFAULT_SAMPLES,
     tolerance: float = DEFAULT_TOLERANCE,
-    seed=0,
 ) -> CheckResult:
     """Empirical per-server pattern distributions per theta, compared by
     max pairwise total-variation distance."""
     if samples < 10_000:
         raise ValueError("need at least 10^4 samples")
+    if not 0 <= tolerance < 1:
+        raise ValueError("tolerance must be in [0, 1), got %r" % tolerance)
     name, run = resolve_scheme(scheme, g)
 
     def sampled(theta, build):
-        return itertools.repeat(SeededSource(_seed_for(seed, theta, "stat")), samples)
+        return itertools.repeat(SeededSource(_seed_for(0, theta, "stat")), samples)
 
-    dists, _ = _distributions(
-        run, g, server_pattern, sampled,
-        memo=True, identity_perms=True, validate=False,
-    )
+    dists, _ = _distributions(run, g, server_pattern, sampled, memo=True, identity_perms=True)
     passed, worst, worst_at = _verdict(dists, tolerance)
     return CheckResult(
         "privacy-statistical", passed,
@@ -384,50 +422,14 @@ def verify_privacy(
 
 
 def verify_srp(scheme, g: GraphSpec, seeds: Sequence = range(5)) -> CheckResult:
-    name, run = resolve_scheme(scheme, g)
-    for theta, seed, src in _seeded(g, seeds, "srp"):
-        t = run(g, theta, src)
-        half = t.file_length // 2
-        try:
-            attr = srp_attribution(t)
-        except AttributionUndefined as exc:
-            return CheckResult(
-                "srp", False, "attribution undefined: %s" % exc,
-                {"scheme": name, "theta": theta, "seed": seed},
-            )
-        if attr != (half, half):
-            return CheckResult(
-                "srp", False, "attribution %s, expected (%d, %d)" % (attr, half, half),
-                {"scheme": name, "theta": theta, "seed": seed},
-            )
-    return CheckResult("srp", True, "every theta splits evenly")
+    return _transcript_checks(scheme, g, seeds, ["srp"])[0][0]
 
 
 def verify_rate(scheme, g: GraphSpec) -> tuple[CheckResult, Fraction]:
     """The measured rate at every theta against every applicable exact
     upper bound; returns the check and the largest rate measured."""
-    name, run = resolve_scheme(scheme, g)
-    bounds = [
-        e for e in bound_report(g)
-        if e.kind == "upper" and e.exact and e.applicable and not e.asymptotic
-    ]
-    rates = []
-    for theta, _, src in _seeded(g, [0], "rate"):
-        rate = measured_rate(run(g, theta, src))
-        for e in bounds:
-            if rate > e.value:
-                return (
-                    CheckResult(
-                        "rate", False,
-                        "measured rate %s exceeds bound %s (%s)"
-                        % (rate, e.value, e.source),
-                        {"scheme": name, "theta": theta},
-                    ),
-                    rate,
-                )
-        rates.append(rate)
-    rate = max(rates)
-    return CheckResult("rate", True, "measured rate %s within all exact bounds" % rate), rate
+    (check,), rate = _transcript_checks(scheme, g, [0], ["rate"])
+    return check, rate
 
 
 @dataclass
@@ -473,14 +475,9 @@ def verify_scheme(
     samples: int = DEFAULT_SAMPLES,
     tolerance: float = DEFAULT_TOLERANCE,
     seeds: Sequence = range(10),
-    check_srp: bool = True,
 ) -> VerifyReport:
     name, _ = resolve_scheme(scheme, g)
     seeds = list(seeds)
-    checks = [verify_reliability(scheme, g, seeds)]
-    checks.append(verify_privacy(scheme, g, privacy, samples, tolerance, seeds))
-    if check_srp:
-        checks.append(verify_srp(scheme, g))
-    rate_check, _rate = verify_rate(scheme, g)
-    checks.append(rate_check)
-    return VerifyReport(name, g, checks)
+    (rel, srp, rate), _ = _transcript_checks(scheme, g, seeds, ["reliability", "srp", "rate"])
+    privacy_check = verify_privacy(scheme, g, privacy, samples, tolerance, seeds)
+    return VerifyReport(name, g, [rel, privacy_check, srp, rate])

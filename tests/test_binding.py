@@ -6,7 +6,9 @@ from collections import Counter
 
 import pytest
 
+import graphpir.core as core
 import graphpir.graphs as graphs
+import graphpir.lift as lift
 import graphpir.schemes as schemes
 from graphpir.core import dump_transcript
 from graphpir.graphs import parse_graph
@@ -14,7 +16,7 @@ from graphpir.mutants import MUTANTS
 from graphpir.rng import SeededSource
 from graphpir.runner import SCHEME_NAMES, all_thetas, resolve_scheme
 from graphpir.schemes import compose_stars
-from graphpir.verify import verify_privacy_statistical
+from graphpir.verify import verify_privacy_statistical, verify_scheme
 
 
 @pytest.fixture
@@ -81,3 +83,19 @@ def test_cached_binding_keeps_runs_reproducible(name):
         dumps.append([dump_transcript(run(g, theta, SeededSource(3)))
                       for theta in all_thetas(g)])
     assert dumps[0] == dumps[1]
+
+
+def test_verify_scheme_builds_each_seeded_transcript_once(monkeypatch):
+    built = Counter()
+
+    def counted(*args, **kwargs):
+        built[kwargs.get("identity_perms", False)] += 1
+        return core.assemble_transcript(*args, **kwargs)
+
+    for mod in (schemes, lift):
+        monkeypatch.setattr(mod, "assemble_transcript", counted)
+    g = parse_graph("path:4")
+    assert verify_scheme("auto", g, seeds=range(3)).passed
+    # one transcript with random permutations per theta and seed, read by
+    # the reliability, SRP and rate checks alike
+    assert built[False] == len(all_thetas(g)) * 3 == 9

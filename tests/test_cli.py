@@ -282,3 +282,40 @@ def test_closed_stdout_exits_quietly_with_141():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "1"])
+def test_meaningless_tolerance_exits_2(capsys, tol):
+    # nan passed every scheme, -1 failed an honest one, 1 could never fail
+    code, out, err = run_cli(capsys, "verify", "--graph", "complete_bipartite:2,3",
+                             "--privacy", "statistical", "--samples", "10000",
+                             "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tolerance must be in [0, 1)")
+    assert err.count("\n") == 1
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    code, out, err = run_cli(capsys, "verify", "--graph", "complete_bipartite:2,3",
+                             "--privacy", "statistical", "--samples", "10000",
+                             "--tol", "0")
+    assert code == 0, err
+    assert "tolerance 0," in out
+
+
+@pytest.mark.parametrize("command,graph,expected", [
+    ("bounds", '{"n":3,"edges":[]}', 0),
+    ("bounds", '{"n":3,"edges":5}', 2),
+    ("bounds", '{"n":3,"edges":[[1,"a"]]}', 2),
+    ("bounds", '{"n":3,"edges":[[1,2]],"flags":5}', 2),
+    ("verify", '{"n":3,"edges":[[1,2.5]]}', 2),
+])
+def test_malformed_json_graphs_are_usage_errors(capsys, command, graph, expected):
+    code, out, err = run_cli(capsys, command, "--graph", graph)
+    assert code == expected
+    if expected:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert "| no (graph has no edges) |" in out

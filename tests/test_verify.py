@@ -425,7 +425,7 @@ def _direct_counts(run, g):
         counters = [Counter() for _ in range(g.n_vertices)]
         n = 0
         for src in _sources(theta):
-            t = run(g, theta, src, identity_perms=True, validate=False)
+            t = run(g, theta, src, identity_perms=True)
             for c, server in zip(counters, t.requests):
                 c[server_pattern([r.form for r in server])] += 1
             n += 1
@@ -464,7 +464,7 @@ def test_memoised_counts_equal_a_run_per_source(scheme, graph):
     _, run = resolve_scheme(scheme, g)
     dists, runs = _distributions(
         run, g, server_pattern, lambda theta, build: _sources(theta),
-        memo=True, identity_perms=True, validate=False,
+        memo=True, identity_perms=True,
     )
     assert dists == _direct_counts(run, g)
     assert runs == 210 * len(all_thetas(g))
