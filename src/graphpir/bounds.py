@@ -42,6 +42,13 @@ class BoundEntry:
         }
 
 
+def exact_entries(entries: list[BoundEntry], kind: str) -> list[BoundEntry]:
+    """The exact, applicable, non-asymptotic entries of `kind`: the only
+    ones that tightness claims and the rate check rest on."""
+    return [e for e in entries
+            if e.kind == kind and e.exact and e.applicable and not e.asymptotic]
+
+
 def discount(r: int) -> Fraction:
     """The lift's rate divisor 2 - 2^(1-r)."""
     return 2 - Fraction(1, 2 ** (r - 1))
@@ -171,15 +178,15 @@ def bound_report(g: GraphSpec) -> list[BoundEntry]:
         )
 
     if r >= 2:
-        base_lbs = [
-            e.value
-            for e in bound_report(base)
-            if e.kind == "lower" and e.exact and e.applicable and not e.asymptotic
-        ]
+        base_lbs = [e.value for e in exact_entries(bound_report(base), "lower")]
         if base_lbs:
             lb(max(base_lbs) / r, "base capacity candidate / r")
 
-    lb(Fraction(1, n), "asymptotic capacity", asymptotic=True)
+    if g.edges:
+        lb(Fraction(1, n), "asymptotic capacity", asymptotic=True)
+    else:
+        entries.append(BoundEntry("lower", None, False, "asymptotic capacity", applicable=False,
+                                  reason="graph has no edges", asymptotic=True))
 
     return entries
 
@@ -205,16 +212,8 @@ def tightness_check(g: GraphSpec) -> TightnessResult:
     """Compare best exact lower and upper bounds; asymptotic and
     floating-point entries never participate."""
     entries = bound_report(g)
-    lows = [
-        e.value
-        for e in entries
-        if e.kind == "lower" and e.exact and e.applicable and not e.asymptotic
-    ]
-    highs = [
-        e.value
-        for e in entries
-        if e.kind == "upper" and e.exact and e.applicable and not e.asymptotic
-    ]
+    lows = [e.value for e in exact_entries(entries, "lower")]
+    highs = [e.value for e in exact_entries(entries, "upper")]
     if not lows or not highs:
         return TightnessResult("unknown")
     lo, hi = max(lows), min(highs)

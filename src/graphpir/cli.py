@@ -141,35 +141,25 @@ def cmd_sweep(args) -> int:
         raise UsageError(
             "sweep capped at N <= %d, r <= %d" % (SWEEP_N_CAP, SWEEP_R_CAP)
         )
+    graphs = []  # all built first, so a bad range writes nothing
+    for n in range(args.n_min, args.n_max + 1):
+        params = [n, n] if args.family == "complete_bipartite" else [n]
+        for r in range(args.r_min, args.r_max + 1):
+            label = "%s:%s" % (args.family, ",".join(map(str, params)))
+            graphs.append((label + ("^%d" % r if r > 1 else ""),
+                           build_family(args.family, params, r)))
     w = csv.writer(sys.stdout)
     w.writerow(["graph", "scheme", "rate", "best_lower", "best_upper", "tight"])
-    for n in range(args.n_min, args.n_max + 1):
-        for r in range(args.r_min, args.r_max + 1):
-            if args.family == "complete_bipartite":
-                g = build_family(args.family, [n, n], r)
-                label = "%s:%d,%d" % (args.family, n, n)
-            else:
-                g = build_family(args.family, [n], r)
-                label = "%s:%d" % (args.family, n)
-            if r > 1:
-                label += "^%d" % r
-            try:
-                name, run = resolve_scheme("auto", g)
-                t = run(g, all_thetas(g)[0], SeededSource(args.seed))
-                rate = str(measured_rate(t))
-            except SchemeError:
-                name, rate = "", ""
-            tight = tightness_check(g)
-            w.writerow(
-                [
-                    label,
-                    name,
-                    rate,
-                    _fmt_value(tight.lower),
-                    _fmt_value(tight.upper),
-                    "yes" if tight.status == "tight" else "no",
-                ]
-            )
+    for label, g in graphs:
+        try:
+            name, run = resolve_scheme("auto", g)
+            t = run(g, all_thetas(g)[0], SeededSource(args.seed))
+            rate = str(measured_rate(t))
+        except SchemeError:
+            name, rate = "", ""
+        tight = tightness_check(g)
+        w.writerow([label, name, rate, _fmt_value(tight.lower), _fmt_value(tight.upper),
+                    "yes" if tight.status == "tight" else "no"])
     return 0
 
 

@@ -1,4 +1,8 @@
-"""Reference tables: formula grids and worked answer tables.
+"""Reference tables: capacity bound grids and worked answer tables.
+
+Tables I and II are views of `bound_report`: each row names a graph and,
+per cell, the source of the one applicable entry it shows, so a table
+cell and `graphpir bounds` on that graph cannot disagree.
 
 The two answer tables are rendered from actual scheme runs with
 degenerate randomness (identity permutations, first-choice pool) and
@@ -8,11 +12,9 @@ graph, stage instances in stage order for the lifted path.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-from . import bounds as bnd
+from .bounds import bound_report
 from .core import FileId, Transcript
-from .graphs import build_family
+from .graphs import build_family, parse_graph
 from .lift import lift_scheme
 from .rng import CanonicalSource
 from .schemes import complete_scheme
@@ -84,91 +86,57 @@ def table_four() -> dict:
     return out
 
 
-def table_one_rows() -> list[list[str]]:
-    rows = []
-    for n in range(2, 9):
-        v = bnd.path_rate(n)
-        rows.append(["path", "N=%d" % n, str(v), str(v)])
-    for leaves in (2, 3, 4, 5):
-        rows.append(
-            [
-                "star",
-                "leaves=%d" % leaves,
-                "%.6f" % bnd.kmn_lower(1, leaves),
-                "%.6f" % bnd.kmn_upper(1, leaves),
-            ]
-        )
-    for m, n in ((2, 2), (2, 3), (3, 3)):
-        rows.append(
-            [
-                "complete_bipartite",
-                "M=%d,N=%d" % (m, n),
-                "%.6f" % bnd.kmn_lower(m, n),
-                "%.6f" % bnd.kmn_upper(m, n),
-            ]
-        )
-    for n in (3, 4, 5, 6):
-        rows.append(
-            [
-                "complete",
-                "N=%d" % n,
-                str(bnd.complete_scheme_rate(n)),
-                str(bnd.cycle_rate(n)),
-            ]
-        )
-    rows.append(["general", "", "same as complete", "min(Delta/|E|, 1/nu)"])
-    return rows
+def _grid(family, params, graph, lower, upper, values):
+    """Row specs (family, params, graph text, lower source, upper
+    source), one per tuple of `values`, which fill the {} fields."""
+    return [(family, params.format(*v), graph.format(*v), lower, upper) for v in values]
 
 
-def table_two_rows() -> list[list[str]]:
-    rows = []
-    for n in (3, 4, 5, 6):
-        for r in (2, 3):
-            d = bnd.discount(r)
-            lo = bnd.path_rate(n) / d
-            hi = lo if n % 2 == 0 else Fraction(2, n - 1) / d
-            rows.append(["multi-path", "N=%d,r=%d" % (n, r), str(lo), str(hi)])
-    for n in (3, 4, 5):
-        for r in (2, 3):
-            d = bnd.discount(r)
-            rows.append(
-                [
-                    "multi-cycle",
-                    "N=%d,r=%d" % (n, r),
-                    str(bnd.cycle_rate(n) / d),
-                    str(Fraction(2, n) / d),
-                ]
-            )
-    for leaves in (2, 3, 4):
-        for r in (2, 3):
-            d = bnd.discount(r)
-            rows.append(
-                [
-                    "multi-star",
-                    "leaves=%d,r=%d" % (leaves, r),
-                    str(Fraction(2, leaves + 1) / d),
-                    str(1 / d),
-                ]
-            )
-    for n in (3, 4, 5):
-        for r in (2, 3):
-            d = bnd.discount(r)
-            rows.append(
-                [
-                    "complete-multigraph",
-                    "N=%d,r=%d" % (n, r),
-                    str(bnd.complete_scheme_rate(n) / d),
-                    str(bnd.hamiltonian_vt_upper(n, r)),
-                ]
-            )
-    return rows
+_NR = [(n, r) for n in (3, 4, 5) for r in (2, 3)]
+BOUND_ROWS = {
+    "tableI": _grid("path", "N={0}", "path:{0}", "path scheme", "path capacity",
+                    [(n,) for n in range(2, 9)])
+    + _grid("star", "leaves={0}", "star:{1}", "star scheme", "star upper bound",
+            [(k, k + 1) for k in (2, 3, 4, 5)])
+    + _grid("complete_bipartite", "M={0},N={1}", "complete_bipartite:{0},{1}",
+            "complete bipartite lower", "complete bipartite upper",
+            [(2, 2), (2, 3), (3, 3)])
+    + _grid("complete", "N={0}", "complete:{0}", "complete-graph scheme",
+            "complete-graph capacity", [(n,) for n in (3, 4, 5, 6)]),
+    # multi-path upper: a capacity for even N, an upper bound for odd N
+    "tableII": _grid("multi-path", "N={0},r={1}", "path:{0}^{1}", "multi-path lift",
+                     "multi-path", _NR + [(6, 2), (6, 3)])
+    + _grid("multi-cycle", "N={0},r={1}", "cycle:{0}^{1}", "multi-cycle lift",
+            "multi-cycle upper", _NR)
+    + _grid("multi-star", "leaves={0},r={1}", "star:{2}^{1}", "trivial star lift",
+            "multi-star upper", [(k, r, k + 1) for k in (2, 3, 4) for r in (2, 3)])
+    + _grid("complete-multigraph", "N={0},r={1}", "complete:{0}^{1}",
+            "complete-graph lift", "complete multigraph upper", _NR),
+}
+
+
+def bound_row(family, params, graph, lower, upper) -> list[str]:
+    """[family, params, lower, upper]: each bound is the one applicable
+    bound_report entry of its kind whose source starts with the row's
+    text; floats print as %.6f, Fractions as themselves."""
+    entries = bound_report(parse_graph(graph))
+    row = [family, params]
+    for kind, source in (("lower", lower), ("upper", upper)):
+        hits = [e.value for e in entries
+                if e.kind == kind and e.applicable and e.source.startswith(source)]
+        if len(hits) != 1:
+            raise LookupError("%s has %d applicable %s bounds from %r"
+                              % (graph, len(hits), kind, source))
+        row.append("%.6f" % hits[0] if isinstance(hits[0], float) else str(hits[0]))
+    return row
 
 
 def render_table(name: str) -> str:
-    if name == "tableI":
-        return _md(["family", "params", "lower", "upper"], table_one_rows())
-    if name == "tableII":
-        return _md(["family", "params", "lower", "upper"], table_two_rows())
+    if name in BOUND_ROWS:
+        rows = [bound_row(*spec) for spec in BOUND_ROWS[name]]
+        if name == "tableI":
+            rows.append(["general", "", "same as complete", "min(Delta/|E|, 1/nu)"])
+        return _md(["family", "params", "lower", "upper"], rows)
     if name in ("tableIII", "tableIV"):
         grids = table_three() if name == "tableIII" else table_four()
         blocks = []

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import bound_report
+from .bounds import bound_report, exact_entries
 from .core import (
     answer_all,
     decode,
@@ -131,10 +131,7 @@ def _transcript_checks(scheme, g: GraphSpec, seeds: Sequence, names: Sequence[st
     exact upper bound. rate is the largest rate measured, or the failing
     one (None unless rate is named)."""
     name, run = resolve_scheme(scheme, g)
-    bounds = [
-        e for e in bound_report(g)
-        if e.kind == "upper" and e.exact and e.applicable and not e.asymptotic
-    ] if "rate" in names else []
+    bounds = exact_entries(bound_report(g), "upper") if "rate" in names else []
     rates = []
 
     def reliability(t, theta, seed):

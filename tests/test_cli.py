@@ -135,6 +135,14 @@ def test_sweep_caps(capsys):
     assert code == 2
 
 
+def test_sweep_bad_range_writes_nothing(capsys):
+    # the default --n-min 2 is below the cycle's smallest member
+    code, out, err = run_cli(capsys, "sweep", "--family", "cycle")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cycle needs N >= 3\n"
+
+
 def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--graph", "nonsense")
     assert code == 2 and "error:" in err
@@ -319,3 +327,13 @@ def test_malformed_json_graphs_are_usage_errors(capsys, command, graph, expected
         assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert "| no (graph has no edges) |" in out
+
+
+def test_bounds_on_edgeless_graph_lists_no_applicable_entry(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--graph", '{"n":3,"edges":[]}',
+                             "--format", "json")
+    assert code == 0 and err == ""
+    entries = json.loads(out)["entries"]
+    assert entries and not any(e["applicable"] for e in entries)
+    asym = [e for e in entries if e["source"] == "asymptotic capacity"]
+    assert [e["reason"] for e in asym] == ["graph has no edges"]

@@ -9,10 +9,13 @@ anyway. For those cases the grids are compared up to a per-file
 renaming; the remaining cases must match literally.
 """
 import re
+from pathlib import Path
 
 import pytest
 
-from graphpir.tables import render_table, table_four, table_three
+from graphpir.tables import bound_row, render_table, table_four, table_three
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 # rows = answer position, columns = servers S_1..S_3
 REFERENCE_K3 = {
@@ -143,3 +146,18 @@ def test_renaming_helper_rejects_inconsistent_grids():
         )
     with pytest.raises(AssertionError):
         assert_grids_match_up_to_renaming([["a_1"]], [["b_1"]])
+
+
+@pytest.mark.parametrize("name", ["tableI", "tableII", "tableIII", "tableIV"])
+def test_tables_match_reference_files_byte_for_byte(name):
+    want = (REFERENCE_DIR / (name + ".md")).read_text()
+    assert render_table(name) + "\n" == want
+
+
+@pytest.mark.parametrize("lower,upper", [
+    ("no such source", "path capacity"),  # no entry
+    ("", "path capacity"),  # several lower entries
+])
+def test_bound_row_refuses_missing_or_ambiguous_source(lower, upper):
+    with pytest.raises(LookupError):
+        bound_row("path", "N=5", "path:5", lower, upper)
