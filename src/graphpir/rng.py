@@ -8,6 +8,7 @@ single point of it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Iterator, Sequence
@@ -106,17 +107,6 @@ class ReplaySource(RandomSource):
             )
 
 
-def unrank_permutation(n: int, rank: int) -> tuple[int, ...]:
-    """Permutation of [1..n] with the given lexicographic rank."""
-    vals = list(range(1, n + 1))
-    out = []
-    for i in range(n, 0, -1):
-        f = math.factorial(i - 1)
-        idx, rank = divmod(rank, f)
-        out.append(vals.pop(idx))
-    return tuple(out)
-
-
 class BudgetExceeded(Exception):
     pass
 
@@ -154,27 +144,17 @@ def draw_point(src: RandomSource, shape: Sequence[tuple[str, int]]) -> tuple:
     ])
 
 
-def enumerate_sources(builder, budget: int = 1 << 20) -> Iterator[RandomSource]:
-    """Yield one ReplaySource per point of the builder's randomness space.
-
-    `builder` is a callable taking a RandomSource; it is first run once
-    against a CanonicalSource to learn the draw shape (which must not
-    depend on drawn values), then each point is replayed.
-    """
-    shape = record_shape(builder)
+def enumerate_sources(shape: Sequence[tuple[str, int]],
+                      budget: int = 1 << 20) -> Iterator[ReplaySource]:
+    """Yield one ReplaySource per point of the randomness space of draw
+    shape `shape`, in lexicographic order: permutations of [1..n] in
+    lexicographic order, indices ascending, the last draw varying
+    fastest. Raises BudgetExceeded, before yielding, when the space has
+    more than `budget` points."""
     domain_size(shape, budget)
-    sizes = [math.factorial(n) if k == "perm" else n for k, n in shape]
-
-    point = [0] * len(shape)
-    while True:
-        yield ReplaySource(shape, [
-            unrank_permutation(n, v) if kind == "perm" else v
-            for (kind, n), v in zip(shape, point)
-        ])
-        for i in range(len(shape) - 1, -1, -1):
-            point[i] += 1
-            if point[i] < sizes[i]:
-                break
-            point[i] = 0
-        else:
-            return
+    domains = [
+        itertools.permutations(range(1, n + 1)) if kind == "perm" else range(n)
+        for kind, n in shape
+    ]
+    for point in itertools.product(*domains):
+        yield ReplaySource(shape, point)

@@ -18,7 +18,6 @@ from . import complete as comp
 from .core import FileId, Transcript, assemble_transcript
 from .graphs import (
     GraphSpec,
-    build_family,
     path_vertex_order,
     star_center,
     star_decomposition,
@@ -217,36 +216,26 @@ def _run_bound(
     return assemble_transcript(g, L, f, requests, plan, rng, **assemble_kw)
 
 
-def _as_graph(g, kind: str) -> GraphSpec:
-    return g if isinstance(g, GraphSpec) else build_family(kind, [int(g)])
-
-
 def _standalone(kind: str, g, theta, rng, orientation: int, **assemble_kw) -> Transcript:
-    """One base kernel over all of g's base edges."""
-    g = _as_graph(g, kind)
+    """One base kernel over all of g's base edges; theta is a FileId, an
+    (edge, copy) pair or an edge index, as for every scheme."""
     return _run_bound(
         g, bind(kind, g), theta, rng, orientation=orientation, **assemble_kw
     )
 
 
 def path_scheme(g, theta, rng, orientation: int = 1, **assemble_kw) -> Transcript:
-    """Path scheme; g may be a GraphSpec or the vertex count N."""
+    """Path scheme on the path graph g."""
     return _standalone("path", g, theta, rng, orientation, **assemble_kw)
 
 
 def star_scheme(g, theta, rng, orientation: int = 1, **assemble_kw) -> Transcript:
-    """Trivial star scheme; g may be a GraphSpec or the vertex count N."""
+    """Trivial star scheme on the star graph g."""
     return _standalone("star", g, theta, rng, orientation, **assemble_kw)
 
 
 def complete_scheme(g, theta, rng, orientation: int = 1, **assemble_kw) -> Transcript:
-    """Complete-graph scheme; g may be a GraphSpec or the vertex count N,
-    and theta an edge index or endpoint pair."""
-    g = _as_graph(g, "complete")
-    if isinstance(theta, tuple) and not isinstance(theta, FileId) and len(theta) == 2:
-        u, v = sorted(theta)
-        if (u, v) in g.edges:
-            theta = g.edges.index((u, v)) + 1
+    """Complete-graph scheme on the complete graph g, N >= 3."""
     return _standalone("complete", g, theta, rng, orientation, **assemble_kw)
 
 

@@ -11,12 +11,15 @@ tier: _distributions counts one view of each server's request sequence,
 its pattern (core.server_pattern), over the runs of a per-theta stream
 of random sources, and _verdict turns the counts into a verdict at a
 tolerance on the total-variation (TV) distance; tolerance 0 means exact
-equality, tested in integers. The tiers configure it:
+equality, tested in integers. The tiers differ only in their stream
+and tolerance:
 
-* exact: every point of the scheme's own draws, at most EXACT_BUDGET
-  points per theta (BudgetExceeded past it); tolerance 0;
-* structural: one seeded run per seed and theta; tolerance 0;
-* statistical: `samples` seeded runs per theta; the given tolerance.
+* exact: one replay of every point of the scheme's own draws
+  (rng.enumerate_sources), at most EXACT_BUDGET points per theta
+  (BudgetExceeded past it); tolerance 0;
+* structural: one seeded source per seed; tolerance 0;
+* statistical: one seeded source drawn from `samples` times; the
+  given tolerance.
 
 Every tier runs the scheme with identity file permutations. Every
 scheme draws its per-file index permutations in assemble_transcript,
@@ -47,11 +50,10 @@ brackets that TV between two views:
 
 With identity permutations a run's views are a function of the
 scheme's own draws, which take few values (3 points per theta for the
-K_{2,3} star composition), so the seeded and sampled streams build and
-view each distinct point once per theta, with the counts of a run per
-source (see _distributions); the enumerated stream never repeats a
-point. Every tier refuses a scheme whose draw shape depends on its
-drawn values (TranscriptError).
+K_{2,3} star composition), so every stream is tallied by draw point and
+each distinct point is built and viewed once per theta, with the counts
+of a run per source (see _distributions). Every tier refuses a scheme
+whose draw shape depends on its drawn values (TranscriptError).
 """
 from __future__ import annotations
 
@@ -111,17 +113,6 @@ def _seed_for(base_seed, theta, tag: str) -> str:
     return "%s/%d.%d/%s" % (base_seed, theta.edge, theta.copy, tag)
 
 
-def _seeded(g: GraphSpec, seeds: Sequence, tag: str):
-    """(theta, seed, source) for every theta and, within it, every seed;
-    each source is seeded from (seed, theta, tag)."""
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    for theta in all_thetas(g):
-        for seed in seeds:
-            yield theta, seed, SeededSource(_seed_for(seed, theta, tag))
-
-
 def _transcript_checks(scheme, g: GraphSpec, seeds: Sequence, names: Sequence[str]):
     """([CheckResult per name], rate): the checks `names` applied to one
     seeded transcript per theta and seed, theta-major, each failing at
@@ -131,6 +122,9 @@ def _transcript_checks(scheme, g: GraphSpec, seeds: Sequence, names: Sequence[st
     exact upper bound. rate is the largest rate measured, or the failing
     one (None unless rate is named)."""
     name, run = resolve_scheme(scheme, g)
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     bounds = exact_entries(bound_report(g), "upper") if "rate" in names else []
     rates = []
 
@@ -161,8 +155,8 @@ def _transcript_checks(scheme, g: GraphSpec, seeds: Sequence, names: Sequence[st
 
     faults = {"reliability": reliability, "srp": srp, "rate": rate}
     failed = {}
-    for theta, seed, src in _seeded(g, seeds, "rel"):
-        t = run(g, theta, src)
+    for theta, seed in itertools.product(all_thetas(g), seeds):
+        t = run(g, theta, SeededSource(_seed_for(seed, theta, "rel")))
         for check in names:
             if check not in failed and (fault := faults[check](t, theta, seed)):
                 failed[check] = CheckResult(
@@ -183,53 +177,41 @@ def verify_reliability(scheme, g: GraphSpec, seeds: Sequence = range(10)) -> Che
     return _transcript_checks(scheme, g, seeds, ["reliability"])[0][0]
 
 
-def _distributions(run, g: GraphSpec, view, sources, memo: bool, **run_kw):
+def _distributions(run, g: GraphSpec, view, sources, **run_kw):
     """({theta: (one Counter of `view` per server, runs)}, runs in all),
-    running `run` (with `run_kw`) once per source that
-    `sources(theta, build)` yields (ReplaySources, unless `memo`); a run
-    that leaves values of its replay undrawn is refused, like one that
-    draws past them. Callers name the view (say
+    with the counts of running `run` (with `run_kw`) once per source that
+    `sources(theta, shape)` yields. Callers name the view (say
     server_pattern) at call time, never in a default or a table, so a
     rebinding of the module attribute, as a tracer does, sees every call.
 
-    With `memo`, each distinct point of the scheme's own draws is built
-    and viewed once per theta, with the counts of a run per source: the
-    draw shape is learned once (record_shape), each source gives up one
-    value per draw of it in the order the run would draw them
-    (draw_point), and the points are tallied; then each point runs the
-    scheme on a replay of its values, which must draw exactly that
-    shape, and its views count as often as it was drawn. An empty shape
-    is one point, tallied once per source without drawing. The tally
-    holds at most one entry per distinct point drawn and is dropped
-    after each theta.
+    Each distinct point of the scheme's own draws is built and viewed
+    once per theta: the draw shape is learned once (record_shape), each
+    source gives up one value per draw of it in the order the run would
+    draw them (draw_point), and the points are tallied; then each point
+    runs the scheme on a replay of its values, which must draw exactly
+    that shape (a run that draws past them or leaves some undrawn is
+    refused), and its views count as often as it was drawn. An empty
+    shape is one point, tallied once per source without drawing. The
+    tally holds at most one entry per distinct point and is dropped after
+    each theta.
     """
     dists = {}
     for theta in all_thetas(g):
         def build(src, theta=theta):
             return run(g, theta, src, **run_kw)
 
-        def views(replay):
+        shape = record_shape(build)
+        srcs = sources(theta, shape)
+        tally = (Counter(draw_point(src, shape) for src in srcs) if shape
+                 else Counter({(): sum(1 for _ in srcs)}))
+        counters = [Counter() for _ in range(g.n_vertices)]
+        for point, k in tally.items():
+            replay = ReplaySource(shape, point)
             t = build(replay)
             replay.finish()
-            return tuple(view([r.form for r in server]) for server in t.requests)
-
-        if memo:
-            shape = record_shape(build)
-            srcs = sources(theta, build)
-            tally = (Counter(draw_point(src, shape) for src in srcs) if shape
-                     else Counter({(): sum(1 for _ in srcs)}))
-            weighted = (
-                (views(ReplaySource(shape, point)), k) for point, k in tally.items()
-            )
-        else:
-            weighted = ((views(src), 1) for src in sources(theta, build))
-        counters = [Counter() for _ in range(g.n_vertices)]
-        n = 0
-        for vs, k in weighted:
-            for c, v in zip(counters, vs):
-                c[v] += k
-            n += k
-        dists[theta] = counters, n
+            for c, server in zip(counters, t.requests):
+                c[view([r.form for r in server])] += k
+        dists[theta] = counters, sum(tally.values())
     return dists, sum(n for _, n in dists.values())
 
 
@@ -325,8 +307,8 @@ def verify_privacy_exact(scheme, g: GraphSpec) -> CheckResult:
     more than EXACT_BUDGET for some theta."""
     name, run = resolve_scheme(scheme, g)
     dists, points = _distributions(
-        run, g, server_pattern, lambda theta, build: enumerate_sources(build, EXACT_BUDGET),
-        memo=False, identity_perms=True,
+        run, g, server_pattern, lambda theta, shape: enumerate_sources(shape, EXACT_BUDGET),
+        identity_perms=True,
     )
     passed, _, at = _verdict(dists)
     if passed:
@@ -349,11 +331,13 @@ def verify_privacy_structural(
     the same number of seeds)."""
     name, run = resolve_scheme(scheme, g)
     seeds = list(seeds)
-    runs = {}
-    for theta, _, src in _seeded(g, seeds, "struct"):
-        runs.setdefault(theta, []).append(src)
-    dists, _ = _distributions(run, g, server_pattern, lambda theta, build: runs[theta],
-                              memo=True, identity_perms=True)
+    if not seeds:
+        raise ValueError("need at least one seed")
+
+    def seeded(theta, shape):
+        return (SeededSource(_seed_for(seed, theta, "struct")) for seed in seeds)
+
+    dists, _ = _distributions(run, g, server_pattern, seeded, identity_perms=True)
     passed, _, at = _verdict(dists)
     if not passed:
         return CheckResult(
@@ -384,10 +368,10 @@ def verify_privacy_statistical(
         raise ValueError("tolerance must be in [0, 1), got %r" % tolerance)
     name, run = resolve_scheme(scheme, g)
 
-    def sampled(theta, build):
+    def sampled(theta, shape):
         return itertools.repeat(SeededSource(_seed_for(0, theta, "stat")), samples)
 
-    dists, _ = _distributions(run, g, server_pattern, sampled, memo=True, identity_perms=True)
+    dists, _ = _distributions(run, g, server_pattern, sampled, identity_perms=True)
     passed, worst, worst_at = _verdict(dists, tolerance)
     return CheckResult(
         "privacy-statistical", passed,

@@ -30,7 +30,7 @@ from graphpir.mutants import (
     compose_stars_theta_ordered,
     drop_planned_request,
 )
-from graphpir.rng import SeededSource, enumerate_sources
+from graphpir.rng import SeededSource, enumerate_sources, record_shape
 from graphpir.runner import all_thetas
 from graphpir.schemes import compose_stars, kernel_factory, path_scheme
 from graphpir.tables import table_four, table_three
@@ -91,7 +91,8 @@ def test_criterion_02_exact_privacy_paths():
             g = build_family("path", [n])
             # the randomness space is exactly the 2^(N-1) per-file
             # permutation tuples
-            pts = sum(1 for _ in enumerate_sources(lambda s: path_scheme(g, 1, s)))
+            shape = record_shape(lambda s: path_scheme(g, 1, s))
+            pts = sum(1 for _ in enumerate_sources(shape))
             assert pts == 2 ** (n - 1)
             c = verify_privacy_exact("path", g)
             assert c.passed, c.detail

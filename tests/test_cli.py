@@ -226,10 +226,13 @@ def test_no_scheme_for_family_exits_2(capsys):
     assert "tightness:" in out
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_commands() -> list[list[str]]:
     """Every `graphpir ...` line in the README's code blocks as an argv,
     with each loop variable expanded to every value of its loop."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     commands = []
     # Fences alternate open/close, so the code blocks are the odd pieces.
     for block in re.split(r"^```.*$", readme, flags=re.M)[1::2]:
@@ -265,6 +268,15 @@ def test_readme_commands_parse():
                         % " ".join(argv))
         if hasattr(args, "graph"):
             parse_graph(args.graph)
+
+
+def test_readme_quickstart_runs(capsys):
+    # the library example, as printed: it prints the rate and asserts
+    # that the report passed
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(blocks[0], {})
+    assert capsys.readouterr().out == "1/2\n"
 
 
 def test_statistical_verify_builds_each_draw_point_once(capsys):

@@ -94,10 +94,12 @@ def test_complete_scheme_end_to_end():
         assert decode(t, answer_all(store, t)) == store[FileId(e, 1)]
 
 
-def test_complete_scheme_theta_by_endpoints():
+def test_complete_scheme_reads_a_tuple_theta_as_edge_and_copy():
+    # (3, 1) is FileId(3, 1), as for every scheme, not the endpoint pair
+    # (1, 3), which is edge 2
     g = build_family("complete", [4])
-    t = complete_scheme(g, (2, 4), SeededSource(0))
-    assert t.theta == FileId(g.edges.index((2, 4)) + 1, 1)
+    t = complete_scheme(g, (3, 1), SeededSource(0))
+    assert t.theta == FileId(3, 1)
     assert symbolic_decode_check(t)
 
 

@@ -66,7 +66,7 @@ def test_path_scheme_rate_and_reliability(n):
 
 
 def test_path_two_servers_rate_one():
-    t = path_scheme(2, 1, SeededSource(0))
+    t = path_scheme(build_family("path", [2]), 1, SeededSource(0))
     assert measured_rate(t) == 1
 
 

@@ -15,7 +15,13 @@ from graphpir.mutants import (
     compose_stars_theta_ordered,
     drop_planned_request,
 )
-from graphpir.rng import BudgetExceeded, SeededSource, domain_size, enumerate_sources
+from graphpir.rng import (
+    BudgetExceeded,
+    SeededSource,
+    domain_size,
+    draw_point,
+    enumerate_sources,
+)
 from graphpir.runner import all_thetas, resolve_scheme
 from graphpir.schemes import compose_stars, path_scheme
 from graphpir.verify import (
@@ -23,6 +29,7 @@ from graphpir.verify import (
     _colour_classes,
     _compare,
     _distributions,
+    _transcript_checks,
     _verdict,
     tv_distance,
     verify_privacy,
@@ -152,6 +159,37 @@ def test_domain_size_refuses_past_budget():
     assert str(exc.value) == "randomness space exceeds the budget of 4 points"
 
 
+@pytest.mark.parametrize("shape", [
+    [("perm", 3), ("choice", 2)],
+    [("choice", 3), ("perm", 1), ("perm", 2), ("choice", 1)],
+    [("perm", 4)],
+])
+def test_enumerate_sources_yields_every_point_once(shape):
+    points = [draw_point(src, shape) for src in enumerate_sources(shape)]
+    assert len(points) == len(set(points)) == domain_size(shape, 1 << 20)
+    for point in points:
+        for (kind, n), v in zip(shape, point):
+            assert (sorted(v) == list(range(1, n + 1))) if kind == "perm" else (0 <= v < n)
+
+
+def test_enumerate_sources_order_is_lexicographic():
+    shape = [("perm", 3), ("choice", 2)]
+    points = [draw_point(src, shape) for src in enumerate_sources(shape)]
+    assert points[:3] == [((1, 2, 3), 0), ((1, 2, 3), 1), ((1, 3, 2), 0)]
+    assert points == sorted(points)
+
+
+def test_enumerate_sources_of_an_empty_shape_is_one_point():
+    assert [src.point for src in enumerate_sources([])] == [()]
+
+
+def test_enumerate_sources_refuses_past_budget_before_yielding():
+    it = enumerate_sources([("perm", 3), ("choice", 2)], budget=11)
+    with pytest.raises(BudgetExceeded):
+        next(it)
+    assert list(enumerate_sources([("perm", 3), ("choice", 2)], budget=12))
+
+
 def test_exact_privacy_refuses_huge_space_quickly():
     # complete:8's full space has thousands of digits: the refusal must
     # be quick and must not format that number
@@ -212,8 +250,7 @@ def _sweep(run, g, view, **run_kw):
     space of `run`, file permutations included unless `run_kw` drops
     them."""
     dists, _ = _distributions(
-        run, g, view, lambda theta, build: enumerate_sources(build, 1 << 20),
-        memo=False, **run_kw,
+        run, g, view, lambda theta, shape: enumerate_sources(shape, 1 << 20), **run_kw,
     )
     differs, _, at = _compare(dists)
     return differs, at
@@ -419,7 +456,7 @@ def _sources(theta):
 
 
 def _direct_counts(run, g):
-    """The reference for the memo: one build and one pattern per source."""
+    """The reference for the tally: one build and one pattern per source."""
     dists = {}
     for theta in all_thetas(g):
         counters = [Counter() for _ in range(g.n_vertices)]
@@ -463,8 +500,7 @@ def test_memoised_counts_equal_a_run_per_source(scheme, graph):
     g = parse_graph(graph)
     _, run = resolve_scheme(scheme, g)
     dists, runs = _distributions(
-        run, g, server_pattern, lambda theta, build: _sources(theta),
-        memo=True, identity_perms=True,
+        run, g, server_pattern, lambda theta, shape: _sources(theta), identity_perms=True,
     )
     assert dists == _direct_counts(run, g)
     assert runs == 210 * len(all_thetas(g))
@@ -519,3 +555,24 @@ def test_seed_iterators_are_read_once():
     c = verify_privacy_structural("path", parse_graph("path:4"),
                                   seeds=(s for s in range(3)))
     assert c.detail == "patterns theta-invariant over 3 seeds"
+
+
+FAMILY_MEMBERS = st.one_of(
+    st.tuples(st.sampled_from(["path", "star"]), st.integers(2, 7).map(lambda n: [n]),
+              st.integers(1, 3)),
+    st.integers(3, 5).map(lambda n: ("complete", [n], 1)),
+    st.tuples(st.just("complete"), st.integers(3, 4).map(lambda n: [n]), st.integers(2, 3)),
+    st.tuples(st.integers(2, 4), st.integers(2, 4)).map(
+        lambda mn: ("complete_bipartite", sorted(mn), 1)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(FAMILY_MEMBERS, st.integers(0, 1 << 16))
+def test_family_members_pass_the_transcript_checks(member, seed):
+    # reliability, the even SRP split and the rate within every exact
+    # upper bound, on one seeded transcript per theta
+    family, params, r = member
+    g = build_family(family, params, r)
+    checks, _ = _transcript_checks("auto", g, [seed], ["reliability", "srp", "rate"])
+    assert all(c.passed for c in checks), [c.to_dict() for c in checks]
