@@ -8,9 +8,21 @@ File length is L = 3 * 2^(N-2). The desired pair (i, i') partitions the
 targets into three ranges: [2^(N-1)] decoded through single-subset bits,
 then 2^(N-3) targets decoded through the pair bit at server i, then
 2^(N-3) targets through the pair bit at server i'.
+
+Only the leftover pools of sigma are drawn. Everything else a run needs
+is fixed by (n, i, i') and built once per desired pair from its subset
+families (`_skeleton`, cached for the life of the process): every
+draw-free sigma entry, each server's pooled subsets with the free
+indices they are drawn from, the pair-bit indices, the decoding plan
+and the orientation involution tau. Each server's request layout, its
+nonempty neighbourhood subsets with their edges, is one object shared
+by every pair on K_n (`_server`). A run draws the pools, checks the
+drawn sigma, and builds the request forms over the symbols it is
+given.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -84,120 +96,93 @@ class SigmaMap:
     pair_bit_index: dict
 
 
-def build_sigma(n: int, i: int, i_prime: int, bij: SubsetBijections,
-                rng: RandomSource) -> SigmaMap:
-    """Per-server index maps following the construction's equations; the
-    leftover pool at servers outside the desired pair is drawn from the
-    unused indices of [2^(N-1)]."""
-    quarter = 2 ** (n - 3)
-    sigma: dict[int, dict] = {}
-    for j in range(1, n + 1):
-        nbrs = [v for v in range(1, n + 1) if v != j]
-        sj: dict = {}
-        pool_sets = []
-        for p in _subsets(nbrs):
-            if not p:
-                continue
-            if j == i:
-                if i_prime in p:
-                    sj[p] = bij.phi[frozenset({i}) | (p - {i_prime})]
-                else:
-                    sj[p] = bij.varphi[bij.pair_rep(p)] + quarter
-            elif j == i_prime:
-                if i in p:
-                    sj[p] = bij.phi[frozenset({i_prime}) | (p - {i})]
-                else:
-                    sj[p] = bij.varphi[bij.pair_rep(p)]
-            else:
-                cut = len(p & {i, i_prime})
-                if cut == 1:
-                    sj[p] = bij.phi[p | {j}]
-                elif cut == 2:
-                    tilde = frozenset({j}) | (p - {i, i_prime})
-                    sj[p] = bij.varphi[bij.pair_rep(tilde)]
-                else:
-                    pool_sets.append(p)
-        if pool_sets:
-            used = set(sj.values())
-            free = [v for v in range(1, 2 ** (n - 1) + 1) if v not in used]
-            pool_sets.sort(key=lex_key)
-            drawn = rng.sample_without_replacement(free, len(pool_sets))
-            for p, v in zip(pool_sets, drawn):
-                sj[p] = v
-        if len(sj) != 2 ** (n - 1) - 1:
-            raise AssertionError("sigma at server %d left subsets unassigned" % j)
-        sigma[j] = sj
-
-    pair_bit_index: dict[int, dict] = {}
-    for j in range(1, n + 1):
-        pb = {}
-        for rep, _p2 in bij.pairs:
-            v = bij.varphi[rep]
-            pb[rep] = v if j == i else v + quarter
-        pair_bit_index[j] = pb
-
-    # per-file injectivity: at server j, the indices touching file {j, l}
-    # must be distinct
-    for j in range(1, n + 1):
-        for l in range(1, n + 1):
-            if l == j:
-                continue
-            seen = [idx for p, idx in sigma[j].items() if l in p]
-            seen.extend(pair_bit_index[j].values())
-            if len(seen) != len(set(seen)):
-                raise AssertionError(
-                    "index collision for file (%d,%d) at server %d" % (j, l, j)
-                )
-    return SigmaMap(bij, sigma, pair_bit_index)
+@dataclass(frozen=True)
+class _Server:
+    """Server j's subset requests on K_n, shared by every desired pair."""
+    # every nonempty P subset of N(j) = [n] - {j}, by size, then lex_key
+    subsets: tuple
+    # edges[k] = the edges {j, l}, l in subsets[k]
+    edges: tuple
+    nbr_edges: tuple  # every edge {j, l}
+    # (l, positions k of the subsets holding l) per l in N(j), ascending
+    touching: tuple
 
 
-def complete_length(n: int) -> int:
-    return 3 * 2 ** (n - 2)
+@functools.cache
+def _server(n: int, j: int) -> _Server:
+    nbrs = [v for v in range(1, n + 1) if v != j]
+    subsets = tuple(p for p in _subsets(nbrs) if p)
+    edge = {l: frozenset({j, l}) for l in nbrs}
+    return _Server(
+        subsets,
+        tuple(tuple(edge[l] for l in sorted(p)) for p in subsets),
+        tuple(edge.values()),
+        tuple((l, tuple(k for k, p in enumerate(subsets) if l in p)) for l in nbrs),
+    )
 
 
-def complete_downloads_per_server(n: int) -> int:
-    return 2 ** (n - 1) + 2 ** (n - 3) - 1
+@dataclass(frozen=True)
+class _Skeleton:
+    """Everything a run for desired pair (i, i') does not draw. Per
+    server (index j - 1), aligned with _server(n, j).subsets."""
+    fixed: tuple  # fixed[j-1][k]: sigma index of subsets[k], None if pooled
+    # pools[j-1] = (pooled positions k in lex_key order, free indices)
+    pools: tuple
+    pair_bits: tuple  # pair_bits[j-1]: pair-bit indices in bij.pairs order
+    plan: tuple  # plan of an orientation +1 run, over request positions
+    # the half-swapping involution of an orientation -1 run; shared by
+    # every run, read only
+    tau: dict
 
 
-def complete_kernel(
-    n: int,
-    i: int,
-    i_prime: int,
-    symbols: dict,
-    rng: RandomSource,
-    orientation: int = 1,
-) -> KernelRun:
-    """One run of the complete-graph scheme on K_n.
-
-    `symbols` maps frozenset({u, v}) to the file symbol of that edge.
-    Request forms are (symbol, index) pairs in permuted index space.
-    """
+@functools.cache
+def _skeleton(n: int, i: int, i_prime: int) -> _Skeleton:
+    """The draw-free part of a run, following the construction's
+    equations; built once per (n, i, i')."""
     bij = build_families(n, i, i_prime)
-    smap = build_sigma(n, i, i_prime, bij, rng)
-    L = complete_length(n)
     half = 2 ** (n - 1)
     quarter = 2 ** (n - 3)
 
-    requests = []
+    def index(j: int, p: frozenset):
+        if j == i:
+            if i_prime in p:
+                return bij.phi[frozenset({i}) | (p - {i_prime})]
+            return bij.varphi[bij.pair_rep(p)] + quarter
+        if j == i_prime:
+            if i in p:
+                return bij.phi[frozenset({i_prime}) | (p - {i})]
+            return bij.varphi[bij.pair_rep(p)]
+        cut = len(p & {i, i_prime})
+        if cut == 1:
+            return bij.phi[p | {j}]
+        if cut == 2:
+            tilde = frozenset({j}) | (p - {i, i_prime})
+            return bij.varphi[bij.pair_rep(tilde)]
+        return None  # drawn from the leftover pool
+
+    fixed, pools, pair_bits = [], [], []
+    position = itertools.count()  # of each request, in run order
     subset_req: dict[tuple[int, frozenset], int] = {}
     pair_req: dict[tuple[int, frozenset], int] = {}
     for j in range(1, n + 1):
-        nbrs = [v for v in range(1, n + 1) if v != j]
-        for p in sorted(
-            (p for p in _subsets(nbrs) if p), key=lambda s: (len(s), lex_key(s))
-        ):
-            idx = smap.sigma[j][p]
-            form = frozenset((symbols[frozenset({j, l})], idx) for l in p)
-            subset_req[(j, p)] = len(requests)
-            requests.append((j, form))
+        subsets = _server(n, j).subsets
+        sj = tuple(index(j, p) for p in subsets)
+        pooled = sorted((k for k, v in enumerate(sj) if v is None),
+                        key=lambda k: lex_key(subsets[k]))
+        used = set(sj)
+        free = tuple(v for v in range(1, half + 1) if v not in used) if pooled else ()
+        fixed.append(sj)
+        pools.append((tuple(pooled), free))
+        pair_bits.append(tuple(
+            bij.varphi[rep] if j == i else bij.varphi[rep] + quarter
+            for rep, _p2 in bij.pairs
+        ))
+        for p in subsets:
+            subset_req[(j, p)] = next(position)
         for rep, _p2 in bij.pairs:
-            idx = smap.pair_bit_index[j][rep]
-            form = frozenset(
-                (symbols[frozenset({j, l})], idx) for l in nbrs
-            )
-            pair_req[(j, rep)] = len(requests)
-            requests.append((j, form))
+            pair_req[(j, rep)] = next(position)
 
+    L = complete_length(n)
     plan: list[frozenset] = [frozenset()] * L
     for t in range(1, half + 1):
         p = bij.phi_inv[t - 1]
@@ -230,15 +215,97 @@ def complete_kernel(
                 entry.add(pair_req[(jj, rep)])
         plan[v + quarter - 1] = frozenset(entry)
 
+    side_i = [t for t in range(1, half + 1) if i in bij.phi_inv[t - 1]]
+    side_i += list(range(half + 1, half + quarter + 1))
+    side_ip = [t for t in range(1, half + 1) if i_prime in bij.phi_inv[t - 1]]
+    side_ip += list(range(half + quarter + 1, L + 1))
+    tau = {}
+    for a, b in zip(sorted(side_i), sorted(side_ip)):
+        tau[a] = b
+        tau[b] = a
+    return _Skeleton(tuple(fixed), tuple(pools), tuple(pair_bits), tuple(plan), tau)
+
+
+def _draw_sigma(n: int, sk: _Skeleton, rng: RandomSource) -> list[list[int]]:
+    """One run's sigma, aligned like sk.fixed: the leftover pool at
+    servers outside the desired pair is drawn from the unused indices of
+    [2^(N-1)], server by server."""
+    sigma = []
+    for j in range(1, n + 1):
+        sj = list(sk.fixed[j - 1])
+        pooled, free = sk.pools[j - 1]
+        if pooled:
+            for k, v in zip(pooled, rng.sample_without_replacement(free, len(pooled))):
+                sj[k] = v
+        if None in sj:
+            raise AssertionError("sigma at server %d left subsets unassigned" % j)
+        sigma.append(sj)
+
+    # per-file injectivity: at server j, the indices touching file {j, l}
+    # must be distinct
+    for j in range(1, n + 1):
+        sj = sigma[j - 1]
+        for l, positions in _server(n, j).touching:
+            seen = [sj[k] for k in positions]
+            seen.extend(sk.pair_bits[j - 1])
+            if len(seen) != len(set(seen)):
+                raise AssertionError(
+                    "index collision for file (%d,%d) at server %d" % (j, l, j)
+                )
+    return sigma
+
+
+def build_sigma(n: int, i: int, i_prime: int, bij: SubsetBijections,
+                rng: RandomSource) -> SigmaMap:
+    """Per-server index maps following the construction's equations; the
+    leftover pool at servers outside the desired pair is drawn from the
+    unused indices of [2^(N-1)]."""
+    sk = _skeleton(n, i, i_prime)
+    sigma = {
+        j: dict(zip(_server(n, j).subsets, sj))
+        for j, sj in enumerate(_draw_sigma(n, sk, rng), start=1)
+    }
+    pair_bit_index = {
+        j: {rep: v for (rep, _p2), v in zip(bij.pairs, sk.pair_bits[j - 1])}
+        for j in range(1, n + 1)
+    }
+    return SigmaMap(bij, sigma, pair_bit_index)
+
+
+def complete_length(n: int) -> int:
+    return 3 * 2 ** (n - 2)
+
+
+def complete_downloads_per_server(n: int) -> int:
+    return 2 ** (n - 1) + 2 ** (n - 3) - 1
+
+
+def complete_kernel(
+    n: int,
+    i: int,
+    i_prime: int,
+    symbols: dict,
+    rng: RandomSource,
+    orientation: int = 1,
+) -> KernelRun:
+    """One run of the complete-graph scheme on K_n.
+
+    `symbols` maps frozenset({u, v}) to the file symbol of that edge.
+    Request forms are (symbol, index) pairs in permuted index space.
+    """
+    sk = _skeleton(n, i, i_prime)
+    requests = []
+    for j, sj in enumerate(_draw_sigma(n, sk, rng), start=1):
+        server = _server(n, j)
+        for idx, edges in zip(sj, server.edges):
+            requests.append((j, frozenset([(symbols[e], idx) for e in edges])))
+        for idx in sk.pair_bits[j - 1]:
+            requests.append(
+                (j, frozenset([(symbols[e], idx) for e in server.nbr_edges]))
+            )
+
     theta_symbol = symbols[frozenset({i, i_prime})]
+    requests, plan = tuple(requests), sk.plan
     if orientation == -1:
-        side_i = [t for t in range(1, half + 1) if i in bij.phi_inv[t - 1]]
-        side_i += list(range(half + 1, half + quarter + 1))
-        side_ip = [t for t in range(1, half + 1) if i_prime in bij.phi_inv[t - 1]]
-        side_ip += list(range(half + quarter + 1, L + 1))
-        tau = {}
-        for a, b in zip(sorted(side_i), sorted(side_ip)):
-            tau[a] = b
-            tau[b] = a
-        requests, plan = _orient(tuple(requests), tuple(plan), theta_symbol, tau)
-    return KernelRun(L, theta_symbol, tuple(requests), tuple(plan))
+        requests, plan = _orient(requests, plan, theta_symbol, sk.tau)
+    return KernelRun(complete_length(n), theta_symbol, requests, plan)

@@ -52,10 +52,7 @@ def _raw_encoding(form: LinearForm) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted((f.edge, f.copy, b) for f, b in form))
 
 
-def request_pattern(form: LinearForm) -> tuple[tuple[int, int, int], ...]:
-    """Per-request index pattern: bit indices renamed 1,2,... per file in
-    sorted order. Invariant under per-file index permutations."""
-    raw = _raw_encoding(form)
+def _pattern(raw: tuple[tuple[int, int, int], ...]) -> tuple[tuple[int, int, int], ...]:
     counts: dict[tuple[int, int], int] = {}
     out = []
     for edge, copy, _bit in raw:
@@ -65,8 +62,15 @@ def request_pattern(form: LinearForm) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
+def request_pattern(form: LinearForm) -> tuple[tuple[int, int, int], ...]:
+    """Per-request index pattern: bit indices renamed 1,2,... per file in
+    sorted order. Invariant under per-file index permutations."""
+    return _pattern(_raw_encoding(form))
+
+
 def wire_sort_key(form: LinearForm):
-    return (request_pattern(form), _raw_encoding(form))
+    raw = _raw_encoding(form)
+    return (_pattern(raw), raw)
 
 
 @dataclass(frozen=True)
@@ -121,12 +125,12 @@ def assemble_transcript(
     per_server: list[list[tuple[LinearForm, int]]] = [
         [] for _ in range(graph.n_vertices)
     ]
+    edges = graph.edges
     for idx, (server, wform) in enumerate(requests):
         for f, m in wform:
             if not 1 <= m <= L:
                 raise TranscriptError("index %d out of range" % m)
-            u, v = graph.edge_endpoints(f.edge)
-            if server not in (u, v):
+            if server not in edges[f.edge - 1]:
                 raise TranscriptError(
                     "server %d asked for file %s it does not store"
                     % (server, (f.edge, f.copy))

@@ -1,11 +1,13 @@
 """Binding a scheme to a graph: factories are built once per (scheme,
 graph) rather than once per transcript, and the cached binding carries
-no state from one run to the next."""
+no state from one run to the next. Likewise the draw-free part of a
+complete-graph run is built once per desired pair."""
 import sys
 from collections import Counter
 
 import pytest
 
+import graphpir.complete as complete
 import graphpir.core as core
 import graphpir.graphs as graphs
 import graphpir.lift as lift
@@ -99,3 +101,22 @@ def test_verify_scheme_builds_each_seeded_transcript_once(monkeypatch):
     # one transcript with random permutations per theta and seed, read by
     # the reliability, SRP and rate checks alike
     assert built[False] == len(all_thetas(g)) * 3 == 9
+
+
+@pytest.mark.parametrize("seeds", (range(1), range(3)))
+def test_complete_skeleton_is_built_once_per_desired_pair(monkeypatch, seeds):
+    built = Counter()
+    original = complete.build_families
+
+    def counted(n, i, i_prime):
+        built[(n, i, i_prime)] += 1
+        return original(n, i, i_prime)
+
+    monkeypatch.setattr(complete, "build_families", counted)
+    complete._skeleton.cache_clear()
+    g = parse_graph("complete:5")
+    assert verify_scheme("auto", g, seeds=seeds).passed
+    # every transcript of every theta and seed, in every check, runs
+    # from the one skeleton of its desired pair
+    assert built == Counter({(5, i, ip): 1 for i, ip in g.edges})
+    assert sum(built.values()) == 10

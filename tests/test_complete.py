@@ -1,24 +1,30 @@
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
 
+import graphpir.complete as complete
 from graphpir.complete import (
     build_families,
     build_sigma,
     complete_downloads_per_server,
+    complete_kernel,
     complete_length,
 )
 from graphpir.core import (
     FileId,
     answer_all,
     decode,
+    dump_transcript,
     measured_rate,
     random_store,
     srp_attribution,
     symbolic_decode_check,
 )
-from graphpir.graphs import build_family
+from graphpir.graphs import build_family, parse_graph
 from graphpir.rng import CanonicalSource, SeededSource
+from graphpir.runner import all_thetas, resolve_scheme
 from graphpir.schemes import complete_scheme
 
 import random
@@ -137,3 +143,95 @@ def test_orientation_swaps_srp_halves_per_target():
     hp, hn = holders(t_pos), holders(t_neg)
     assert all(len(h) == 1 for h in hp + hn)
     assert all(a != b for a, b in zip(hp, hn))
+
+
+# SHA-256 of the dumps in dump_digest, recorded before the draw-free
+# part of a run was cached. A change in what a run draws, in which
+# order, or how it turns the draws into forms changes the digest.
+DUMP_DIGESTS = {
+    "complete:3": "6fb4b57f5ea9b9ae9c2465331affe7b443c5a4e6cf06c580c58a8ef69c021363",
+    "complete:4": "8219cd03b5fbc7c1aad702a01f050d9def91ded6f844f88c42ffbb1e3a578408",
+    "complete:5": "e0117eaf537a698bb06a969fa1d730312c783b5dd077f476b6ea5bbf53589840",
+    "complete:6": "495f3bcfd926e1a590c7b63c80e3e41bceacb14c8c35f803243dbc05bb753edd",
+    "complete:3^2": "e20ecde5e86ae2b428fd852d9e67136728f9400e9af64695dcd62321feba731a",
+    "complete:4^2": "4eb09e823a5f3d1b424c363c8ed2f98ea3c5809b215690113deff4580d5028dd",
+    "complete:4^3": "72a2114119871b9a5b80c56bf73c01f3b8b4d54296e9bc442c1fa48b46fc2c02",
+}
+
+
+def dump_digest(text: str) -> str:
+    """SHA-256 over the dumps of every theta, seeds 1 and 2, random and
+    identity permutations, and at multiplicity 1 both orientations; the
+    lift runs orientation -1 itself. Every desired pair is run more than
+    once, so runs from a cold and a warm cache are both covered."""
+    g = parse_graph(text)
+    _, run = resolve_scheme("auto", g)
+    orientations = ({"orientation": 1}, {"orientation": -1}) if g.multiplicity == 1 else ({},)
+    h = hashlib.sha256()
+    for theta in all_thetas(g):
+        for seed in (1, 2):
+            for identity in (False, True):
+                for kw in orientations:
+                    t = run(g, theta, SeededSource(seed), identity_perms=identity, **kw)
+                    h.update(dump_transcript(t).encode() + b"\n\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("text", sorted(DUMP_DIGESTS))
+def test_transcripts_are_pinned_byte_for_byte(text):
+    assert dump_digest(text) == DUMP_DIGESTS[text]
+
+
+def edge_symbols(n: int, name=lambda k: k) -> dict:
+    return {
+        frozenset(e): name(k)
+        for k, e in enumerate(itertools.combinations(range(1, n + 1), 2), start=1)
+    }
+
+
+class RepeatingSource(SeededSource):
+    """Hands every pool its first free index, once per pooled subset."""
+
+    def sample_without_replacement(self, seq, k):
+        return [seq[0]] * k
+
+
+class ShortSource(SeededSource):
+    """Draws nothing for a pool."""
+
+    def sample_without_replacement(self, seq, k):
+        return []
+
+
+@pytest.mark.parametrize("source,message", [
+    # at server 3 of K_5 with desired pair (1, 2), the pool {4}, {4, 5},
+    # {5} is drawn in that order; {4} and {4, 5} share file {3, 4}
+    (RepeatingSource, r"index collision for file \(3,4\) at server 3"),
+    (ShortSource, r"sigma at server 3 left subsets unassigned"),
+])
+def test_sigma_checks_run_on_every_drawn_sigma(source, message):
+    complete._skeleton.cache_clear()
+    symbols = edge_symbols(5)
+    for _ in range(2):  # cold cache, then warm
+        with pytest.raises(AssertionError, match=message):
+            complete_kernel(5, 1, 2, symbols, source(0))
+        complete_kernel(5, 1, 2, symbols, SeededSource(0))
+    assert complete._skeleton.cache_info().hits >= 3
+    with pytest.raises(AssertionError, match=message):
+        build_sigma(5, 1, 2, build_families(5, 1, 2), source(0))
+
+
+@pytest.mark.parametrize("orientation", (1, -1))
+def test_forms_use_the_symbols_of_each_call(orientation):
+    ints = edge_symbols(5)
+    names = edge_symbols(5, lambda k: "f%d" % k)
+    first = complete_kernel(5, 2, 4, ints, SeededSource(7), orientation)
+    second = complete_kernel(5, 2, 4, names, SeededSource(7), orientation)
+    assert second.theta_symbol == "f%d" % first.theta_symbol
+    assert second.plan == first.plan
+    renamed = tuple(
+        (server, frozenset(("f%d" % sym, m) for sym, m in form))
+        for server, form in first.requests
+    )
+    assert second.requests == renamed
+    assert {sym for _, form in second.requests for sym, _ in form} == set(names.values())
