@@ -23,9 +23,10 @@ from graphpir.core import (
     symbolic_decode_check,
 )
 from graphpir.graphs import build_family, parse_graph
+from graphpir.mutants import MUTANTS
 from graphpir.rng import CanonicalSource, SeededSource
 from graphpir.runner import all_thetas, resolve_scheme
-from graphpir.schemes import complete_scheme
+from graphpir.schemes import BASE_KINDS, complete_scheme
 
 import random
 
@@ -157,16 +158,36 @@ DUMP_DIGESTS = {
     "complete:4^2": "4eb09e823a5f3d1b424c363c8ed2f98ea3c5809b215690113deff4580d5028dd",
     "complete:4^3": "72a2114119871b9a5b80c56bf73c01f3b8b4d54296e9bc442c1fa48b46fc2c02",
 }
+# The same digests for lifted path and star schemes, the star
+# composition and the two composition mutants, recorded before the
+# lift precomputed its per-theta stage structure. A key is a graph, run
+# by the scheme `auto` picks, or "<MUTANTS name> <graph>".
+DUMP_DIGESTS.update({
+    "path:2^2": "7fa1e76bf3e3f4813190d2c2391abca55205899473fbddf367cecdf5202aadca",
+    "path:4^3": "601699d9956fa06463050894d1358848a20c2ce138c88b292a1f3db2169603f8",
+    "star:5^2": "422843bd9267d4628c54442559875b670e545973904b51ec26a24e2a3af81995",
+    "complete:6^2": "480133bf87c61d43e1bbc84af10f753af28e402bf1c0a8a190ac3385c9e05491",
+    "complete_bipartite:2,3": "474239cf1d233f7f3fdba3bab90c555c55a3aab34f72affcc9a98d97235a7849",
+    "complete_bipartite:2,4": "22fccc8e2a93e3d616ccfc383aacb94493024f467b1db7ef8a2011507fd7632f",
+    "theta-ordered-compose complete_bipartite:2,3": "ddef534bf075ea83a1498034a7a834187ea9ba66843bcef9f981fa10b1357bdf",
+    "no-decoy-compose complete_bipartite:2,3": "51f231d4e0c8d4471ec698a2c310144da7f8dd07c423ae24b204e5e6e752c33c",
+})
 
 
-def dump_digest(text: str) -> str:
+def dump_digest(key: str) -> str:
     """SHA-256 over the dumps of every theta, seeds 1 and 2, random and
-    identity permutations, and at multiplicity 1 both orientations; the
-    lift runs orientation -1 itself. Every desired pair is run more than
-    once, so runs from a cold and a warm cache are both covered."""
+    identity permutations, and for a standalone base scheme both
+    orientations; the lift runs orientation -1 itself. Every desired
+    pair is run more than once, so runs from a cold and a warm cache are
+    both covered."""
+    mutant, _, text = key.rpartition(" ")
     g = parse_graph(text)
-    _, run = resolve_scheme("auto", g)
-    orientations = ({"orientation": 1}, {"orientation": -1}) if g.multiplicity == 1 else ({},)
+    if mutant:
+        run = MUTANTS[mutant][0]
+    else:
+        name, run = resolve_scheme("auto", g)
+    standalone = not mutant and name in BASE_KINDS
+    orientations = ({"orientation": 1}, {"orientation": -1}) if standalone else ({},)
     h = hashlib.sha256()
     for theta in all_thetas(g):
         for seed in (1, 2):
@@ -177,9 +198,9 @@ def dump_digest(text: str) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("text", sorted(DUMP_DIGESTS))
-def test_transcripts_are_pinned_byte_for_byte(text):
-    assert dump_digest(text) == DUMP_DIGESTS[text]
+@pytest.mark.parametrize("key", sorted(DUMP_DIGESTS))
+def test_transcripts_are_pinned_byte_for_byte(key):
+    assert dump_digest(key) == DUMP_DIGESTS[key]
 
 
 def edge_symbols(n: int, name=lambda k: k) -> dict:
