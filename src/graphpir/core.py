@@ -48,29 +48,20 @@ def xor_forms(forms: Iterable[LinearForm]) -> LinearForm:
     return out
 
 
-def _raw_encoding(form: LinearForm) -> tuple[tuple[int, int, int], ...]:
-    return tuple(sorted((f.edge, f.copy, b) for f, b in form))
-
-
-def _pattern(raw: tuple[tuple[int, int, int], ...]) -> tuple[tuple[int, int, int], ...]:
-    counts: dict[tuple[int, int], int] = {}
-    out = []
-    for edge, copy, _bit in raw:
-        k = counts.get((edge, copy), 0) + 1
-        counts[(edge, copy)] = k
-        out.append((edge, copy, k))
-    return tuple(out)
-
-
-def request_pattern(form: LinearForm) -> tuple[tuple[int, int, int], ...]:
-    """Per-request index pattern: bit indices renamed 1,2,... per file in
-    sorted order. Invariant under per-file index permutations."""
-    return _pattern(_raw_encoding(form))
-
-
 def wire_sort_key(form: LinearForm):
-    raw = _raw_encoding(form)
-    return (_pattern(raw), raw)
+    """The key of a form in a server's canonical wire order: its pattern,
+    each file's bit indices renamed 1, 2, ... in sorted order (invariant
+    under per-file index permutations), then its sorted coordinates.
+    FileId is a tuple, so sorting (FileId, bit) pairs orders them as
+    (edge, copy, bit) triples."""
+    raw = tuple(sorted(form))
+    pattern = []
+    prev, k = None, 0
+    for f, _bit in raw:
+        k = k + 1 if f == prev else 1
+        prev = f
+        pattern.append((f.edge, f.copy, k))
+    return (tuple(pattern), raw)
 
 
 @dataclass(frozen=True)
@@ -135,7 +126,10 @@ def assemble_transcript(
                     "server %d asked for file %s it does not store"
                     % (server, (f.edge, f.copy))
                 )
-        storage = frozenset((f, perms[f][m - 1]) for f, m in wform)
+        if identity_perms:  # the storage form is the wire form
+            storage = frozenset(wform)
+        else:
+            storage = frozenset((f, perms[f][m - 1]) for f, m in wform)
         if len(storage) != len(wform):
             raise TranscriptError("request %d collapses coordinates" % idx)
         per_server[server - 1].append((storage, idx))
@@ -259,9 +253,9 @@ def server_pattern(forms: Sequence[LinearForm]) -> tuple:
     out = []
     for form in forms:
         toks = []
-        for edge, copy, bit in _raw_encoding(form):
-            per_file = names.setdefault((edge, copy), {})
-            toks.append((edge, copy, per_file.setdefault(bit, len(per_file) + 1)))
+        for f, bit in sorted(form):
+            per_file = names.setdefault(f, {})
+            toks.append((f.edge, f.copy, per_file.setdefault(bit, len(per_file) + 1)))
         out.append(tuple(sorted(toks)))
     return tuple(out)
 

@@ -2,11 +2,13 @@
 
 A kernel describes one run of a retrieval scheme with all index
 randomization factored out: coordinates are (symbol, position) pairs
-where positions live in permuted index space. The same kernel backs
-three uses: a standalone scheme (symbols are FileIds, positions go
-through fresh uniform permutations), a composition part (positions get a
-repetition offset), and a lift stage instance (symbols are virtual files
-that expand into real coordinates).
+where positions live in permuted index space. A kernel treats its
+symbols as opaque; the binding (`schemes.kernel_factory`) hands it the
+copy-1 file FileId(e, 1) of each edge e it covers. The same kernel run
+backs three uses: a standalone scheme (the forms are used as they are,
+then go through fresh uniform permutations), a composition part
+(positions get a repetition offset), and a lift stage instance (each
+symbol's edge names a virtual file that expands into real coordinates).
 
 Orientation selects which hosting server of the desired edge delivers
 which half of the file: -1 relabels the desired symbol's positions by

@@ -24,6 +24,7 @@ file is then decoded by XORing instance B union {j} against instance B.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,6 +88,74 @@ def lifted_rate(base_rate, r: int) -> Fraction:
     return Fraction(base_rate) / discount(r)
 
 
+# Stage tables kept alive at once. Every caller builds theta by theta
+# (all seeds or draw points of one theta, then the next), so one table
+# hits almost every time, and keeping more would only hold memory.
+STAGE_TABLES = 1
+
+
+class _Stage(dict):
+    """Stage instance A of the lift for one desired file (e, j): its
+    base orientation, its window offsets, and a map, filled as runs
+    reach them, from each kernel coordinate (symbol, m) to its tuple of
+    expanded storage coordinates."""
+
+    def __init__(self, subset, orientation, edge, desired, shared, file_id):
+        super().__init__()
+        self.subset = subset
+        self.orientation = orientation
+        self.edge = edge
+        self.desired = desired  # (copy t, window offset) per desired block
+        self.shared = shared  # window offset of every other file
+        self.file_id = file_id  # one FileId per (edge, copy)
+
+    def __missing__(self, coord):
+        sym, m = coord
+        if sym.edge == self.edge:
+            out = tuple((self.file_id(self.edge, t), off + m) for t, off in self.desired)
+        else:
+            out = tuple(
+                (self.file_id(sym.edge, t), self.shared + m) for t in sorted(self.subset)
+            )
+        self[coord] = out
+        return out
+
+
+@functools.lru_cache(maxsize=STAGE_TABLES)
+def _stage_table(r: int, j: int, e: int, Lp: int) -> tuple[tuple, tuple]:
+    """The stages of a lift of desired file (e, j) with base length Lp,
+    in run order, and the plan merge: per block u(B), the stage of
+    B + {j}, the stage of B (None for B empty) and the block's window
+    offset."""
+    bp = build_block_plan(r, j)
+    file_id = functools.cache(FileId)
+    stages = []
+    for size in range(1, r + 1):
+        for c in sorted(itertools.combinations(range(1, r + 1), size)):
+            A = frozenset(c)
+            if j in A:
+                desired = {
+                    t: bp.u[A - {j, t}] if t != j else bp.u[A - {j}]
+                    for t in A
+                }
+            else:
+                desired = {t: bp.u[A - {t}] for t in A}
+            stages.append(_Stage(
+                A,
+                -1 if (j in A and size > 1) else 1,
+                e,
+                tuple((t, (block - 1) * Lp) for t, block in desired.items()),
+                (bp.beta[A] - 1) * Lp,
+                file_id,
+            ))
+    at = {st.subset: k for k, st in enumerate(stages)}
+    merge = tuple(
+        (at[B | {j}], at[B] if B else None, (block - 1) * Lp)
+        for B, block in bp.u.items()
+    )
+    return tuple(stages), merge
+
+
 def lift_scheme(
     base_kind: str,
     g: GraphSpec,
@@ -103,53 +172,27 @@ def lift_scheme(
     f = _theta_file(g, theta)
     e, j = f
     Lp = factory.length
-    L = 2 ** (r - 1) * Lp
-    bp = build_block_plan(r, j)
-
-    def window(block: int, m: int) -> int:
-        return (block - 1) * Lp + m
+    stages, merge = _stage_table(r, j, e, Lp)
 
     requests: list = []
-    req_ids: dict = {}
-    plans: dict = {}
-    for size in range(1, r + 1):
-        for c in sorted(itertools.combinations(range(1, r + 1), size)):
-            A = frozenset(c)
-            orient = -1 if (j in A and size > 1) else 1
-            kr = factory.run(e, orient, rng)
-            if j in A:
-                desired = {
-                    t: bp.u[A - {j, t}] if t != j else bp.u[A - {j}]
-                    for t in A
-                }
-            else:
-                desired = {t: bp.u[A - {t}] for t in A}
-            shared = bp.beta[A]
+    starts: list = []  # index in `requests` of each stage's first request
+    plans: list = []
+    for st in stages:
+        kr = factory.run(e, st.orientation, rng)
+        starts.append(len(requests))
+        plans.append(kr.plan)
+        expand = st.__getitem__
+        requests.extend(
+            (server, frozenset(itertools.chain.from_iterable(map(expand, form))))
+            for server, form in kr.requests
+        )
 
-            ids = []
-            for server, form in kr.requests:
-                coords = set()
-                for sym, m in form:
-                    if sym == e:
-                        for t, block in desired.items():
-                            coords.add((FileId(e, t), window(block, m)))
-                    else:
-                        for t in A:
-                            coords.add((FileId(sym, t), window(shared, m)))
-                ids.append(len(requests))
-                requests.append((server, frozenset(coords)))
-            req_ids[A] = ids
-            plans[A] = kr.plan
-
-    plan: list = [None] * L
-    for B, block in bp.u.items():
-        hi = plans[B | {j}]
-        hi_ids = req_ids[B | {j}]
-        lo_ids = req_ids[B] if B else None
-        lo = plans.get(B)
-        for m in range(1, Lp + 1):
-            entry = {hi_ids[k] for k in hi[m - 1]}
-            if B:
-                entry |= {lo_ids[k] for k in lo[m - 1]}
-            plan[window(block, m) - 1] = frozenset(entry)
-    return assemble_transcript(g, L, f, requests, plan, rng, **assemble_kw)
+    plan: list = [None] * (2 ** (r - 1) * Lp)
+    for hi, lo, off in merge:
+        hi_start, lo_start = starts[hi], starts[lo] if lo is not None else None
+        for m in range(Lp):
+            entry = {hi_start + k for k in plans[hi][m]}
+            if lo is not None:
+                entry.update(lo_start + k for k in plans[lo][m])
+            plan[off + m] = frozenset(entry)
+    return assemble_transcript(g, len(plan), f, requests, plan, rng, **assemble_kw)

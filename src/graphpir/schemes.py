@@ -53,7 +53,9 @@ def kernel_factory(
     kind: str, g: GraphSpec, edge_indices: Sequence[int] | None = None
 ) -> KernelFactory:
     """Build a factory for a scheme kind over a subset of g's base edges
-    (default: all of them). Kernel symbols are base-edge indices."""
+    (default: all of them). Kernel symbols are the files FileId(e, 1)
+    of those edges, made once here, so a run's forms are already over
+    g's copy-1 files."""
     if edge_indices is None:
         edge_indices = tuple(range(1, g.n_base_edges + 1))
     edge_indices = tuple(sorted(edge_indices))
@@ -66,14 +68,15 @@ def kernel_factory(
         if order is None:
             raise SchemeError("edges do not form a path")
         by_pair = {frozenset(p): e for p, e in zip(pairs, edge_indices)}
-        symbols = [
+        path_edges = [
             by_pair[frozenset({order[k], order[k + 1]})]
             for k in range(len(order) - 1)
         ]
+        symbols = [FileId(e, 1) for e in path_edges]
 
         def run(theta_edge, orientation, rng):
             return path_kernel(
-                order, symbols, symbols.index(theta_edge) + 1, orientation
+                order, symbols, path_edges.index(theta_edge) + 1, orientation
             )
 
         return KernelFactory(kind, 2, len(order), edge_indices, run)
@@ -89,10 +92,11 @@ def kernel_factory(
             leaf_of[e] = u if v == center else v
         order = sorted(edge_indices, key=lambda e: leaf_of[e])
         leaves = [leaf_of[e] for e in order]
+        symbols = [FileId(e, 1) for e in order]
 
         def run(theta_edge, orientation, rng):
             return star_kernel(
-                center, leaves, order, order.index(theta_edge) + 1, orientation
+                center, leaves, symbols, order.index(theta_edge) + 1, orientation
             )
 
         return KernelFactory(kind, 2, len(leaves) + 1, edge_indices, run)
@@ -103,7 +107,7 @@ def kernel_factory(
             raise SchemeError("edges do not form a complete graph on [1..N]")
         if n < 3:
             raise SchemeError("complete scheme needs N >= 3")
-        symbols = {frozenset(p): e for p, e in zip(pairs, edge_indices)}
+        symbols = {frozenset(p): FileId(e, 1) for p, e in zip(pairs, edge_indices)}
 
         def run(theta_edge, orientation, rng):
             i, ip = g.edge_endpoints(theta_edge)
@@ -201,13 +205,13 @@ def _run_bound(
             off = rep * fa.length
             kr = fa.run(target, orientation, rng)
             base_idx = len(requests)
-            for server, form in kr.requests:
-                requests.append(
-                    (
-                        server,
-                        frozenset((FileId(sym, 1), m + off) for sym, m in form),
-                    )
+            if off:
+                requests.extend(
+                    (server, frozenset((sym, m + off) for sym, m in form))
+                    for server, form in kr.requests
                 )
+            else:
+                requests.extend(kr.requests)
             if is_theta_part:
                 for m, entry in enumerate(kr.plan, start=1):
                     plan[off + m - 1] = frozenset(base_idx + k for k in entry)

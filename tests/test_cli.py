@@ -304,6 +304,22 @@ def test_closed_stdout_exits_quietly_with_141():
     assert err == b""
 
 
+def test_python_m_graphpir_matches_the_console_entry_point():
+    # the console script `graphpir` is `sys.exit(graphpir.cli:main())`
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["bounds", "--graph", "path:4"]
+    entry = "import sys; from graphpir.cli import main; sys.exit(main())"
+    module = subprocess.run([sys.executable, "-m", "graphpir", *argv],
+                            capture_output=True, env=env, timeout=60)
+    script = subprocess.run([sys.executable, "-c", entry, *argv],
+                            capture_output=True, env=env, timeout=60)
+    assert module.returncode == script.returncode == 0
+    assert module.stdout == script.stdout
+    assert module.stderr == script.stderr == b""
+    assert b"tightness: tight" in module.stdout
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "1"])
 def test_meaningless_tolerance_exits_2(capsys, tol):
     # nan passed every scheme, -1 failed an honest one, 1 could never fail

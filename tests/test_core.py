@@ -13,7 +13,6 @@ from graphpir.core import (
     dump_transcript,
     measured_rate,
     random_store,
-    request_pattern,
     server_pattern,
     srp_attribution,
     symbolic_decode_check,
@@ -73,6 +72,42 @@ def test_assemble_validation():
         )
 
 
+class NonInjectiveSource(SeededSource):
+    """Draws a 'permutation' that sends every index to 1."""
+
+    def permutation(self, n):
+        return (1,) * n
+
+
+@pytest.mark.parametrize("identity", (True, False))
+@pytest.mark.parametrize("server,form,message", [
+    (1, frozenset({(A, 1), (A, 3)}), "index 3 out of range"),
+    (1, frozenset({(A, 0)}), "index 0 out of range"),
+    (3, frozenset({(A, 1)}), r"server 3 asked for file \(1, 1\) it does not store"),
+])
+def test_assemble_checks_every_coordinate_under_both_permutations(
+    identity, server, form, message
+):
+    # identity permutations skip the storage remap, not the checks
+    g = build_family("path", [3])
+    requests = [(1, frozenset({(A, 1)})), (server, form)]
+    with pytest.raises(TranscriptError, match=message):
+        assemble_transcript(
+            g, 2, A, requests, [(0,), (0,)], SeededSource(0), identity_perms=identity
+        )
+
+
+def test_assemble_refuses_a_remap_that_collapses_coordinates():
+    g = build_family("path", [3])
+    requests = [(1, frozenset({(A, 1), (A, 2)}))]
+    with pytest.raises(TranscriptError, match="request 0 collapses coordinates"):
+        assemble_transcript(g, 2, A, requests, [(0,), (0,)], NonInjectiveSource(0))
+    t = assemble_transcript(
+        g, 2, A, requests, [(0,), (0,)], NonInjectiveSource(0), identity_perms=True
+    )
+    assert t.requests[0][0].form == requests[0][1]
+
+
 def test_decode_end_to_end_random_stores():
     g = build_family("path", [5])
     data = random.Random(11)
@@ -108,8 +143,9 @@ def test_srp_attribution_path_and_star():
 
 def test_request_pattern_examples():
     form = frozenset({(A, 5), (A, 2), (B, 7)})
-    # two indices of file A become 1, 2; one index of B becomes 1
-    assert request_pattern(form) == ((1, 1, 1), (1, 1, 2), (2, 1, 1))
+    # the pattern part of the wire key: two indices of file A become
+    # 1, 2; one index of B becomes 1
+    assert wire_sort_key(form)[0] == ((1, 1, 1), (1, 1, 2), (2, 1, 1))
 
 
 @st.composite
@@ -135,7 +171,7 @@ def form_and_perm(draw):
 def test_request_pattern_invariant_under_per_file_permutation(fp):
     form, perms = fp
     mapped = frozenset((f, perms[f][b - 1]) for f, b in form)
-    assert request_pattern(mapped) == request_pattern(form)
+    assert wire_sort_key(mapped)[0] == wire_sort_key(form)[0]
 
 
 def test_server_pattern_keeps_wire_order():

@@ -13,9 +13,11 @@ from graphpir.core import (
     srp_attribution,
     symbolic_decode_check,
 )
-from graphpir.graphs import build_family
+import graphpir.lift as lift
+from graphpir.graphs import build_family, parse_graph
 from graphpir.lift import build_block_plan, lift_scheme, lifted_rate
 from graphpir.rng import SeededSource
+from graphpir.runner import all_thetas, resolve_scheme
 from graphpir.schemes import kernel_factory
 
 
@@ -112,3 +114,19 @@ def test_lift_r1_reduces_to_base():
     assert symbolic_decode_check(t)
     assert measured_rate(t) == Fraction(1, 2)
     assert t.total_requests == 4
+
+
+def test_stage_tables_are_reused_per_theta_and_bounded():
+    # one stage table per desired file, reused by every later build of
+    # that file; however many files the lift has built, it keeps at most
+    # STAGE_TABLES tables alive
+    lift._stage_table.cache_clear()
+    for text in ("complete:4^3", "path:4^3"):
+        g = parse_graph(text)
+        _, run = resolve_scheme("auto", g)
+        for theta in all_thetas(g):
+            for seed in (1, 2):
+                assert symbolic_decode_check(run(g, theta, SeededSource(seed)))
+    info = lift._stage_table.cache_info()
+    assert info.currsize <= lift.STAGE_TABLES
+    assert (info.misses, info.hits) == (18 + 9, 18 + 9)

@@ -1,8 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from graphpir.core import measured_rate, symbolic_decode_check
+from graphpir.core import dump_transcript, measured_rate, symbolic_decode_check
 from graphpir.graphs import GraphSpec, build_family
 from graphpir.kernels import path_kernel, star_kernel
 from graphpir.rng import CanonicalSource, SeededSource
@@ -153,6 +154,24 @@ def test_compose_mixed_kinds():
         assert symbolic_decode_check(t)
         assert measured_rate(t) == Fraction(1, 3)
 
+
+
+def test_compose_with_repeated_parts_is_pinned_byte_for_byte():
+    # the path part (length 2) runs three times on successive windows to
+    # match the complete part (length 6); SHA-256 of the dumps recorded
+    # before the binding handed kernels FileId symbols
+    g = GraphSpec(6, ((1, 2), (1, 3), (2, 3), (4, 5), (5, 6)))
+    parts = [((1, 2, 3), "complete"), ((4, 5), "path")]
+    h = hashlib.sha256()
+    for theta in range(1, 6):
+        for seed in (1, 2):
+            for identity in (False, True):
+                t = compose(g, parts, theta, SeededSource(seed), identity_perms=identity)
+                assert symbolic_decode_check(t)
+                h.update(dump_transcript(t).encode() + b"\n\n")
+    assert h.hexdigest() == (
+        "8d214bcbdd2927e55eea901bb23d67a795b4a1a0837d5f5bbb81e408453acee8"
+    )
 
 def test_compose_rate_helper():
     assert compose_rate([Fraction(2, 3), Fraction(2, 3)]) == Fraction(1, 3)

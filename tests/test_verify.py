@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphpir.core import (
-    FileId, TranscriptError, _raw_encoding, server_pattern, wire_sort_key,
+    FileId, TranscriptError, server_pattern, wire_sort_key,
 )
 from graphpir.graphs import build_family, parse_graph
 from graphpir.mutants import (
@@ -265,7 +265,9 @@ def test_quotient_agrees_with_full_enumeration(scheme, graph):
     _, run = resolve_scheme(scheme, g)
     quotient = _sweep(run, g, server_pattern, identity_perms=True)
     # the reference: raw requests over the full space
-    full = _sweep(run, g, lambda forms: tuple(_raw_encoding(f) for f in forms))
+    full = _sweep(run, g, lambda forms: tuple(
+        tuple(sorted((f.edge, f.copy, b) for f, b in form)) for form in forms
+    ))
     assert quotient == full
     differs, witness = full
     c = verify_privacy_exact(scheme, g)
