@@ -124,9 +124,9 @@ class _Stage(dict):
 @functools.lru_cache(maxsize=STAGE_TABLES)
 def _stage_table(r: int, j: int, e: int, Lp: int) -> tuple[tuple, tuple]:
     """The stages of a lift of desired file (e, j) with base length Lp,
-    in run order, and the plan merge: per block u(B), the stage of
-    B + {j}, the stage of B (None for B empty) and the block's window
-    offset."""
+    in run order, and the plan merge: per block u(B), the stages whose
+    plans it XORs (B + {j}, and B unless B is empty) and the block's
+    window offset."""
     bp = build_block_plan(r, j)
     file_id = functools.cache(FileId)
     stages = []
@@ -150,7 +150,7 @@ def _stage_table(r: int, j: int, e: int, Lp: int) -> tuple[tuple, tuple]:
             ))
     at = {st.subset: k for k, st in enumerate(stages)}
     merge = tuple(
-        (at[B | {j}], at[B] if B else None, (block - 1) * Lp)
+        (tuple(at[A] for A in (B | {j}, B) if A), (block - 1) * Lp)
         for B, block in bp.u.items()
     )
     return tuple(stages), merge
@@ -188,11 +188,9 @@ def lift_scheme(
         )
 
     plan: list = [None] * (2 ** (r - 1) * Lp)
-    for hi, lo, off in merge:
-        hi_start, lo_start = starts[hi], starts[lo] if lo is not None else None
+    for merged, off in merge:
         for m in range(Lp):
-            entry = {hi_start + k for k in plans[hi][m]}
-            if lo is not None:
-                entry.update(lo_start + k for k in plans[lo][m])
-            plan[off + m] = frozenset(entry)
+            plan[off + m] = frozenset(
+                starts[s] + k for s in merged for k in plans[s][m]
+            )
     return assemble_transcript(g, len(plan), f, requests, plan, rng, **assemble_kw)
