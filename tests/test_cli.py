@@ -127,6 +127,19 @@ def test_sweep_csv(capsys):
     assert by_graph["path:4^2"][1:] == ["lift:path", "1/3", "1/3", "1/3", "yes"]
 
 
+SWEEP_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("family", ["path", "cycle", "star", "complete"])
+def test_sweep_matches_reference(capsys, family, seed):
+    code, out, _ = run_cli(capsys, "sweep", "--family", family,
+                           "--n-min", "3", "--n-max", "8", "--r-min", "1",
+                           "--r-max", "3", "--seed", str(seed))
+    assert code == 0
+    assert out.encode() == (SWEEP_REFERENCE / ("sweep-%s.csv" % family)).read_bytes()
+
+
 def test_sweep_caps(capsys):
     code, _, err = run_cli(capsys, "sweep", "--family", "path", "--n-max", "9")
     assert code == 2
