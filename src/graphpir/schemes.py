@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import complete as comp
@@ -279,6 +278,3 @@ def compose_stars(g: GraphSpec, theta, rng, **kw) -> Transcript:
     parts = [(fa.edge_indices, fa.kind) for fa in bind("compose-stars", g)]
     return compose(g, parts, theta, rng, **kw)
 
-
-def compose_rate(part_rates: Sequence[Fraction]) -> Fraction:
-    return 1 / sum(Fraction(1) / Fraction(r) for r in part_rates)

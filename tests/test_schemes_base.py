@@ -10,7 +10,6 @@ from graphpir.rng import CanonicalSource, SeededSource
 from graphpir.schemes import (
     SchemeError,
     compose,
-    compose_rate,
     compose_stars,
     kernel_factory,
     path_scheme,
@@ -172,7 +171,3 @@ def test_compose_with_repeated_parts_is_pinned_byte_for_byte():
     assert h.hexdigest() == (
         "8d214bcbdd2927e55eea901bb23d67a795b4a1a0837d5f5bbb81e408453acee8"
     )
-
-def test_compose_rate_helper():
-    assert compose_rate([Fraction(2, 3), Fraction(2, 3)]) == Fraction(1, 3)
-    assert compose_rate([1, 1]) == Fraction(1, 2)

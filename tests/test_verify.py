@@ -122,6 +122,25 @@ def test_mutant_drop_request_fails_reliability():
     assert "symbolic" in c.detail
 
 
+def test_reliability_catches_a_wrong_end_to_end_decode(monkeypatch):
+    # symbolic decoding still passes, so only the decode of the first
+    # random store can catch the flipped bit
+    import graphpir.verify as verify
+
+    real = verify.decode
+
+    def flipped(t, answers):
+        out = real(t, answers)
+        return (1 - out[0],) + out[1:]
+
+    monkeypatch.setattr(verify, "decode", flipped)
+    (c,), _ = _transcript_checks("path", build_family("path", [4]), [0], ["reliability"])
+    assert not c.passed
+    assert c.detail == "end-to-end decode mismatch"
+    assert c.witness["store"] == 0
+    assert c.witness["seed"] == 0
+
+
 def test_mutant_theta_ordered_fails_privacy():
     g = build_family("complete_bipartite", [2, 2])
     # caught by the exact tier (its randomness space is enumerable) ...
