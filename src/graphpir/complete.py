@@ -255,16 +255,15 @@ def _draw_sigma(n: int, sk: _Skeleton, rng: RandomSource) -> list[list[int]]:
     return sigma
 
 
+# Kept beside complete_kernel, which reads sigma as _draw_sigma's aligned
+# lists: this is the same draw keyed by subset and pair representative,
+# the readable view against which sigma's reference values and coverage
+# are checked by hand.
 def build_sigma(n: int, i: int, i_prime: int, bij: SubsetBijections,
                 rng: RandomSource) -> SigmaMap:
     """Per-server index maps following the construction's equations; the
     leftover pool at servers outside the desired pair is drawn from the
-    unused indices of [2^(N-1)].
-
-    complete_kernel reads sigma as _draw_sigma's aligned lists; this is
-    the same draw keyed by subset and pair representative, the readable
-    view against which sigma's reference values and coverage are
-    checked by hand."""
+    unused indices of [2^(N-1)]."""
     sk = _skeleton(n, i, i_prime)
     sigma = {
         j: dict(zip(_server(n, j).subsets, sj))

@@ -161,10 +161,10 @@ def random_store(graph: GraphSpec, file_length: int, rng) -> dict:
     """Random file contents as tuples of 0/1 ints: one
     rng.getrandbits(L) word per file, in FileId order, read most
     significant bit first as bits 1..L; rng is a random.Random."""
-    spell = "0%db" % file_length
+    fmt = "0%db" % file_length
     return {
         FileId(e, c): tuple(
-            format(rng.getrandbits(file_length), spell).encode().translate(_BIT_BYTES))
+            format(rng.getrandbits(file_length), fmt).encode().translate(_BIT_BYTES))
         for e in range(1, graph.n_base_edges + 1)
         for c in range(1, graph.multiplicity + 1)
     }

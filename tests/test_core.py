@@ -22,6 +22,7 @@ from graphpir.core import (
 )
 from graphpir.graphs import build_family, parse_graph
 from graphpir.rng import CanonicalSource, SeededSource
+from graphpir.runner import all_thetas
 from graphpir.schemes import path_scheme, star_scheme
 
 A = FileId(1, 1)
@@ -133,8 +134,7 @@ def test_random_store_stream_is_pinned(text, L, want):
     h = hashlib.sha256()
     for _ in range(2):
         store = random_store(g, L, rng)
-        assert list(store) == [FileId(e, c) for e in range(1, g.n_base_edges + 1)
-                               for c in range(1, g.multiplicity + 1)]
+        assert list(store) == all_thetas(g)
         for f, bits in store.items():
             assert len(bits) == L
             assert all(type(b) is int and b in (0, 1) for b in bits)
