@@ -26,7 +26,7 @@ from graphpir.graphs import build_family, parse_graph
 from graphpir.mutants import MUTANTS
 from graphpir.rng import CanonicalSource, SeededSource
 from graphpir.runner import all_thetas, resolve_scheme
-from graphpir.schemes import BASE_KINDS, complete_scheme
+from graphpir.schemes import BASE_KINDS, complete_scheme, compose_stars
 
 import random
 
@@ -172,6 +172,10 @@ DUMP_DIGESTS.update({
     "theta-ordered-compose complete_bipartite:2,3": "ddef534bf075ea83a1498034a7a834187ea9ba66843bcef9f981fa10b1357bdf",
     "no-decoy-compose complete_bipartite:2,3": "51f231d4e0c8d4471ec698a2c310144da7f8dd07c423ae24b204e5e6e752c33c",
 })
+# The drop-request mutant on the star composition, recorded while each
+# wire entry was still a (server, form) record.
+DUMP_DIGESTS["drop-request complete_bipartite:2,3"] = (
+    "4a3d1deedde764427d36b19d585e5e9ae7c779759a695c12f8f52411d5490d77")
 
 
 def dump_digest(key: str) -> str:
@@ -182,7 +186,12 @@ def dump_digest(key: str) -> str:
     both covered."""
     mutant, _, text = key.rpartition(" ")
     g = parse_graph(text)
-    if mutant:
+    if mutant == "drop-request":
+        # a transcript transform, not a runner: apply it to the star
+        # composition, as the benchmark does
+        def run(g, theta, rng, **kw):
+            return MUTANTS[mutant][0](compose_stars(g, theta, rng, **kw))
+    elif mutant:
         run = MUTANTS[mutant][0]
     else:
         name, run = resolve_scheme("auto", g)
