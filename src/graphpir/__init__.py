@@ -3,7 +3,6 @@ schemes, verification, and capacity bounds."""
 
 from .core import (
     FileId,
-    Request,
     Transcript,
     answer_bit,
     decode,
@@ -13,7 +12,7 @@ from .core import (
     symbolic_decode_check,
 )
 from .graphs import GraphSpec, build_family, parse_graph
-from .lift import build_block_plan, lift_scheme, lifted_rate
+from .lift import build_block_plan, lift_scheme
 from .schemes import complete_scheme, compose, compose_stars, path_scheme, star_scheme
 from .bounds import bound_report, tightness_check
 from .verify import verify_scheme
@@ -21,7 +20,6 @@ from .verify import verify_scheme
 __all__ = [
     "FileId",
     "GraphSpec",
-    "Request",
     "Transcript",
     "answer_bit",
     "bound_report",
@@ -33,7 +31,6 @@ __all__ = [
     "decode",
     "dump_transcript",
     "lift_scheme",
-    "lifted_rate",
     "measured_rate",
     "parse_graph",
     "path_scheme",

@@ -295,7 +295,7 @@ def complete_kernel(
     """One run of the complete-graph scheme on K_n.
 
     `symbols` maps frozenset({u, v}) to the file symbol of that edge.
-    Request forms are (symbol, index) pairs in permuted index space.
+    Its forms are frozensets of (symbol, index) pairs in permuted index space.
     """
     sk = _skeleton(n, i, i_prime)
     requests = []
@@ -312,4 +312,4 @@ def complete_kernel(
     requests, plan = tuple(requests), sk.plan
     if orientation == -1:
         requests, plan = _orient(requests, plan, theta_symbol, sk.tau)
-    return KernelRun(complete_length(n), theta_symbol, requests, plan)
+    return KernelRun(requests, plan)

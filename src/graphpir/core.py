@@ -1,9 +1,9 @@
 """Linear-protocol substrate: coordinates, GF(2) forms, transcripts.
 
 Every downloaded bit is a GF(2) sum of file-bit coordinates. A
-Transcript is one full protocol run: per-server ordered request lists,
-the decoding plan, the desired file index theta, and the per-file
-permutations that constitute the user's private randomness.
+Transcript is one full protocol run: per-server ordered tuples of
+request forms, the decoding plan, the desired file index theta, and the
+per-file permutations that constitute the user's private randomness.
 
 Plan indices are in permuted position space: the plan for target t'
 reconstructs bit pi_theta(t') of the stored file, so decoding applies
@@ -25,12 +25,6 @@ class FileId(NamedTuple):
 
 # A coordinate is (FileId, bit index); a form is a frozenset of them.
 LinearForm = frozenset
-
-
-@dataclass(frozen=True)
-class Request:
-    server: int
-    form: LinearForm
 
 
 class TranscriptError(ValueError):
@@ -69,7 +63,7 @@ class Transcript:
     graph: GraphSpec
     file_length: int
     theta: FileId
-    requests: tuple[tuple[Request, ...], ...]  # index = server - 1
+    requests: tuple[tuple[LinearForm, ...], ...]  # index = server - 1
     # decoding_plan[t'-1] = set of (server, position) pairs, 1-based
     decoding_plan: tuple[frozenset, ...]
     permutations: Mapping[FileId, tuple[int, ...]]
@@ -77,9 +71,6 @@ class Transcript:
     @property
     def total_requests(self) -> int:
         return sum(len(r) for r in self.requests)
-
-    def request_at(self, server: int, pos: int) -> Request:
-        return self.requests[server - 1][pos - 1]
 
 
 def assemble_transcript(
@@ -135,15 +126,15 @@ def assemble_transcript(
         per_server[server - 1].append((storage, idx))
 
     position: dict[int, tuple[int, int]] = {}
-    final: list[tuple[Request, ...]] = []
+    final: list[tuple[LinearForm, ...]] = []
     for s0, lst in enumerate(per_server):
         if canonical_order:
             lst = sorted(lst, key=lambda item: wire_sort_key(item[0]))
-        reqs = []
+        forms = []
         for pos0, (storage, idx) in enumerate(lst):
             position[idx] = (s0 + 1, pos0 + 1)
-            reqs.append(Request(s0 + 1, storage))
-        final.append(tuple(reqs))
+            forms.append(storage)
+        final.append(tuple(forms))
 
     if len(plan) != L:
         raise TranscriptError("plan must cover all %d targets" % L)
@@ -178,7 +169,7 @@ def answer_bit(store: Mapping, form: LinearForm) -> int:
 
 
 def answer_all(store: Mapping, t: Transcript) -> list[list[int]]:
-    return [[answer_bit(store, r.form) for r in server] for server in t.requests]
+    return [[answer_bit(store, form) for form in server] for server in t.requests]
 
 
 def decode(t: Transcript, answers: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -200,7 +191,7 @@ def symbolic_decode_check(t: Transcript) -> bool:
     perm = t.permutations[t.theta]
     for tp in range(1, t.file_length + 1):
         form = xor_forms(
-            t.request_at(s, p).form for s, p in t.decoding_plan[tp - 1]
+            t.requests[s - 1][p - 1] for s, p in t.decoding_plan[tp - 1]
         )
         if form != frozenset({(t.theta, perm[tp - 1])}):
             return False
@@ -229,7 +220,7 @@ def srp_attribution(t: Transcript) -> tuple[int, int]:
         holders = [
             s
             for s, p in t.decoding_plan[tp - 1]
-            if fresh in t.request_at(s, p).form
+            if fresh in t.requests[s - 1][p - 1]
         ]
         if len(holders) != 1:
             raise AttributionUndefined(
@@ -289,8 +280,8 @@ def dump_transcript(t: Transcript) -> str:
     )
     for s0, server in enumerate(t.requests):
         lines.append("server %d:" % (s0 + 1))
-        for r in server:
-            lines.append("  " + form_text(r.form))
+        for form in server:
+            lines.append("  " + form_text(form))
     lines.append("plan:")
     for tp, entry in enumerate(t.decoding_plan, start=1):
         refs = " ".join("(%d,%d)" % sp for sp in sorted(entry))

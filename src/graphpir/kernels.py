@@ -23,11 +23,9 @@ from typing import Sequence
 
 @dataclass(frozen=True)
 class KernelRun:
-    length: int
-    theta_symbol: object
     # (server, form) with form a frozenset of (symbol, position)
     requests: tuple[tuple[int, frozenset], ...]
-    # plan[m-1] = indices into `requests` whose XOR is (theta_symbol, m)
+    # plan[m-1] = indices into `requests` whose XOR is the desired (symbol, m)
     plan: tuple[frozenset, ...]
 
 
@@ -86,7 +84,7 @@ def path_kernel(
     theta_symbol = symbols[theta_pos - 1]
     if orientation == -1:
         requests, plan = _orient(requests, plan, theta_symbol, {1: 2, 2: 1})
-    return KernelRun(2, theta_symbol, tuple(requests), plan)
+    return KernelRun(tuple(requests), plan)
 
 
 def star_kernel(
@@ -118,4 +116,4 @@ def star_kernel(
     theta_symbol = symbols[theta_pos - 1]
     if orientation == -1:
         requests, plan = _orient(requests, plan, theta_symbol, {1: 2, 2: 1})
-    return KernelRun(2, theta_symbol, tuple(requests), plan)
+    return KernelRun(tuple(requests), plan)

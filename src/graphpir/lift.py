@@ -27,9 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .bounds import discount
 from .complete import complement_rep, lex_key
 from .core import FileId, Transcript, assemble_transcript
 from .graphs import GraphSpec
@@ -78,14 +76,6 @@ def build_block_plan(r: int, j: int) -> BlockPlan:
         blocks = [b for a, b in beta.items() if t in a]
         assert len(blocks) == len(set(blocks))
     return BlockPlan(r, j, u, beta)
-
-
-def lifted_rate(base_rate, r: int) -> Fraction:
-    """base_rate / (2 - 2^(1-r)); total downloads become (2^r - 1) times
-    the base download count."""
-    if r < 1:
-        raise ValueError("r >= 1 required")
-    return Fraction(base_rate) / discount(r)
 
 
 # Stage tables kept alive at once. Every caller builds theta by theta

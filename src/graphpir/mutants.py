@@ -6,7 +6,7 @@ verifier's test suite asserts these failures.
 from __future__ import annotations
 
 from .core import Transcript
-from .schemes import compose_stars
+from .schemes import _run_bound, _theta_file, bind
 
 
 def drop_planned_request(t: Transcript) -> Transcript:
@@ -21,7 +21,7 @@ def drop_planned_request(t: Transcript) -> Transcript:
     for s0, server in enumerate(t.requests):
         if s0 + 1 == vs:
             server = server[: vp - 1] + server[vp:]
-        new_requests.append(tuple(server))
+        new_requests.append(server)
 
     def remap(ref):
         s, p = ref
@@ -48,7 +48,10 @@ def compose_stars_theta_ordered(g, theta, rng, **kw) -> Transcript:
     structural/statistical tiers alike.
     """
     kw.setdefault("canonical_order", False)
-    return compose_stars(g, theta, rng, theta_part_first=True, **kw)
+    factories = bind("compose-stars", g)
+    edge = _theta_file(g, theta).edge
+    factories = sorted(factories, key=lambda fa: edge not in fa.edge_indices)
+    return _run_bound(g, factories, theta, rng, **kw)
 
 
 def compose_stars_no_decoy(g, theta, rng, **kw) -> Transcript:
@@ -57,7 +60,10 @@ def compose_stars_no_decoy(g, theta, rng, **kw) -> Transcript:
 
     Expected failure: privacy with total-variation distance near 1.
     """
-    return compose_stars(g, theta, rng, skip_decoys=True, **kw)
+    factories = bind("compose-stars", g)
+    edge = _theta_file(g, theta).edge
+    theta_part = [fa for fa in factories if edge in fa.edge_indices]
+    return _run_bound(g, theta_part, theta, rng, **kw)
 
 
 MUTANTS = {

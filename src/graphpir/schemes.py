@@ -36,9 +36,7 @@ class SchemeError(ValueError):
 class KernelFactory:
     """Bound (kind, edge set) ready to run for any theta edge."""
 
-    kind: str
     length: int
-    downloads: int
     edge_indices: tuple[int, ...]
     _runner: object
 
@@ -78,7 +76,7 @@ def kernel_factory(
                 order, symbols, path_edges.index(theta_edge) + 1, orientation
             )
 
-        return KernelFactory(kind, 2, len(order), edge_indices, run)
+        return KernelFactory(2, edge_indices, run)
 
     if kind == "star":
         sub = GraphSpec(g.n_vertices, tuple(pairs))
@@ -98,7 +96,7 @@ def kernel_factory(
                 center, leaves, symbols, order.index(theta_edge) + 1, orientation
             )
 
-        return KernelFactory(kind, 2, len(leaves) + 1, edge_indices, run)
+        return KernelFactory(2, edge_indices, run)
 
     if kind == "complete":
         n = len(vertices)
@@ -112,13 +110,7 @@ def kernel_factory(
             i, ip = g.edge_endpoints(theta_edge)
             return comp.complete_kernel(n, i, ip, symbols, rng, orientation)
 
-        return KernelFactory(
-            kind,
-            comp.complete_length(n),
-            n * comp.complete_downloads_per_server(n),
-            edge_indices,
-            run,
-        )
+        return KernelFactory(comp.complete_length(n), edge_indices, run)
 
     raise SchemeError("unknown scheme kind %r" % kind)
 
@@ -180,23 +172,17 @@ def _run_bound(
     rng,
     *,
     orientation: int = 1,
-    skip_decoys: bool = False,
-    theta_part_first: bool = False,
     **assemble_kw,
 ) -> Transcript:
     """One transcript from bound factories, composed as `compose`
     describes; every kernel runs with the given orientation."""
     f = _theta_file(g, theta)
-    if theta_part_first:
-        factories = sorted(factories, key=lambda fa: f.edge not in fa.edge_indices)
     L = math.lcm(*(fa.length for fa in factories))
 
     requests: list = []
     plan: list = [None] * L
     for fa in factories:
         is_theta_part = f.edge in fa.edge_indices
-        if skip_decoys and not is_theta_part:
-            continue
         target = f.edge if is_theta_part else fa.edge_indices[
             rng.choice_index(len(fa.edge_indices))
         ]
@@ -247,9 +233,6 @@ def compose(
     parts: Sequence[tuple[Sequence[int], str]],
     theta,
     rng,
-    *,
-    skip_decoys: bool = False,
-    theta_part_first: bool = False,
     **assemble_kw,
 ) -> Transcript:
     """Edge-disjoint composition: run one scheme per part, the desired
@@ -258,23 +241,13 @@ def compose(
     Parts are (edge index list, scheme kind) pairs whose edge sets must
     partition g's base edges. Part lengths are aligned to their lcm by
     running each part's scheme repeatedly on successive index windows.
-
-    skip_decoys (no queries at all for non-desired parts) and
-    theta_part_first (insertion order starts with the desired part,
-    visible when canonical ordering is disabled) deliberately break
-    privacy; they exist as negative controls for the verifier.
     """
     parts = tuple((tuple(edges), kind) for edges, kind in parts)
-    return _run_bound(
-        g, bind("compose", g, parts), theta, rng,
-        skip_decoys=skip_decoys, theta_part_first=theta_part_first,
-        **assemble_kw,
-    )
+    return _run_bound(g, bind("compose", g, parts), theta, rng, **assemble_kw)
 
 
 def compose_stars(g: GraphSpec, theta, rng, **kw) -> Transcript:
     """Composition of one trivial star scheme per left vertex of a
     complete bipartite graph."""
-    parts = [(fa.edge_indices, fa.kind) for fa in bind("compose-stars", g)]
-    return compose(g, parts, theta, rng, **kw)
+    return _run_bound(g, bind("compose-stars", g), theta, rng, **kw)
 

@@ -38,7 +38,7 @@ def answer_grid(t: Transcript, letter_by_edge) -> list[list[str]]:
     for row in range(depth):
         grid.append(
             [
-                form_symbols(server[row].form, letter_by_edge)
+                form_symbols(server[row], letter_by_edge)
                 if row < len(server)
                 else ""
                 for server in t.requests

@@ -210,7 +210,7 @@ def _distributions(run, g: GraphSpec, view, sources, **run_kw):
             t = build(replay)
             replay.finish()
             for c, server in zip(counters, t.requests):
-                c[view([r.form for r in server])] += k
+                c[view(server)] += k
         dists[theta] = counters, sum(tally.values())
     return dists, sum(n for _, n in dists.values())
 

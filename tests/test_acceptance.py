@@ -24,15 +24,15 @@ from graphpir.core import (
     symbolic_decode_check,
 )
 from graphpir.graphs import build_family
-from graphpir.lift import lift_scheme, lifted_rate
+from graphpir.lift import lift_scheme
 from graphpir.mutants import (
     compose_stars_no_decoy,
     compose_stars_theta_ordered,
     drop_planned_request,
 )
 from graphpir.rng import SeededSource, enumerate_sources, record_shape
-from graphpir.runner import all_thetas
-from graphpir.schemes import compose_stars, kernel_factory, path_scheme
+from graphpir.runner import all_thetas, resolve_scheme
+from graphpir.schemes import compose_stars, path_scheme
 from graphpir.tables import table_four, table_three
 from graphpir.verify import (
     verify_privacy_exact,
@@ -153,13 +153,14 @@ def test_criterion_06_multigraph_lift_rates():
     with budget("criterion 6 (lift rate/download matrix)", 120):
         for kind, n, r in LIFT_MATRIX:
             g = build_family(kind, [n], r)
-            base = kernel_factory(kind, g.base())
-            base_rate = Fraction(base.length, base.downloads)
+            _, run = resolve_scheme(kind, g.base())
+            base = run(g.base(), 1, SeededSource("c6/%s/%d/base" % (kind, n)))
+            base_rate = measured_rate(base)
             for theta in all_thetas(g):
                 t = lift_scheme(kind, g, theta, SeededSource("c6/%s/%d/%s" % (kind, n, theta)))
                 assert symbolic_decode_check(t)
                 assert measured_rate(t) == base_rate / (2 - Fraction(1, 2 ** (r - 1)))
-                assert t.total_requests == (2 ** r - 1) * base.downloads
+                assert t.total_requests == (2 ** r - 1) * base.total_requests
 
 
 def test_criterion_07_multi_path_tightness_even_n():
@@ -167,7 +168,7 @@ def test_criterion_07_multi_path_tightness_even_n():
         for n in (4, 6):
             for r in (2, 3):
                 g = build_family("path", [n], r)
-                lift_lb = lifted_rate(Fraction(2, n), r)
+                lift_lb = Fraction(2, n) / discount(r)
                 multigraph_ub = general_upper(g.base()) / discount(r)
                 assert lift_lb == multigraph_ub
                 tight = tightness_check(g)
@@ -195,7 +196,6 @@ def test_criterion_08_bound_consistency_sweep():
         for kind, n, r in [("path", 5, 1), ("star", 5, 1), ("complete", 4, 1)] + LIFT_MATRIX:
             g = build_family(kind, [n], r)
             if r == 1:
-                from graphpir.runner import resolve_scheme
                 _, run = resolve_scheme(kind, g)
                 t = run(g, 1, SeededSource(data.random()))
             else:

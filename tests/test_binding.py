@@ -12,7 +12,7 @@ import graphpir.core as core
 import graphpir.graphs as graphs
 import graphpir.lift as lift
 import graphpir.schemes as schemes
-from graphpir.core import dump_transcript
+from graphpir.core import FileId, dump_transcript
 from graphpir.graphs import parse_graph
 from graphpir.mutants import MUTANTS
 from graphpir.rng import SeededSource
@@ -75,15 +75,39 @@ GRAPH_FOR = {
 }
 
 
-@pytest.mark.parametrize("name", SCHEME_NAMES)
+# The mutants break the star composition, so they run on its graph.
+GRAPH_FOR.update(dict.fromkeys(MUTANTS, "complete_bipartite:2,3"))
+
+
+def runner(name, g):
+    """The run of a SCHEME_NAMES or MUTANTS entry on g."""
+    if name not in MUTANTS:
+        return resolve_scheme(name, g)[1]
+    mutant = MUTANTS[name][0]
+    if name == "drop-request":  # a transcript transform, not a runner
+        return lambda g, theta, rng: mutant(compose_stars(g, theta, rng))
+    return mutant
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES + tuple(MUTANTS))
 def test_cached_binding_keeps_runs_reproducible(name):
     schemes.bind.cache_clear()
     dumps = []
     for _ in range(2):  # cold cache, then warm; an equal graph, not the same
         g = parse_graph(GRAPH_FOR[name])
-        _, run = resolve_scheme(name, g)
-        dumps.append([dump_transcript(run(g, theta, SeededSource(3)))
-                      for theta in all_thetas(g)])
+        run = runner(name, g)
+        runs = [run(g, theta, SeededSource(3)) for theta in all_thetas(g)]
+        for t in runs:
+            # t.requests[s - 1] is server s's wire: a tuple of forms,
+            # each a frozenset of (FileId, bit) coordinates
+            assert len(t.requests) == g.n_vertices
+            for server in t.requests:
+                assert type(server) is tuple
+                for form in server:
+                    assert type(form) is frozenset
+                    assert all(type(f) is FileId and type(bit) is int
+                               for f, bit in form)
+        dumps.append([dump_transcript(t) for t in runs])
     assert dumps[0] == dumps[1]
 
 

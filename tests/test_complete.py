@@ -21,6 +21,7 @@ from graphpir.core import (
     random_store,
     srp_attribution,
     symbolic_decode_check,
+    xor_forms,
 )
 from graphpir.graphs import build_family, parse_graph
 from graphpir.mutants import MUTANTS
@@ -136,7 +137,7 @@ def test_orientation_swaps_srp_halves_per_target():
                 [
                     s
                     for s, p in t.decoding_plan[tp - 1]
-                    if fresh in t.request_at(s, p).form
+                    if fresh in t.requests[s - 1][p - 1]
                 ]
             )
         return out
@@ -257,8 +258,11 @@ def test_forms_use_the_symbols_of_each_call(orientation):
     names = edge_symbols(5, lambda k: "f%d" % k)
     first = complete_kernel(5, 2, 4, ints, SeededSource(7), orientation)
     second = complete_kernel(5, 2, 4, names, SeededSource(7), orientation)
-    assert second.theta_symbol == "f%d" % first.theta_symbol
     assert second.plan == first.plan
+    # each plan entry XORs to its position of the desired pair's symbol
+    desired = names[frozenset({2, 4})]
+    for m, entry in enumerate(second.plan, start=1):
+        assert xor_forms(second.requests[k][1] for k in entry) == {(desired, m)}
     renamed = tuple(
         (server, frozenset(("f%d" % sym, m) for sym, m in form))
         for server, form in first.requests

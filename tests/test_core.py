@@ -107,7 +107,7 @@ def test_assemble_refuses_a_remap_that_collapses_coordinates():
     t = assemble_transcript(
         g, 2, A, requests, [(0,), (0,)], NonInjectiveSource(0), identity_perms=True
     )
-    assert t.requests[0][0].form == requests[0][1]
+    assert t.requests[0][0] == requests[0][1]
 
 
 def test_decode_end_to_end_random_stores():
@@ -219,7 +219,7 @@ def test_server_patterns_theta_invariant_on_path():
     g = build_family("path", [5])
     pats = {
         theta: tuple(
-            server_pattern([r.form for r in server])
+            server_pattern(server)
             for server in path_scheme(g, theta, SeededSource(9)).requests
         )
         for theta in range(1, 5)
@@ -232,7 +232,7 @@ def test_wire_is_sorted_canonically():
     g = build_family("path", [4])
     t = path_scheme(g, 2, SeededSource(1))
     for server in t.requests:
-        keys = [wire_sort_key(r.form) for r in server]
+        keys = [wire_sort_key(form) for form in server]
         assert keys == sorted(keys)
 
 

@@ -15,10 +15,10 @@ from graphpir.core import (
 )
 import graphpir.lift as lift
 from graphpir.graphs import build_family, parse_graph
-from graphpir.lift import build_block_plan, lift_scheme, lifted_rate
+from graphpir.bounds import discount
+from graphpir.lift import build_block_plan, lift_scheme
 from graphpir.rng import SeededSource
 from graphpir.runner import all_thetas, resolve_scheme
-from graphpir.schemes import kernel_factory
 
 
 def fs(*xs):
@@ -55,12 +55,6 @@ def test_block_plan_invariants(r, data):
         assert len(blocks) == len(set(blocks))
 
 
-def test_lifted_rate_formula():
-    assert lifted_rate(Fraction(2, 3), 2) == Fraction(4, 9)
-    assert lifted_rate(Fraction(2, 3), 3) == Fraction(8, 21)
-    assert lifted_rate(1, 1) == 1
-
-
 LIFT_MATRIX = (
     [("path", n, r) for n in (3, 4, 5) for r in (2, 3)]
     + [("star", n, 2) for n in (4, 5)]
@@ -71,14 +65,14 @@ LIFT_MATRIX = (
 @pytest.mark.parametrize("kind,n,r", LIFT_MATRIX)
 def test_lift_rate_and_downloads(kind, n, r):
     g = build_family(kind, [n], r)
-    base = kernel_factory(kind, g.base())
-    base_rate = Fraction(base.length, base.downloads)
+    _, run = resolve_scheme(kind, g.base())
+    base = run(g.base(), 1, SeededSource(0))
     for theta in [FileId(1, 1), FileId(g.n_base_edges, r)]:
         t = lift_scheme(kind, g, theta, SeededSource("%s%d%d" % (kind, n, r)))
         assert symbolic_decode_check(t)
-        assert measured_rate(t) == lifted_rate(base_rate, r)
-        assert t.total_requests == (2 ** r - 1) * base.downloads
-        assert t.file_length == 2 ** (r - 1) * base.length
+        assert measured_rate(t) == measured_rate(base) / discount(r)
+        assert t.total_requests == (2 ** r - 1) * base.total_requests
+        assert t.file_length == 2 ** (r - 1) * base.file_length
 
 
 def test_lift_srp_split():
@@ -104,7 +98,7 @@ def test_lift_requests_touch_all_copies_of_non_desired_edges():
     g = build_family("path", [3], 2)
     t = lift_scheme("path", g, FileId(1, 1), SeededSource(7))
     # server 3 stores only edge 2; across its wire both copies appear
-    copies = {f.copy for r in t.requests[2] for f, _ in r.form}
+    copies = {f.copy for form in t.requests[2] for f, _ in form}
     assert copies == {1, 2}
 
 

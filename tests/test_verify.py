@@ -485,7 +485,7 @@ def _direct_counts(run, g):
         for src in _sources(theta):
             t = run(g, theta, src, identity_perms=True)
             for c, server in zip(counters, t.requests):
-                c[server_pattern([r.form for r in server])] += 1
+                c[server_pattern(server)] += 1
             n += 1
         dists[theta] = counters, n
     return dists
