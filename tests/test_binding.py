@@ -19,6 +19,7 @@ from graphpir.rng import SeededSource
 from graphpir.runner import SCHEME_NAMES, all_thetas, resolve_scheme
 from graphpir.schemes import compose_stars
 from graphpir.verify import verify_privacy_statistical, verify_scheme
+from test_verify import compose_stars_drop_request
 
 
 @pytest.fixture
@@ -81,12 +82,11 @@ GRAPH_FOR.update(dict.fromkeys(MUTANTS, "complete_bipartite:2,3"))
 
 def runner(name, g):
     """The run of a SCHEME_NAMES or MUTANTS entry on g."""
-    if name not in MUTANTS:
-        return resolve_scheme(name, g)[1]
-    mutant = MUTANTS[name][0]
     if name == "drop-request":  # a transcript transform, not a runner
-        return lambda g, theta, rng: mutant(compose_stars(g, theta, rng))
-    return mutant
+        return compose_stars_drop_request
+    if name in MUTANTS:
+        return MUTANTS[name][0]
+    return resolve_scheme(name, g)[1]
 
 
 @pytest.mark.parametrize("name", SCHEME_NAMES + tuple(MUTANTS))

@@ -27,7 +27,8 @@ from graphpir.graphs import build_family, parse_graph
 from graphpir.mutants import MUTANTS
 from graphpir.rng import CanonicalSource, SeededSource
 from graphpir.runner import all_thetas, resolve_scheme
-from graphpir.schemes import BASE_KINDS, complete_scheme, compose_stars
+from graphpir.schemes import BASE_KINDS, complete_scheme
+from test_verify import compose_stars_drop_request
 
 import random
 
@@ -187,11 +188,8 @@ def dump_digest(key: str) -> str:
     both covered."""
     mutant, _, text = key.rpartition(" ")
     g = parse_graph(text)
-    if mutant == "drop-request":
-        # a transcript transform, not a runner: apply it to the star
-        # composition, as the benchmark does
-        def run(g, theta, rng, **kw):
-            return MUTANTS[mutant][0](compose_stars(g, theta, rng, **kw))
+    if mutant == "drop-request":  # a transcript transform, not a runner
+        run = compose_stars_drop_request
     elif mutant:
         run = MUTANTS[mutant][0]
     else:

@@ -14,8 +14,8 @@ from graphpir.core import (
     symbolic_decode_check,
 )
 import graphpir.lift as lift
-from graphpir.graphs import build_family, parse_graph
 from graphpir.bounds import discount
+from graphpir.graphs import build_family, parse_graph
 from graphpir.lift import build_block_plan, lift_scheme
 from graphpir.rng import SeededSource
 from graphpir.runner import all_thetas, resolve_scheme
