@@ -16,9 +16,15 @@ draw-free sigma entry, each server's pooled subsets with the free
 indices they are drawn from, the pair-bit indices, the decoding plan
 and the orientation involution tau. Each server's request layout, its
 nonempty neighbourhood subsets with their edges, is one object shared
-by every pair on K_n (`_server`). A run draws the pools, checks the
-drawn sigma, and builds the request forms over the symbols it is
-given.
+by every pair on K_n (`_server`).
+
+The forms are bound once too, per desired pair, orientation and set of
+symbols (`_template`, the last KERNEL_TEMPLATES kept): every request
+whose index no draw changes, already oriented, the oriented plan, and
+one slot per pooled subset. A pooled subset sits at a server outside
+{i, i'}, so its form never carries the desired symbol and tau never
+moves it. A run draws the pools, checks the drawn sigma, and builds
+only the pooled forms into a copy of the template.
 """
 from __future__ import annotations
 
@@ -284,6 +290,63 @@ def complete_downloads_per_server(n: int) -> int:
     return 2 ** (n - 1) + 2 ** (n - 3) - 1
 
 
+# Kernel templates kept alive at once. A lift's stage runs alternate
+# the two orientations of one desired pair, and every caller builds
+# theta by theta, so two templates hit almost every time, and keeping
+# more would only hold memory.
+KERNEL_TEMPLATES = 2
+
+
+@functools.cache
+def _edges(n: int) -> tuple:
+    """Every edge of K_n, the fixed order in which a template's symbols
+    are given."""
+    return tuple(frozenset(e) for e in itertools.combinations(range(1, n + 1), 2))
+
+
+@dataclass(frozen=True)
+class _Template:
+    """Every request of a run for one desired pair, orientation and set
+    of symbols that the draws do not change, already oriented; a pooled
+    subset's request is an empty placeholder."""
+    requests: tuple  # (server, form) in run order
+    plan: tuple
+    # (position in requests, server j, subset index k in sigma[j-1],
+    # the symbols of the subset's edges) per pooled subset
+    slots: tuple
+
+
+@functools.lru_cache(maxsize=KERNEL_TEMPLATES)
+def _template(n: int, i: int, i_prime: int, orientation: int,
+              symbols: tuple) -> _Template:
+    """The draw-free part of a run's forms, with `symbols` given in
+    _edges(n) order. Orienting leaves the placeholders as they are: tau
+    moves only the desired symbol's positions, which no pooled form
+    carries."""
+    sk = _skeleton(n, i, i_prime)
+    symbol = dict(zip(_edges(n), symbols))
+    theta_symbol = symbol[frozenset({i, i_prime})]
+    requests, slots = [], []
+    for j in range(1, n + 1):
+        server = _server(n, j)
+        for k, (idx, edges) in enumerate(zip(sk.fixed[j - 1], server.edges)):
+            syms = [symbol[e] for e in edges]
+            if idx is None:
+                assert j not in (i, i_prime) and theta_symbol not in syms
+                slots.append((len(requests), j, k, tuple(syms)))
+                requests.append((j, frozenset()))
+            else:
+                requests.append((j, frozenset([(sym, idx) for sym in syms])))
+        for idx in sk.pair_bits[j - 1]:
+            requests.append(
+                (j, frozenset([(symbol[e], idx) for e in server.nbr_edges]))
+            )
+    requests, plan = tuple(requests), sk.plan
+    if orientation == -1:
+        requests, plan = _orient(requests, plan, theta_symbol, sk.tau)
+    return _Template(requests, plan, tuple(slots))
+
+
 def complete_kernel(
     n: int,
     i: int,
@@ -297,19 +360,10 @@ def complete_kernel(
     `symbols` maps frozenset({u, v}) to the file symbol of that edge.
     Its forms are frozensets of (symbol, index) pairs in permuted index space.
     """
-    sk = _skeleton(n, i, i_prime)
-    requests = []
-    for j, sj in enumerate(_draw_sigma(n, sk, rng), start=1):
-        server = _server(n, j)
-        for idx, edges in zip(sj, server.edges):
-            requests.append((j, frozenset([(symbols[e], idx) for e in edges])))
-        for idx in sk.pair_bits[j - 1]:
-            requests.append(
-                (j, frozenset([(symbols[e], idx) for e in server.nbr_edges]))
-            )
-
-    theta_symbol = symbols[frozenset({i, i_prime})]
-    requests, plan = tuple(requests), sk.plan
-    if orientation == -1:
-        requests, plan = _orient(requests, plan, theta_symbol, sk.tau)
-    return KernelRun(requests, plan)
+    sigma = _draw_sigma(n, _skeleton(n, i, i_prime), rng)
+    tpl = _template(n, i, i_prime, orientation, tuple(symbols[e] for e in _edges(n)))
+    requests = list(tpl.requests)
+    for pos, j, k, syms in tpl.slots:
+        idx = sigma[j - 1][k]
+        requests[pos] = (j, frozenset([(sym, idx) for sym in syms]))
+    return KernelRun(tuple(requests), tpl.plan)

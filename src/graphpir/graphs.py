@@ -202,31 +202,28 @@ def max_degree(g: GraphSpec) -> int:
     return max(deg)
 
 
+def _matching_search(edges, idx: int, used: int, size: int, best: int) -> int:
+    """The larger of `best` and the largest matching that extends one of
+    `size` edges, whose vertices are the bits of `used`, by edges from
+    edges[idx:]; a branch that cannot pass `best` is cut."""
+    if size + (len(edges) - idx) <= best:
+        return best
+    if idx == len(edges):
+        return size
+    u, v = edges[idx]
+    bit = (1 << u) | (1 << v)
+    if not used & bit:
+        best = _matching_search(edges, idx + 1, used | bit, size + 1, best)
+    return _matching_search(edges, idx + 1, used, size, best)
+
+
 def matching_number(g: GraphSpec) -> int:
     """Size of a maximum matching of the base simple graph, by exact search."""
     if g.n_base_edges > MATCHING_EDGE_LIMIT:
         raise GraphSpecError(
             "matching_number limited to %d edges" % MATCHING_EDGE_LIMIT
         )
-    edges = g.edges
-
-    best = 0
-
-    def extend(idx: int, used: int, size: int) -> None:
-        nonlocal best
-        if size + (len(edges) - idx) <= best:
-            return
-        if idx == len(edges):
-            best = max(best, size)
-            return
-        u, v = edges[idx]
-        bit = (1 << u) | (1 << v)
-        if not used & bit:
-            extend(idx + 1, used | bit, size + 1)
-        extend(idx + 1, used, size)
-
-    extend(0, 0, 0)
-    return best
+    return _matching_search(g.edges, 0, 0, 0, 0)
 
 
 def star_decomposition(g: GraphSpec) -> list[GraphSpec]:

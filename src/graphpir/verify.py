@@ -3,7 +3,12 @@
 Reliability, SRP and rate are per-transcript checks on one seeded
 stream: one transcript per theta and seed, with random file
 permutations, built once and read by each check (_transcript_checks),
-so `seeds` (the CLI's --seeds) governs all three.
+so `seeds` (the CLI's --seeds) governs all three. These transcripts
+keep each server's wire in construction order: a runner, a callable
+one included, receives canonical_order=False there, as it receives
+identity_perms=True in the privacy tiers. Decoding, SRP attribution and
+the rate resolve the plan to positions in the order the wire has, so
+sorting it would change none of them, and the sort draws nothing.
 
 A scheme is private when each server's query distribution is the same
 for every desired file theta. One engine checks this for every privacy
@@ -116,11 +121,13 @@ def _seed_for(base_seed, theta, tag: str) -> str:
 def _transcript_checks(scheme, g: GraphSpec, seeds: Sequence, names: Sequence[str]):
     """([CheckResult per name], rate): the checks `names` applied to one
     seeded transcript per theta and seed, theta-major, each failing at
-    its own first failing transcript. reliability: symbolic zero-error
-    decoding and decoding of two random stores; srp: theta's fresh bits
-    split evenly between its two servers; rate: within every applicable
-    exact upper bound. rate is the largest rate measured, or the failing
-    one (None unless rate is named)."""
+    its own first failing transcript. Each transcript is built with
+    canonical_order=False, its wire in construction order, which no
+    check reads. reliability: symbolic zero-error decoding and decoding
+    of two random stores; srp: theta's fresh bits split evenly between
+    its two servers; rate: within every applicable exact upper bound.
+    rate is the largest rate measured, or the failing one (None unless
+    rate is named)."""
     name, run = resolve_scheme(scheme, g)
     seeds = list(seeds)
     if not seeds:
@@ -156,7 +163,7 @@ def _transcript_checks(scheme, g: GraphSpec, seeds: Sequence, names: Sequence[st
     faults = {"reliability": reliability, "srp": srp, "rate": rate}
     failed = {}
     for theta, seed in itertools.product(all_thetas(g), seeds):
-        t = run(g, theta, SeededSource(_seed_for(seed, theta, "rel")))
+        t = run(g, theta, SeededSource(_seed_for(seed, theta, "rel")), canonical_order=False)
         for check in names:
             if check not in failed and (fault := faults[check](t, theta, seed)):
                 failed[check] = CheckResult(

@@ -24,6 +24,7 @@ from graphpir.core import (
     xor_forms,
 )
 from graphpir.graphs import build_family, parse_graph
+from graphpir.kernels import KernelRun, _orient
 from graphpir.mutants import MUTANTS
 from graphpir.rng import CanonicalSource, SeededSource
 from graphpir.runner import all_thetas, resolve_scheme
@@ -267,3 +268,52 @@ def test_forms_use_the_symbols_of_each_call(orientation):
     )
     assert second.requests == renamed
     assert {sym for _, form in second.requests for sym, _ in form} == set(names.values())
+
+
+def kernel_from_scratch(n, i, i_prime, symbols, rng, orientation):
+    """complete_kernel as it was before templates: every request form
+    built from the drawn sigma, then oriented."""
+    sk = complete._skeleton(n, i, i_prime)
+    requests = []
+    for j, sj in enumerate(complete._draw_sigma(n, sk, rng), start=1):
+        server = complete._server(n, j)
+        for idx, edges in zip(sj, server.edges):
+            requests.append((j, frozenset((symbols[e], idx) for e in edges)))
+        for idx in sk.pair_bits[j - 1]:
+            requests.append((j, frozenset((symbols[e], idx) for e in server.nbr_edges)))
+    requests, plan = tuple(requests), sk.plan
+    if orientation == -1:
+        requests, plan = _orient(requests, plan, symbols[frozenset({i, i_prime})], sk.tau)
+    return KernelRun(requests, plan)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_template_runs_equal_runs_built_from_scratch(n):
+    complete._template.cache_clear()
+    symbols = edge_symbols(n, lambda k: FileId(k, 1))
+    for i, i_prime in itertools.permutations(range(1, n + 1), 2):
+        for orientation in (1, -1):
+            for seed in (1, 2, 3):  # a cold template, then warm ones
+                a, b = SeededSource(seed), SeededSource(seed)
+                assert (complete_kernel(n, i, i_prime, symbols, a, orientation)
+                        == kernel_from_scratch(n, i, i_prime, symbols, b, orientation))
+                # the same draws were made
+                assert a.choice_index(1 << 30) == b.choice_index(1 << 30)
+
+
+def test_kernel_templates_are_reused_per_theta_and_bounded():
+    # theta by theta, as verify builds: one template per orientation of
+    # a desired pair, reused by every later run of that pair (a lift's
+    # stage runs alternate orientations); at most KERNEL_TEMPLATES alive
+    complete._template.cache_clear()
+    for text in ("complete:4^3", "complete:6"):
+        g = parse_graph(text)
+        _, run = resolve_scheme("auto", g)
+        for theta in all_thetas(g):
+            for seed in (1, 2):
+                assert symbolic_decode_check(run(g, theta, SeededSource(seed)))
+    info = complete._template.cache_info()
+    assert info.currsize <= complete.KERNEL_TEMPLATES
+    # complete:4^3: 6 pairs x 2 orientations built, 18 theta x 2 seeds
+    # x 7 stage runs in all; complete:6: 15 pairs, 15 theta x 2 seeds
+    assert (info.misses, info.hits) == (12 + 15, 252 - 12 + 30 - 15)

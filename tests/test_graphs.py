@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 
@@ -141,6 +142,21 @@ def test_matching_known_values():
     assert matching_number(build_family("star", [9])) == 1
     assert matching_number(build_family("complete", [5])) == 2
     assert matching_number(build_family("complete_bipartite", [2, 8])) == 2
+
+
+def test_matching_number_leaves_no_garbage():
+    # the search holds no reference cycle, so the collector has nothing
+    # to free after it
+    graphs = [parse_graph("complete:6"), parse_graph("path:8")]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert [matching_number(g) for g in graphs] == [3, 4]
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_matching_size_cap():

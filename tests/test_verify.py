@@ -247,6 +247,58 @@ def compose_stars_drop_request(g, theta, rng, **kw):
     return drop_planned_request(compose_stars(g, theta, rng, **kw))
 
 
+def _canonical(scheme, g):
+    """The runner of `scheme` on g, under the same name, with every
+    server's wire in canonical order whatever its caller asks for."""
+    name, run = resolve_scheme(scheme, g)
+
+    def wrapped(g, theta, rng, **kw):
+        return run(g, theta, rng, **{**kw, "canonical_order": True})
+
+    wrapped.__name__ = name
+    return wrapped
+
+
+WIRE_ORDER_CASES = (
+    [("auto", text) for text in ("path:4", "complete:4", "complete_bipartite:2,3", "path:3^2")]
+    + [(run, "complete_bipartite:2,3") for run in (
+        compose_stars_drop_request, compose_stars_theta_ordered, compose_stars_no_decoy)]
+)
+
+
+@pytest.mark.parametrize(
+    "scheme,graph", WIRE_ORDER_CASES,
+    ids=["%s-%s" % (getattr(s, "__name__", s), g) for s, g in WIRE_ORDER_CASES],
+)
+def test_check_transcripts_do_not_read_the_wire_order(scheme, graph):
+    # the checks build their transcripts in construction order; sorting
+    # every wire first changes no result, no witness and no rate
+    g = parse_graph(graph)
+    names = ["reliability", "srp", "rate"]
+    unsorted = _transcript_checks(scheme, g, range(3), names)
+    assert _transcript_checks(_canonical(scheme, g), g, range(3), names) == unsorted
+    if scheme is compose_stars_drop_request:
+        # its victim, min(plan[0]), moves with the wire order, and
+        # reliability still fails on the first transcript
+        rel = unsorted[0][0]
+        assert (rel.passed, rel.detail) == (False, "symbolic decode failed")
+        assert rel.witness["theta"] == FileId(1, 1) and rel.witness["seed"] == 0
+
+
+@pytest.mark.parametrize("graph", ["complete:4", "path:3^2"])
+def test_canonical_runner_reorders_the_same_wire(graph):
+    # the comparison above is not vacuous: here the canonical runner
+    # sends each server the same forms in another order
+    g = parse_graph(graph)
+    _, run = resolve_scheme("auto", g)
+    theta = all_thetas(g)[0]
+    built = run(g, theta, SeededSource(0), canonical_order=False)
+    sorted_ = _canonical("auto", g)(g, theta, SeededSource(0), canonical_order=False)
+    assert built.requests != sorted_.requests
+    assert [sorted(s, key=wire_sort_key) for s in built.requests] == [
+        list(s) for s in sorted_.requests]
+
+
 CROSS_VALIDATION = (
     [("auto", "path:%d" % n) for n in range(2, 7)]
     + [("auto", "star:%d" % n) for n in range(3, 7)]
