@@ -9,22 +9,19 @@ targets into three ranges: [2^(N-1)] decoded through single-subset bits,
 then 2^(N-3) targets decoded through the pair bit at server i, then
 2^(N-3) targets through the pair bit at server i'.
 
-Only the leftover pools of sigma are drawn. Everything else a run needs
-is fixed by (n, i, i') and built once per desired pair from its subset
-families (`_skeleton`, cached for the life of the process): every
-draw-free sigma entry, each server's pooled subsets with the free
-indices they are drawn from, the pair-bit indices, the decoding plan
-and the orientation involution tau. Each server's request layout, its
-nonempty neighbourhood subsets with their edges, is one object shared
-by every pair on K_n (`_server`).
-
-The forms are bound once too, per desired pair, orientation and set of
-symbols (`_template`, the last KERNEL_TEMPLATES kept): every request
-whose index no draw changes, already oriented, the oriented plan, and
-one slot per pooled subset. A pooled subset sits at a server outside
+Only the leftover pools of sigma are drawn. Everything else a run
+needs is fixed by the desired pair (i, i') and the file symbols, and
+built once from the pair's subset families in one pass over the servers
+(`_template`, the last KERNEL_TEMPLATES kept): every draw-free sigma
+entry, each server's pooled subsets with the free indices they are
+drawn from, the pair-bit indices, and for both orientations every
+request whose index no draw changes with its plan, the -1 run oriented
+by the involution tau. A pooled subset sits at a server outside
 {i, i'}, so its form never carries the desired symbol and tau never
-moves it. A run draws the pools, checks the drawn sigma, and builds
-only the pooled forms into a copy of the template.
+moves it; it is a slot that a run fills after drawing the pools and
+checking the drawn sigma. Each server's request layout, its nonempty
+neighbourhood subsets with their edges, is one object shared by every
+pair on K_n (`_server`).
 """
 from __future__ import annotations
 
@@ -32,7 +29,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .kernels import KernelRun, _orient
+from .kernels import KernelRun
 from .rng import RandomSource
 
 
@@ -64,11 +61,6 @@ class SubsetBijections:
     varphi: dict
     pairs: tuple  # (P1, P2) in varphi order
 
-    def pair_rep(self, subset: frozenset) -> frozenset:
-        """complement_rep of a subset of [N] minus {i, i'}."""
-        others = frozenset(range(1, self.n + 1)) - {self.i, self.i_prime}
-        return complement_rep(subset, others)
-
 
 def build_families(n: int, i: int, i_prime: int) -> SubsetBijections:
     if n < 3:
@@ -91,15 +83,6 @@ def build_families(n: int, i: int, i_prime: int) -> SubsetBijections:
     varphi = {p: 2 ** (n - 1) + k + 1 for k, p in enumerate(reps)}
     pairs = tuple((p, others_set - p) for p in reps)
     return SubsetBijections(n, i, i_prime, phi, tuple(fam), varphi, pairs)
-
-
-@dataclass(frozen=True)
-class SigmaMap:
-    bij: SubsetBijections
-    # sigma[j][P] = index in [L] for every nonempty P subset of N(j)
-    sigma: dict
-    # pair_bit_index[j][rep] = index of the pair-class download at server j
-    pair_bit_index: dict
 
 
 @dataclass(frozen=True)
@@ -127,68 +110,105 @@ def _server(n: int, j: int) -> _Server:
     )
 
 
+def complete_length(n: int) -> int:
+    return 3 * 2 ** (n - 2)
+
+
+def complete_downloads_per_server(n: int) -> int:
+    return 2 ** (n - 1) + 2 ** (n - 3) - 1
+
+
+# Kernel templates kept alive at once. One entry holds both orientations
+# of a desired pair, which a lift's stage runs alternate, and every
+# caller builds theta by theta, so one template hits almost every time,
+# and keeping more would only hold memory.
+KERNEL_TEMPLATES = 1
+
+
+@functools.cache
+def _edges(n: int) -> tuple:
+    """Every edge of K_n, the fixed order in which a template's symbols
+    are given."""
+    return tuple(frozenset(e) for e in itertools.combinations(range(1, n + 1), 2))
+
+
 @dataclass(frozen=True)
-class _Skeleton:
-    """Everything a run for desired pair (i, i') does not draw. Per
-    server (index j - 1), aligned with _server(n, j).subsets."""
+class _Template:
+    """Everything a run for one desired pair and set of symbols does not
+    draw. Per server (index j - 1), aligned with _server(n, j).subsets."""
     fixed: tuple  # fixed[j-1][k]: sigma index of subsets[k], None if pooled
     # pools[j-1] = (pooled positions k in lex_key order, free indices)
     pools: tuple
     pair_bits: tuple  # pair_bits[j-1]: pair-bit indices in bij.pairs order
-    plan: tuple  # plan of an orientation +1 run, over request positions
-    # the half-swapping involution of an orientation -1 run; shared by
-    # every run, read only
-    tau: dict
+    # runs[orientation] = ((server, form) per request in run order, plan),
+    # already oriented, read only; a pooled subset's request is an empty
+    # placeholder
+    runs: dict
+    # (position in requests, server j, subset index k in sigma[j-1],
+    # the symbols of the subset's edges) per pooled subset
+    slots: tuple
 
 
-@functools.cache
-def _skeleton(n: int, i: int, i_prime: int) -> _Skeleton:
+@functools.lru_cache(maxsize=KERNEL_TEMPLATES)
+def _template(n: int, i: int, i_prime: int, symbols: tuple) -> _Template:
     """The draw-free part of a run, following the construction's
-    equations; built once per (n, i, i')."""
+    equations, with `symbols` given in _edges(n) order. Orienting leaves
+    the placeholders as they are: tau moves only the desired symbol's
+    positions, which no pooled form carries."""
     bij = build_families(n, i, i_prime)
     half = 2 ** (n - 1)
     quarter = 2 ** (n - 3)
+    L = complete_length(n)
+    symbol = dict(zip(_edges(n), symbols))
+    theta_symbol = symbol[frozenset({i, i_prime})]
+    # varphi of the pair class of each subset of [n] - {i, i'}
+    pair_index = {q: bij.varphi[rep] for rep, p2 in bij.pairs for q in (rep, p2)}
 
     def index(j: int, p: frozenset):
         if j == i:
             if i_prime in p:
                 return bij.phi[frozenset({i}) | (p - {i_prime})]
-            return bij.varphi[bij.pair_rep(p)] + quarter
+            return pair_index[p] + quarter
         if j == i_prime:
             if i in p:
                 return bij.phi[frozenset({i_prime}) | (p - {i})]
-            return bij.varphi[bij.pair_rep(p)]
+            return pair_index[p]
         cut = len(p & {i, i_prime})
         if cut == 1:
             return bij.phi[p | {j}]
         if cut == 2:
-            tilde = frozenset({j}) | (p - {i, i_prime})
-            return bij.varphi[bij.pair_rep(tilde)]
+            return pair_index[frozenset({j}) | (p - {i, i_prime})]
         return None  # drawn from the leftover pool
 
-    fixed, pools, pair_bits = [], [], []
-    position = itertools.count()  # of each request, in run order
-    subset_req: dict[tuple[int, frozenset], int] = {}
+    fixed, pools, pair_bits, slots = [], [], [], []
+    plus = []  # (server, form) per request of a +1 run, in run order
+    subset_req: dict[tuple[int, frozenset], int] = {}  # request positions
     pair_req: dict[tuple[int, frozenset], int] = {}
     for j in range(1, n + 1):
-        subsets = _server(n, j).subsets
-        sj = tuple(index(j, p) for p in subsets)
+        server = _server(n, j)
+        sj = tuple(index(j, p) for p in server.subsets)
         pooled = sorted((k for k, v in enumerate(sj) if v is None),
-                        key=lambda k: lex_key(subsets[k]))
+                        key=lambda k: lex_key(server.subsets[k]))
         used = set(sj)
         free = tuple(v for v in range(1, half + 1) if v not in used) if pooled else ()
+        bits = tuple(bij.varphi[rep] if j == i else bij.varphi[rep] + quarter
+                     for rep, _p2 in bij.pairs)
         fixed.append(sj)
         pools.append((tuple(pooled), free))
-        pair_bits.append(tuple(
-            bij.varphi[rep] if j == i else bij.varphi[rep] + quarter
-            for rep, _p2 in bij.pairs
-        ))
-        for p in subsets:
-            subset_req[(j, p)] = next(position)
-        for rep, _p2 in bij.pairs:
-            pair_req[(j, rep)] = next(position)
+        pair_bits.append(bits)
+        for k, (p, idx, edges) in enumerate(zip(server.subsets, sj, server.edges)):
+            subset_req[(j, p)] = len(plus)
+            syms = [symbol[e] for e in edges]
+            if idx is None:
+                assert j not in (i, i_prime) and theta_symbol not in syms
+                slots.append((len(plus), j, k, tuple(syms)))
+                plus.append((j, frozenset()))
+            else:
+                plus.append((j, frozenset([(sym, idx) for sym in syms])))
+        for (rep, _p2), idx in zip(bij.pairs, bits):
+            pair_req[(j, rep)] = len(plus)
+            plus.append((j, frozenset([(symbol[e], idx) for e in server.nbr_edges])))
 
-    L = complete_length(n)
     plan: list[frozenset] = [frozenset()] * L
     for t in range(1, half + 1):
         p = bij.phi_inv[t - 1]
@@ -221,6 +241,7 @@ def _skeleton(n: int, i: int, i_prime: int) -> _Skeleton:
                 entry.add(pair_req[(jj, rep)])
         plan[v + quarter - 1] = frozenset(entry)
 
+    # tau, the half-swapping involution of an orientation -1 run
     side_i = [t for t in range(1, half + 1) if i in bij.phi_inv[t - 1]]
     side_i += list(range(half + 1, half + quarter + 1))
     side_ip = [t for t in range(1, half + 1) if i_prime in bij.phi_inv[t - 1]]
@@ -229,122 +250,42 @@ def _skeleton(n: int, i: int, i_prime: int) -> _Skeleton:
     for a, b in zip(sorted(side_i), sorted(side_ip)):
         tau[a] = b
         tau[b] = a
-    return _Skeleton(tuple(fixed), tuple(pools), tuple(pair_bits), tuple(plan), tau)
+    # a -1 run moves the desired symbol's index by tau, so only forms at
+    # servers i and i' change, and recovers target tau(m) where a +1 run
+    # recovers m
+    minus = tuple(
+        (j, frozenset([(sym, tau[m] if sym == theta_symbol else m) for sym, m in form]))
+        if j in (i, i_prime) else (j, form) for j, form in plus)
+    runs = {1: (tuple(plus), tuple(plan)),
+            -1: (minus, tuple(plan[tau[m] - 1] for m in range(1, L + 1)))}
+    return _Template(tuple(fixed), tuple(pools), tuple(pair_bits), runs, tuple(slots))
 
 
-def _draw_sigma(n: int, sk: _Skeleton, rng: RandomSource) -> list[list[int]]:
-    """One run's sigma, aligned like sk.fixed: the leftover pool at
+def _draw_sigma(n: int, tpl: _Template, rng: RandomSource) -> list[list[int]]:
+    """One run's sigma, aligned like tpl.fixed: the leftover pool at
     servers outside the desired pair is drawn from the unused indices of
-    [2^(N-1)], server by server."""
+    [2^(N-1)], server by server, and each server's row is checked as it
+    is drawn."""
     sigma = []
     for j in range(1, n + 1):
-        sj = list(sk.fixed[j - 1])
-        pooled, free = sk.pools[j - 1]
+        sj = list(tpl.fixed[j - 1])
+        pooled, free = tpl.pools[j - 1]
         if pooled:
             for k, v in zip(pooled, rng.sample_without_replacement(free, len(pooled))):
                 sj[k] = v
         if None in sj:
             raise AssertionError("sigma at server %d left subsets unassigned" % j)
-        sigma.append(sj)
-
-    # per-file injectivity: at server j, the indices touching file {j, l}
-    # must be distinct
-    for j in range(1, n + 1):
-        sj = sigma[j - 1]
+        # per-file injectivity: the indices touching file {j, l} must be
+        # distinct
         for l, positions in _server(n, j).touching:
             seen = [sj[k] for k in positions]
-            seen.extend(sk.pair_bits[j - 1])
+            seen.extend(tpl.pair_bits[j - 1])
             if len(seen) != len(set(seen)):
                 raise AssertionError(
                     "index collision for file (%d,%d) at server %d" % (j, l, j)
                 )
+        sigma.append(sj)
     return sigma
-
-
-# Kept beside complete_kernel, which reads sigma as _draw_sigma's aligned
-# lists: this is the same draw keyed by subset and pair representative,
-# the readable view against which sigma's reference values and coverage
-# are checked by hand.
-def build_sigma(n: int, i: int, i_prime: int, bij: SubsetBijections,
-                rng: RandomSource) -> SigmaMap:
-    """Per-server index maps following the construction's equations; the
-    leftover pool at servers outside the desired pair is drawn from the
-    unused indices of [2^(N-1)]."""
-    sk = _skeleton(n, i, i_prime)
-    sigma = {
-        j: dict(zip(_server(n, j).subsets, sj))
-        for j, sj in enumerate(_draw_sigma(n, sk, rng), start=1)
-    }
-    pair_bit_index = {
-        j: {rep: v for (rep, _p2), v in zip(bij.pairs, sk.pair_bits[j - 1])}
-        for j in range(1, n + 1)
-    }
-    return SigmaMap(bij, sigma, pair_bit_index)
-
-
-def complete_length(n: int) -> int:
-    return 3 * 2 ** (n - 2)
-
-
-def complete_downloads_per_server(n: int) -> int:
-    return 2 ** (n - 1) + 2 ** (n - 3) - 1
-
-
-# Kernel templates kept alive at once. A lift's stage runs alternate
-# the two orientations of one desired pair, and every caller builds
-# theta by theta, so two templates hit almost every time, and keeping
-# more would only hold memory.
-KERNEL_TEMPLATES = 2
-
-
-@functools.cache
-def _edges(n: int) -> tuple:
-    """Every edge of K_n, the fixed order in which a template's symbols
-    are given."""
-    return tuple(frozenset(e) for e in itertools.combinations(range(1, n + 1), 2))
-
-
-@dataclass(frozen=True)
-class _Template:
-    """Every request of a run for one desired pair, orientation and set
-    of symbols that the draws do not change, already oriented; a pooled
-    subset's request is an empty placeholder."""
-    requests: tuple  # (server, form) in run order
-    plan: tuple
-    # (position in requests, server j, subset index k in sigma[j-1],
-    # the symbols of the subset's edges) per pooled subset
-    slots: tuple
-
-
-@functools.lru_cache(maxsize=KERNEL_TEMPLATES)
-def _template(n: int, i: int, i_prime: int, orientation: int,
-              symbols: tuple) -> _Template:
-    """The draw-free part of a run's forms, with `symbols` given in
-    _edges(n) order. Orienting leaves the placeholders as they are: tau
-    moves only the desired symbol's positions, which no pooled form
-    carries."""
-    sk = _skeleton(n, i, i_prime)
-    symbol = dict(zip(_edges(n), symbols))
-    theta_symbol = symbol[frozenset({i, i_prime})]
-    requests, slots = [], []
-    for j in range(1, n + 1):
-        server = _server(n, j)
-        for k, (idx, edges) in enumerate(zip(sk.fixed[j - 1], server.edges)):
-            syms = [symbol[e] for e in edges]
-            if idx is None:
-                assert j not in (i, i_prime) and theta_symbol not in syms
-                slots.append((len(requests), j, k, tuple(syms)))
-                requests.append((j, frozenset()))
-            else:
-                requests.append((j, frozenset([(sym, idx) for sym in syms])))
-        for idx in sk.pair_bits[j - 1]:
-            requests.append(
-                (j, frozenset([(symbol[e], idx) for e in server.nbr_edges]))
-            )
-    requests, plan = tuple(requests), sk.plan
-    if orientation == -1:
-        requests, plan = _orient(requests, plan, theta_symbol, sk.tau)
-    return _Template(requests, plan, tuple(slots))
 
 
 def complete_kernel(
@@ -360,10 +301,11 @@ def complete_kernel(
     `symbols` maps frozenset({u, v}) to the file symbol of that edge.
     Its forms are frozensets of (symbol, index) pairs in permuted index space.
     """
-    sigma = _draw_sigma(n, _skeleton(n, i, i_prime), rng)
-    tpl = _template(n, i, i_prime, orientation, tuple(symbols[e] for e in _edges(n)))
-    requests = list(tpl.requests)
+    tpl = _template(n, i, i_prime, tuple(symbols[e] for e in _edges(n)))
+    sigma = _draw_sigma(n, tpl, rng)
+    requests, plan = tpl.runs[orientation]
+    requests = list(requests)
     for pos, j, k, syms in tpl.slots:
         idx = sigma[j - 1][k]
         requests[pos] = (j, frozenset([(sym, idx) for sym in syms]))
-    return KernelRun(tuple(requests), tpl.plan)
+    return KernelRun(tuple(requests), plan)

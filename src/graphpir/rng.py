@@ -145,7 +145,7 @@ def draw_point(src: RandomSource, shape: Sequence[tuple[str, int]]) -> tuple:
 
 
 def enumerate_sources(shape: Sequence[tuple[str, int]],
-                      budget: int = 1 << 20) -> Iterator[ReplaySource]:
+                      budget: int) -> Iterator[ReplaySource]:
     """Yield one ReplaySource per point of the randomness space of draw
     shape `shape`, in lexicographic order: permutations of [1..n] in
     lexicographic order, indices ascending, the last draw varying

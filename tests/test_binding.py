@@ -128,7 +128,7 @@ def test_verify_scheme_builds_each_seeded_transcript_once(monkeypatch):
 
 
 @pytest.mark.parametrize("seeds", (range(1), range(3)))
-def test_complete_skeleton_is_built_once_per_desired_pair(monkeypatch, seeds):
+def test_complete_template_is_built_once_per_theta_pass(monkeypatch, seeds):
     built = Counter()
     original = complete.build_families
 
@@ -137,10 +137,13 @@ def test_complete_skeleton_is_built_once_per_desired_pair(monkeypatch, seeds):
         return original(n, i, i_prime)
 
     monkeypatch.setattr(complete, "build_families", counted)
-    complete._skeleton.cache_clear()
+    complete._template.cache_clear()
     g = parse_graph("complete:5")
     assert verify_scheme("auto", g, seeds=seeds).passed
-    # every transcript of every theta and seed, in every check, runs
-    # from the one skeleton of its desired pair
-    assert built == Counter({(5, i, ip): 1 for i, ip in g.edges})
-    assert sum(built.values()) == 10
+    # every transcript of every theta and seed runs from the one template
+    # of its desired pair, built once in the checks' theta pass and once
+    # in the privacy theta pass (the exact tier learns theta 1's draw
+    # shape before it gives way to the structural tier, and that build's
+    # template is the first the structural pass reads)
+    assert built == Counter({(5, i, ip): 2 for i, ip in g.edges})
+    assert sum(built.values()) == 20

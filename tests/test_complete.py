@@ -7,7 +7,7 @@ import pytest
 import graphpir.complete as complete
 from graphpir.complete import (
     build_families,
-    build_sigma,
+    complement_rep,
     complete_downloads_per_server,
     complete_kernel,
     complete_length,
@@ -51,28 +51,42 @@ def test_subset_bijections_n4():
     assert bij.varphi == {fs(): 9, fs(3): 10}
     assert bij.pairs == ((fs(), fs(3, 4)), ((fs(3)), fs(4)))
     # pair representative picks the smaller side
-    assert bij.pair_rep(fs(3, 4)) == fs()
-    assert bij.pair_rep(fs(4)) == fs(3)
+    assert complement_rep(fs(3, 4), fs(3, 4)) == fs()
+    assert complement_rep(fs(4), fs(3, 4)) == fs(3)
+
+
+def sigma_view(n, i, i_prime, rng):
+    """One drawn sigma keyed by server, then subset, and the pair-bit
+    indices keyed by server, then pair representative."""
+    tpl = complete._template(n, i, i_prime, complete._edges(n))
+    sigma = {
+        j: dict(zip(complete._server(n, j).subsets, sj))
+        for j, sj in enumerate(complete._draw_sigma(n, tpl, rng), start=1)
+    }
+    pairs = build_families(n, i, i_prime).pairs
+    pair_bit_index = {
+        j: {rep: v for (rep, _p2), v in zip(pairs, bits)}
+        for j, bits in enumerate(tpl.pair_bits, start=1)
+    }
+    return sigma, pair_bit_index
 
 
 def test_sigma_reference_values_n3():
-    bij = build_families(3, 1, 2)
-    sm = build_sigma(3, 1, 2, bij, CanonicalSource())
-    assert sm.sigma[1] == {fs(2): 1, fs(2, 3): 2, fs(3): 6}
-    assert sm.sigma[2] == {fs(1): 3, fs(1, 3): 4, fs(3): 5}
-    assert sm.sigma[3] == {fs(1): 2, fs(2): 4, fs(1, 2): 5}
-    assert sm.pair_bit_index[1] == {fs(): 5}
-    assert sm.pair_bit_index[2] == {fs(): 6}
-    assert sm.pair_bit_index[3] == {fs(): 6}
+    sigma, pair_bit_index = sigma_view(3, 1, 2, CanonicalSource())
+    assert sigma[1] == {fs(2): 1, fs(2, 3): 2, fs(3): 6}
+    assert sigma[2] == {fs(1): 3, fs(1, 3): 4, fs(3): 5}
+    assert sigma[3] == {fs(1): 2, fs(2): 4, fs(1, 2): 5}
+    assert pair_bit_index[1] == {fs(): 5}
+    assert pair_bit_index[2] == {fs(): 6}
+    assert pair_bit_index[3] == {fs(): 6}
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_sigma_covers_every_server(n):
-    bij = build_families(n, 1, 2)
-    sm = build_sigma(n, 1, 2, bij, SeededSource(n))
+    sigma, _ = sigma_view(n, 1, 2, SeededSource(n))
     for j in range(1, n + 1):
-        assert len(sm.sigma[j]) == 2 ** (n - 1) - 1
-        for idx in sm.sigma[j].values():
+        assert len(sigma[j]) == 2 ** (n - 1) - 1
+        for idx in sigma[j].values():
             assert 1 <= idx <= complete_length(n)
 
 
@@ -240,15 +254,16 @@ class ShortSource(SeededSource):
     (ShortSource, r"sigma at server 3 left subsets unassigned"),
 ])
 def test_sigma_checks_run_on_every_drawn_sigma(source, message):
-    complete._skeleton.cache_clear()
+    complete._template.cache_clear()
     symbols = edge_symbols(5)
-    for _ in range(2):  # cold cache, then warm
+    for _ in range(2):  # cold template, then warm
         with pytest.raises(AssertionError, match=message):
             complete_kernel(5, 1, 2, symbols, source(0))
         complete_kernel(5, 1, 2, symbols, SeededSource(0))
-    assert complete._skeleton.cache_info().hits >= 3
+    assert complete._template.cache_info().hits >= 3
+    tpl = complete._template(5, 1, 2, complete._edges(5))
     with pytest.raises(AssertionError, match=message):
-        build_sigma(5, 1, 2, build_families(5, 1, 2), source(0))
+        complete._draw_sigma(5, tpl, source(0))
 
 
 @pytest.mark.parametrize("orientation", (1, -1))
@@ -272,18 +287,31 @@ def test_forms_use_the_symbols_of_each_call(orientation):
 
 def kernel_from_scratch(n, i, i_prime, symbols, rng, orientation):
     """complete_kernel as it was before templates: every request form
-    built from the drawn sigma, then oriented."""
-    sk = complete._skeleton(n, i, i_prime)
+    built from the drawn sigma with the +1 plan, then oriented by a tau
+    derived here from the subset families."""
+    tpl = complete._template(n, i, i_prime, tuple(symbols[e] for e in complete._edges(n)))
     requests = []
-    for j, sj in enumerate(complete._draw_sigma(n, sk, rng), start=1):
+    for j, sj in enumerate(complete._draw_sigma(n, tpl, rng), start=1):
         server = complete._server(n, j)
         for idx, edges in zip(sj, server.edges):
             requests.append((j, frozenset((symbols[e], idx) for e in edges)))
-        for idx in sk.pair_bits[j - 1]:
+        for idx in tpl.pair_bits[j - 1]:
             requests.append((j, frozenset((symbols[e], idx) for e in server.nbr_edges)))
-    requests, plan = tuple(requests), sk.plan
+    requests, plan = tuple(requests), tpl.runs[1][1]
     if orientation == -1:
-        requests, plan = _orient(requests, plan, symbols[frozenset({i, i_prime})], sk.tau)
+        # tau pairs the targets hosted at i (the phi targets whose subset
+        # holds i, then the middle range) with those hosted at i' (phi
+        # targets holding i', then the last range), in sorted order
+        bij = build_families(n, i, i_prime)
+        half, quarter = 2 ** (n - 1), 2 ** (n - 3)
+        side_i = [bij.phi[p] for p in bij.phi if i in p]
+        side_i += range(half + 1, half + quarter + 1)
+        side_ip = [bij.phi[p] for p in bij.phi if i_prime in p]
+        side_ip += range(half + quarter + 1, complete_length(n) + 1)
+        tau = {}
+        for a, b in zip(sorted(side_i), sorted(side_ip)):
+            tau[a], tau[b] = b, a
+        requests, plan = _orient(requests, plan, symbols[frozenset({i, i_prime})], tau)
     return KernelRun(requests, plan)
 
 
@@ -302,9 +330,10 @@ def test_template_runs_equal_runs_built_from_scratch(n):
 
 
 def test_kernel_templates_are_reused_per_theta_and_bounded():
-    # theta by theta, as verify builds: one template per orientation of
-    # a desired pair, reused by every later run of that pair (a lift's
-    # stage runs alternate orientations); at most KERNEL_TEMPLATES alive
+    # theta by theta, as verify builds: one template per desired pair,
+    # holding both orientations, reused by every later run of that pair
+    # (a lift's stage runs alternate orientations); at most
+    # KERNEL_TEMPLATES alive
     complete._template.cache_clear()
     for text in ("complete:4^3", "complete:6"):
         g = parse_graph(text)
@@ -314,6 +343,6 @@ def test_kernel_templates_are_reused_per_theta_and_bounded():
                 assert symbolic_decode_check(run(g, theta, SeededSource(seed)))
     info = complete._template.cache_info()
     assert info.currsize <= complete.KERNEL_TEMPLATES
-    # complete:4^3: 6 pairs x 2 orientations built, 18 theta x 2 seeds
-    # x 7 stage runs in all; complete:6: 15 pairs, 15 theta x 2 seeds
-    assert (info.misses, info.hits) == (12 + 15, 252 - 12 + 30 - 15)
+    # complete:4^3: 6 pairs built, 18 theta x 2 seeds x 7 stage runs in
+    # all; complete:6: 15 pairs, 15 theta x 2 seeds
+    assert (info.misses, info.hits) == (6 + 15, 252 - 6 + 30 - 15)
