@@ -1,20 +1,24 @@
 """Verification engine: reliability, privacy, SRP, and rate checks.
 
-Reliability, SRP and rate are per-transcript checks on one seeded
-stream: one transcript per theta and seed, with random file
-permutations, built once and read by each check (_transcript_checks),
-so `seeds` (the CLI's --seeds) governs all three. These transcripts
-keep each server's wire in construction order: a runner, a callable
-one included, receives canonical_order=False there, as it receives
-identity_perms=True in the privacy tiers. Decoding, SRP attribution and
-the rate resolve the plan to positions in the order the wire has, so
-sorting it would change none of them, and the sort draws nothing.
+One walk over the desired files theta (_walk), on one resolution of
+the scheme, proves every check a call asks for. For each theta it
+learns the draw shape once (record_shape) and, in the exact tier or
+under auto until some theta passes it, checks it against EXACT_BUDGET,
+so a refusal costs one build; tallies theta's privacy stream (_tally);
+then builds the seeded transcripts that reliability, SRP and rate all
+read: one per seed (the CLI's --seeds), with random file permutations,
+until every named check has failed. These keep each server's wire in
+construction order: a runner, a callable one included, receives
+canonical_order=False there, as it receives identity_perms=True in the
+privacy tiers. Decoding, SRP attribution and the rate resolve the plan
+to positions in the order the wire has, so sorting it would change none
+of them, and the sort draws nothing.
 
 A scheme is private when each server's query distribution is the same
 for every desired file theta. One engine checks this for every privacy
-tier: _distributions counts one view of each server's request sequence,
-its pattern (core.server_pattern), over the runs of a per-theta stream
-of random sources, and _verdict turns the counts into a verdict at a
+tier: _tally counts one view of each server's request sequence, its
+pattern (core.server_pattern), over the runs of a per-theta stream of
+random sources, and _verdict turns the counts into a verdict at a
 tolerance on the total-variation (TV) distance; tolerance 0 means exact
 equality, tested in integers. The tiers differ only in their stream
 and tolerance:
@@ -25,6 +29,10 @@ and tolerance:
 * structural: one seeded source per seed; tolerance 0;
 * statistical: one seeded source drawn from `samples` times; the
   given tolerance.
+
+auto stays exact unless some theta passes EXACT_BUDGET; then it turns
+structural and re-tallies the thetas already walked from their kept
+shapes.
 
 Every tier runs the scheme with identity file permutations. Every
 scheme draws its per-file index permutations in assemble_transcript,
@@ -55,13 +63,13 @@ brackets that TV between two views:
 
 With identity permutations a run's views are a function of the
 scheme's own draws, which take few values (3 points per theta for the
-K_{2,3} star composition), so every stream is tallied by draw point and
-each distinct point is built and viewed once per theta, with the counts
-of a run per source (see _distributions). Every tier refuses a scheme
-whose draw shape depends on its drawn values (TranscriptError).
+K_{2,3} star composition), so each distinct point is built and viewed
+once per theta (_tally). Every tier refuses a scheme whose draw shape
+depends on its drawn values (TranscriptError).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -86,6 +94,7 @@ from .rng import (
     BudgetExceeded,
     ReplaySource,
     SeededSource,
+    domain_size,
     draw_point,
     enumerate_sources,
     record_shape,
@@ -118,21 +127,57 @@ def _seed_for(base_seed, theta, tag: str) -> str:
     return "%s/%d.%d/%s" % (base_seed, theta.edge, theta.copy, tag)
 
 
-def _transcript_checks(scheme, g: GraphSpec, seeds: Sequence, names: Sequence[str]):
-    """([CheckResult per name], rate): the checks `names` applied to one
-    seeded transcript per theta and seed, theta-major, each failing at
-    its own first failing transcript. Each transcript is built with
-    canonical_order=False, its wire in construction order, which no
-    check reads. reliability: symbolic zero-error decoding and decoding
-    of two random stores; srp: theta's fresh bits split evenly between
-    its two servers; rate: within every applicable exact upper bound.
-    rate is the largest rate measured, or the failing one (None unless
-    rate is named)."""
-    name, run = resolve_scheme(scheme, g)
+def _tally(build, shape, sources, view, servers: int):
+    """(one Counter of `view` per server, runs): the counts of running
+    `build`, whose draw shape is `shape` (record_shape), once per source
+    of `sources`, over `servers` servers. Callers name the view (say
+    server_pattern) at call time, never in a default or a table, so a
+    rebinding of the module attribute, as a tracer does, sees every call.
+
+    Each distinct point of the scheme's own draws is built and viewed
+    once: each source gives up one value per draw of the shape in the
+    order the run would draw them (draw_point), and the points are
+    tallied; then each point runs the scheme on a replay of its values,
+    which must draw exactly that shape (a run that draws past them or
+    leaves some undrawn is refused), and its views count as often as it
+    was drawn. An empty shape is one point, tallied once per source
+    without drawing.
+    """
+    tally = (Counter(draw_point(src, shape) for src in sources) if shape
+             else Counter({(): sum(1 for _ in sources)}))
+    counters = [Counter() for _ in range(servers)]
+    for point, k in tally.items():
+        replay = ReplaySource(shape, point)
+        t = build(replay)
+        replay.finish()
+        for c, server in zip(counters, t.requests):
+            c[view(server)] += k
+    return counters, sum(tally.values())
+
+
+def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None = None,
+          seeds: Sequence = (0,), samples: int = DEFAULT_SAMPLES,
+          tolerance: float = DEFAULT_TOLERANCE):
+    """(name, results, rate) of one walk over all_thetas(g) (see the
+    module docstring). results maps each of `checks`, theta-major over
+    `seeds` and each failing at its own first failing transcript, and
+    "privacy" when `privacy` names a mode, to its CheckResult. The
+    checks: reliability, symbolic zero-error decoding and decoding of
+    two random stores; srp, theta's fresh bits split evenly between its
+    two servers; rate, within every applicable exact upper bound. rate
+    is the largest rate measured, or the failing one (None unless rate
+    is checked)."""
     seeds = list(seeds)
-    if not seeds:
+    if not seeds and (checks or privacy in ("auto", "structural")):
         raise ValueError("need at least one seed")
-    bounds = exact_entries(bound_report(g), "upper") if "rate" in names else []
+    if privacy not in (None,) + PRIVACY_MODES:
+        raise ValueError("unknown privacy mode %r" % privacy)
+    if privacy == "statistical" and samples < 10_000:
+        raise ValueError("need at least 10^4 samples")
+    if privacy == "statistical" and not 0 <= tolerance < 1:
+        raise ValueError("tolerance must be in [0, 1), got %r" % tolerance)
+    name, run = resolve_scheme(scheme, g)
+    bounds = exact_entries(bound_report(g), "upper") if "rate" in checks else []
     rates = []
 
     def reliability(t, theta, seed):
@@ -160,66 +205,74 @@ def _transcript_checks(scheme, g: GraphSpec, seeds: Sequence, names: Sequence[st
                 return ("measured rate %s exceeds bound %s (%s)"
                         % (rates[-1], e.value, e.source), {})
 
+    def tally(theta):
+        build, shape = kept[theta]
+        if tier == "exact":
+            sources = enumerate_sources(shape, EXACT_BUDGET)
+        elif tier == "structural":
+            sources = (SeededSource(_seed_for(seed, theta, "struct")) for seed in seeds)
+        else:
+            sources = itertools.repeat(SeededSource(_seed_for(0, theta, "stat")), samples)
+        return _tally(build, shape, sources, server_pattern, g.n_vertices)
+
     faults = {"reliability": reliability, "srp": srp, "rate": rate}
-    failed = {}
-    for theta, seed in itertools.product(all_thetas(g), seeds):
-        t = run(g, theta, SeededSource(_seed_for(seed, theta, "rel")), canonical_order=False)
-        for check in names:
-            if check not in failed and (fault := faults[check](t, theta, seed)):
-                failed[check] = CheckResult(
-                    check, False, fault[0], {"scheme": name, "theta": theta, **fault[1]})
-        if len(failed) == len(names):
-            break
+    tier = "exact" if privacy == "auto" else privacy
+    kept, dists, failed = {}, {}, {}  # kept: (build, draw shape) per theta
+    for theta in all_thetas(g):
+        if tier:
+            build = functools.partial(run, g, theta, identity_perms=True)
+            kept[theta] = build, record_shape(build)
+            try:
+                if tier == "exact":
+                    domain_size(kept[theta][1], EXACT_BUDGET)
+            except BudgetExceeded:
+                if privacy == "exact":
+                    raise
+                tier = "structural"
+                dists = {walked: tally(walked) for walked in dists}
+            dists[theta] = tally(theta)
+        for seed in seeds:
+            if len(failed) == len(checks):
+                break
+            t = run(g, theta, SeededSource(_seed_for(seed, theta, "rel")), canonical_order=False)
+            for check in checks:
+                if check not in failed and (fault := faults[check](t, theta, seed)):
+                    failed[check] = CheckResult(
+                        check, False, fault[0], {"scheme": name, "theta": theta, **fault[1]})
     top = rates[-1] if "rate" in failed else max(rates, default=None)
     passes = {
         "reliability": "all theta and seeds decode",
         "srp": "every theta splits evenly",
         "rate": "measured rate %s within all exact bounds" % top,
     }
-    return [failed.get(c) or CheckResult(c, True, passes[c]) for c in names], top
+    results = {c: failed.get(c) or CheckResult(c, True, passes[c]) for c in checks}
+    if tier:
+        results["privacy"] = _privacy_check(tier, name, dists, len(seeds), samples, tolerance)
+    return name, results, top
+
+
+def _privacy_check(tier: str, name: str, dists, seeds: int, samples: int,
+                   tolerance: float) -> CheckResult:
+    """The CheckResult of privacy tier `tier` on the pattern
+    distributions `dists` of scheme `name`."""
+    passed, tv, at = _verdict(dists, tolerance if tier == "statistical" else 0)
+    witness = {} if passed else {"scheme": name, **at}
+    if tier == "statistical":
+        detail = "max TV %.5f (tolerance %g, %d samples)" % (tv, tolerance, samples)
+        witness = {"scheme": name, "max_tv": tv, **at}
+    elif tier == "exact":
+        detail = ("distributions identical across %d theta values (%d quotient points)"
+                  % (len(dists), sum(n for _, n in dists.values())) if passed
+                  else "query distribution depends on theta (orbit invariant differs)")
+    else:
+        detail = ("patterns theta-invariant over %d seeds" % seeds if passed
+                  else "pattern multiset depends on theta")
+    return CheckResult("privacy-" + tier, passed, detail, witness)
 
 
 def verify_reliability(scheme, g: GraphSpec, seeds: Sequence = range(10)) -> CheckResult:
-    """Zero-error decoding over all theta and seeds (_transcript_checks)."""
-    return _transcript_checks(scheme, g, seeds, ["reliability"])[0][0]
-
-
-def _distributions(run, g: GraphSpec, view, sources, **run_kw):
-    """({theta: (one Counter of `view` per server, runs)}, runs in all),
-    with the counts of running `run` (with `run_kw`) once per source that
-    `sources(theta, shape)` yields. Callers name the view (say
-    server_pattern) at call time, never in a default or a table, so a
-    rebinding of the module attribute, as a tracer does, sees every call.
-
-    Each distinct point of the scheme's own draws is built and viewed
-    once per theta: the draw shape is learned once (record_shape), each
-    source gives up one value per draw of it in the order the run would
-    draw them (draw_point), and the points are tallied; then each point
-    runs the scheme on a replay of its values, which must draw exactly
-    that shape (a run that draws past them or leaves some undrawn is
-    refused), and its views count as often as it was drawn. An empty
-    shape is one point, tallied once per source without drawing. The
-    tally holds at most one entry per distinct point and is dropped after
-    each theta.
-    """
-    dists = {}
-    for theta in all_thetas(g):
-        def build(src, theta=theta):
-            return run(g, theta, src, **run_kw)
-
-        shape = record_shape(build)
-        srcs = sources(theta, shape)
-        tally = (Counter(draw_point(src, shape) for src in srcs) if shape
-                 else Counter({(): sum(1 for _ in srcs)}))
-        counters = [Counter() for _ in range(g.n_vertices)]
-        for point, k in tally.items():
-            replay = ReplaySource(shape, point)
-            t = build(replay)
-            replay.finish()
-            for c, server in zip(counters, t.requests):
-                c[view(server)] += k
-        dists[theta] = counters, sum(tally.values())
-    return dists, sum(n for _, n in dists.values())
+    """Zero-error decoding over all theta and seeds (see _walk)."""
+    return _walk(scheme, g, ["reliability"], seeds=seeds)[1]["reliability"]
 
 
 def _compare(dists, tolerance: float = 0):
@@ -312,23 +365,7 @@ def verify_privacy_exact(scheme, g: GraphSpec) -> CheckResult:
     enumerating every point of the scheme's own draws under identity
     file permutations. Raises BudgetExceeded when those points number
     more than EXACT_BUDGET for some theta."""
-    name, run = resolve_scheme(scheme, g)
-    dists, points = _distributions(
-        run, g, server_pattern, lambda theta, shape: enumerate_sources(shape, EXACT_BUDGET),
-        identity_perms=True,
-    )
-    passed, _, at = _verdict(dists)
-    if passed:
-        return CheckResult(
-            "privacy-exact", True,
-            "distributions identical across %d theta values (%d quotient points)"
-            % (len(dists), points),
-        )
-    return CheckResult(
-        "privacy-exact", False,
-        "query distribution depends on theta (orbit invariant differs)",
-        {"scheme": name, **at},
-    )
+    return verify_privacy(scheme, g, "exact")
 
 
 def verify_privacy_structural(
@@ -336,25 +373,7 @@ def verify_privacy_structural(
 ) -> CheckResult:
     """Per-server pattern multisets must be identical across theta (over
     the same number of seeds)."""
-    name, run = resolve_scheme(scheme, g)
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-
-    def seeded(theta, shape):
-        return (SeededSource(_seed_for(seed, theta, "struct")) for seed in seeds)
-
-    dists, _ = _distributions(run, g, server_pattern, seeded, identity_perms=True)
-    passed, _, at = _verdict(dists)
-    if not passed:
-        return CheckResult(
-            "privacy-structural", False, "pattern multiset depends on theta",
-            {"scheme": name, **at},
-        )
-    return CheckResult(
-        "privacy-structural", True,
-        "patterns theta-invariant over %d seeds" % len(seeds),
-    )
+    return verify_privacy(scheme, g, "structural", seeds=seeds)
 
 
 def tv_distance(p: Counter, q: Counter, n_p: int, n_q: int) -> float:
@@ -369,22 +388,7 @@ def verify_privacy_statistical(
 ) -> CheckResult:
     """Empirical per-server pattern distributions per theta, compared by
     max pairwise total-variation distance."""
-    if samples < 10_000:
-        raise ValueError("need at least 10^4 samples")
-    if not 0 <= tolerance < 1:
-        raise ValueError("tolerance must be in [0, 1), got %r" % tolerance)
-    name, run = resolve_scheme(scheme, g)
-
-    def sampled(theta, shape):
-        return itertools.repeat(SeededSource(_seed_for(0, theta, "stat")), samples)
-
-    dists, _ = _distributions(run, g, server_pattern, sampled, identity_perms=True)
-    passed, worst, worst_at = _verdict(dists, tolerance)
-    return CheckResult(
-        "privacy-statistical", passed,
-        "max TV %.5f (tolerance %g, %d samples)" % (worst, tolerance, samples),
-        {"scheme": name, "max_tv": worst, **worst_at},
-    )
+    return verify_privacy(scheme, g, "statistical", samples, tolerance)
 
 
 def verify_privacy(
@@ -395,29 +399,18 @@ def verify_privacy(
     tolerance: float = DEFAULT_TOLERANCE,
     seeds: Sequence = range(20),
 ) -> CheckResult:
-    if mode == "exact":
-        return verify_privacy_exact(scheme, g)
-    if mode == "structural":
-        return verify_privacy_structural(scheme, g, seeds)
-    if mode == "statistical":
-        return verify_privacy_statistical(scheme, g, samples, tolerance)
-    if mode == "auto":
-        try:
-            return verify_privacy_exact(scheme, g)
-        except BudgetExceeded:
-            return verify_privacy_structural(scheme, g, seeds)
-    raise ValueError("unknown privacy mode %r" % mode)
+    return _walk(scheme, g, (), mode, seeds, samples, tolerance)[1]["privacy"]
 
 
 def verify_srp(scheme, g: GraphSpec, seeds: Sequence = range(5)) -> CheckResult:
-    return _transcript_checks(scheme, g, seeds, ["srp"])[0][0]
+    return _walk(scheme, g, ["srp"], seeds=seeds)[1]["srp"]
 
 
 def verify_rate(scheme, g: GraphSpec) -> tuple[CheckResult, Fraction]:
     """The measured rate at every theta against every applicable exact
     upper bound; returns the check and the largest rate measured."""
-    (check,), rate = _transcript_checks(scheme, g, [0], ["rate"])
-    return check, rate
+    _, results, rate = _walk(scheme, g, ["rate"])
+    return results["rate"], rate
 
 
 @dataclass
@@ -464,8 +457,6 @@ def verify_scheme(
     tolerance: float = DEFAULT_TOLERANCE,
     seeds: Sequence = range(10),
 ) -> VerifyReport:
-    name, _ = resolve_scheme(scheme, g)
-    seeds = list(seeds)
-    (rel, srp, rate), _ = _transcript_checks(scheme, g, seeds, ["reliability", "srp", "rate"])
-    privacy_check = verify_privacy(scheme, g, privacy, samples, tolerance, seeds)
-    return VerifyReport(name, g, [rel, privacy_check, srp, rate])
+    name, results, _ = _walk(scheme, g, ["reliability", "srp", "rate"], privacy, seeds,
+                             samples, tolerance)
+    return VerifyReport(name, g, [results[c] for c in ("reliability", "privacy", "srp", "rate")])

@@ -128,7 +128,7 @@ def test_verify_scheme_builds_each_seeded_transcript_once(monkeypatch):
 
 
 @pytest.mark.parametrize("seeds", (range(1), range(3)))
-def test_complete_template_is_built_once_per_theta_pass(monkeypatch, seeds):
+def test_complete_template_is_built_once_per_verify(monkeypatch, seeds):
     built = Counter()
     original = complete.build_families
 
@@ -140,10 +140,33 @@ def test_complete_template_is_built_once_per_theta_pass(monkeypatch, seeds):
     complete._template.cache_clear()
     g = parse_graph("complete:5")
     assert verify_scheme("auto", g, seeds=seeds).passed
-    # every transcript of every theta and seed runs from the one template
-    # of its desired pair, built once in the checks' theta pass and once
-    # in the privacy theta pass (the exact tier learns theta 1's draw
-    # shape before it gives way to the structural tier, and that build's
-    # template is the first the structural pass reads)
-    assert built == Counter({(5, i, ip): 2 for i, ip in g.edges})
-    assert sum(built.values()) == 20
+    # every transcript of every theta and seed, the privacy tier's and
+    # the checks' alike, runs from the one template of its desired pair,
+    # built once in the single theta pass
+    assert built == Counter({(5, i, ip): 1 for i, ip in g.edges})
+    assert sum(built.values()) == 10
+
+
+def test_lift_stage_table_is_built_once_per_theta():
+    g = parse_graph("complete:3^2")
+    lift._stage_table.cache_clear()
+    assert verify_scheme("auto", g, seeds=range(3)).passed
+    assert lift._stage_table.cache_info().misses == len(all_thetas(g)) == 6
+
+
+def test_verify_scheme_resolves_the_scheme_once(monkeypatch):
+    import graphpir.verify as verify
+
+    calls = 0
+
+    def counted(scheme, g):
+        nonlocal calls
+        calls += 1
+        return resolve_scheme(scheme, g)
+
+    monkeypatch.setattr(verify, "resolve_scheme", counted)
+    for privacy in ("auto", "structural"):
+        calls = 0
+        assert verify_scheme("auto", parse_graph("complete:5"), privacy=privacy,
+                             seeds=range(1)).passed
+        assert calls == 1

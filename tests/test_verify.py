@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import time
 from collections import Counter, defaultdict
 
@@ -21,6 +22,7 @@ from graphpir.rng import (
     domain_size,
     draw_point,
     enumerate_sources,
+    record_shape,
 )
 from graphpir.runner import all_thetas, resolve_scheme
 from graphpir.schemes import compose_stars, path_scheme
@@ -28,9 +30,9 @@ from graphpir.verify import (
     EXACT_BUDGET,
     _colour_classes,
     _compare,
-    _distributions,
-    _transcript_checks,
+    _tally,
     _verdict,
+    _walk,
     tv_distance,
     verify_privacy,
     verify_privacy_exact,
@@ -134,7 +136,7 @@ def test_reliability_catches_a_wrong_end_to_end_decode(monkeypatch):
         return (1 - out[0],) + out[1:]
 
     monkeypatch.setattr(verify, "decode", flipped)
-    (c,), _ = _transcript_checks("path", build_family("path", [4]), [0], ["reliability"])
+    c = verify_reliability("path", build_family("path", [4]), seeds=[0])
     assert not c.passed
     assert c.detail == "end-to-end decode mismatch"
     assert c.witness["store"] == 0
@@ -275,12 +277,12 @@ def test_check_transcripts_do_not_read_the_wire_order(scheme, graph):
     # every wire first changes no result, no witness and no rate
     g = parse_graph(graph)
     names = ["reliability", "srp", "rate"]
-    unsorted = _transcript_checks(scheme, g, range(3), names)
-    assert _transcript_checks(_canonical(scheme, g), g, range(3), names) == unsorted
+    unsorted = _walk(scheme, g, names, seeds=range(3))
+    assert _walk(_canonical(scheme, g), g, names, seeds=range(3)) == unsorted
     if scheme is compose_stars_drop_request:
         # its victim, min(plan[0]), moves with the wire order, and
         # reliability still fails on the first transcript
-        rel = unsorted[0][0]
+        rel = unsorted[1]["reliability"]
         assert (rel.passed, rel.detail) == (False, "symbolic decode failed")
         assert rel.witness["theta"] == FileId(1, 1) and rel.witness["seed"] == 0
 
@@ -316,11 +318,22 @@ CROSS_VALIDATION = (
 )
 
 
+def _per_theta(run, g, view, sources, **run_kw):
+    """{theta: _tally of `view` over the sources `sources(theta, shape)`},
+    each run as run(g, theta, source, **run_kw)."""
+    dists = {}
+    for theta in all_thetas(g):
+        build = functools.partial(run, g, theta, **run_kw)
+        shape = record_shape(build)
+        dists[theta] = _tally(build, shape, sources(theta, shape), view, g.n_vertices)
+    return dists
+
+
 def _sweep(run, g, view, **run_kw):
     """(differs, witness) of `view` over every point of the randomness
     space of `run`, file permutations included unless `run_kw` drops
     them."""
-    dists, _ = _distributions(
+    dists = _per_theta(
         run, g, view, lambda theta, shape: enumerate_sources(shape, 1 << 20), **run_kw,
     )
     differs, _, at = _compare(dists)
@@ -572,11 +585,10 @@ MEMO_CASES = [
 def test_memoised_counts_equal_a_run_per_source(scheme, graph):
     g = parse_graph(graph)
     _, run = resolve_scheme(scheme, g)
-    dists, runs = _distributions(
+    dists = _per_theta(
         run, g, server_pattern, lambda theta, shape: _sources(theta), identity_perms=True,
     )
     assert dists == _direct_counts(run, g)
-    assert runs == 210 * len(all_thetas(g))
 
 
 def test_statistical_scheme_runs_do_not_grow_with_samples():
@@ -647,5 +659,70 @@ def test_family_members_pass_the_transcript_checks(member, seed):
     # upper bound, on one seeded transcript per theta
     family, params, r = member
     g = build_family(family, params, r)
-    checks, _ = _transcript_checks("auto", g, [seed], ["reliability", "srp", "rate"])
-    assert all(c.passed for c in checks), [c.to_dict() for c in checks]
+    _, checks, _ = _walk("auto", g, ["reliability", "srp", "rate"], seeds=[seed])
+    assert all(c.passed for c in checks.values()), [c.to_dict() for c in checks.values()]
+
+
+def _counting(scheme):
+    """A runner that counts its builds in `.builds`, else `scheme`."""
+    def counted(g, theta, rng, **kw):
+        counted.builds += 1
+        return scheme(g, theta, rng, **kw)
+
+    counted.builds = 0
+    return counted
+
+
+@pytest.mark.parametrize("mode,kwargs,message", [
+    ("statistical", {"samples": 100}, "need at least 10^4 samples"),
+    ("statistical", {"samples": 10_000, "tolerance": 1},
+     "tolerance must be in [0, 1), got 1"),
+    ("bogus", {}, "unknown privacy mode 'bogus'"),
+    ("structural", {"seeds": range(0)}, "need at least one seed"),
+])
+def test_bad_privacy_arguments_are_refused_before_any_build(mode, kwargs, message):
+    g = parse_graph("complete:5")
+    run = _counting(resolve_scheme("auto", g)[1])
+    for verify in (lambda: verify_scheme(run, g, privacy=mode, **kwargs),
+                   lambda: verify_privacy(run, g, mode, **kwargs)):
+        with pytest.raises(ValueError) as exc:
+            verify()
+        assert str(exc.value) == message
+    assert run.builds == 0
+
+
+def test_exact_refusal_costs_one_build():
+    g = parse_graph("complete:5")
+    run = _counting(resolve_scheme("auto", g)[1])
+    with pytest.raises(BudgetExceeded) as exc:
+        verify_scheme(run, g, privacy="exact")
+    assert str(exc.value) == "randomness space exceeds the budget of %d points" % EXACT_BUDGET
+    # theta 1's draw shape, learned before any check transcript
+    assert run.builds == 1
+
+
+def _budget_passed_at_theta_2(g, theta, rng, **kw):
+    """The path scheme after 11 extra coin flips per edge past the first:
+    its own draws fit EXACT_BUDGET at theta 1 and pass it at theta 2."""
+    for _ in range(11 * (theta.edge - 1)):
+        rng.choice_index(2)
+    return path_scheme(g, theta, rng, **kw)
+
+
+def test_auto_falls_back_to_structural_at_a_later_theta():
+    g = parse_graph("path:4")
+    first, second = all_thetas(g)[:2]
+    shapes = [record_shape(functools.partial(_budget_passed_at_theta_2, g, theta,
+                                             identity_perms=True))
+              for theta in (first, second)]
+    assert domain_size(shapes[0], EXACT_BUDGET) <= EXACT_BUDGET
+    with pytest.raises(BudgetExceeded):
+        domain_size(shapes[1], EXACT_BUDGET)
+    rep = verify_scheme(_budget_passed_at_theta_2, g, privacy="auto", seeds=range(4))
+    assert rep.checks[1] == verify_privacy_structural(_budget_passed_at_theta_2, g,
+                                                      seeds=range(4))
+    assert rep.checks[1].to_dict() == {
+        "check": "privacy-structural", "passed": True,
+        "detail": "patterns theta-invariant over 4 seeds", "witness": {},
+    }
+    assert verify_privacy(_budget_passed_at_theta_2, g, seeds=range(4)) == rep.checks[1]
