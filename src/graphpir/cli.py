@@ -48,15 +48,23 @@ def parse_theta(text: str) -> FileId:
         raise UsageError("bad theta %r (use E or E.J)" % text) from exc
 
 
-def default_seed() -> int:
-    return int(os.environ.get("GRAPHPIR_SEED", "0"))
+def seed_of(args) -> int:
+    """--seed, or else GRAPHPIR_SEED (default 0), read only by the
+    subcommands that draw."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("GRAPHPIR_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError("GRAPHPIR_SEED must be an integer, got %r" % text) from None
 
 
 def cmd_run(args) -> int:
     g = parse_graph(args.graph)
     _name, run = resolve_scheme(args.scheme, g)
     theta = parse_theta(args.theta)
-    t = run(g, theta, SeededSource(args.seed))
+    t = run(g, theta, SeededSource(seed_of(args)))
     print(dump_transcript(t))
     print("rate %s" % measured_rate(t))
     return 0
@@ -141,7 +149,8 @@ def cmd_sweep(args) -> int:
         raise UsageError(
             "sweep capped at N <= %d, r <= %d" % (SWEEP_N_CAP, SWEEP_R_CAP)
         )
-    graphs = []  # all built first, so a bad range writes nothing
+    seed = seed_of(args)
+    graphs = []  # all built first, so a bad range or seed writes nothing
     for n in range(args.n_min, args.n_max + 1):
         params = [n, n] if args.family == "complete_bipartite" else [n]
         for r in range(args.r_min, args.r_max + 1):
@@ -155,7 +164,7 @@ def cmd_sweep(args) -> int:
             name, run = resolve_scheme("auto", g)
             # the rate reads only L and the request count, which neither
             # the file permutations nor the wire order can change
-            t = run(g, all_thetas(g)[0], SeededSource(args.seed),
+            t = run(g, all_thetas(g)[0], SeededSource(seed),
                     identity_perms=True, canonical_order=False)
             rate = str(measured_rate(t))
         except SchemeError:
@@ -179,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("auto",) + SCHEME_NAMES)
     run.add_argument("--graph", required=True)
     run.add_argument("--theta", default="1")
-    run.add_argument("--seed", type=int, default=default_seed())
+    run.add_argument("--seed", type=int)
     run.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify", help="verify a scheme on a graph")
@@ -211,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--n-max", type=int, default=8)
     sw.add_argument("--r-min", type=int, default=1)
     sw.add_argument("--r-max", type=int, default=1)
-    sw.add_argument("--seed", type=int, default=default_seed())
+    sw.add_argument("--seed", type=int)
     sw.set_defaults(func=cmd_sweep)
     return p
 

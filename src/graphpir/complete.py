@@ -14,14 +14,12 @@ needs is fixed by the desired pair (i, i') and the file symbols, and
 built once from the pair's subset families in one pass over the servers
 (`_template`, the last KERNEL_TEMPLATES kept): every draw-free sigma
 entry, each server's pooled subsets with the free indices they are
-drawn from, the pair-bit indices, and for both orientations every
-request whose index no draw changes with its plan, the -1 run oriented
-by the involution tau. A pooled subset sits at a server outside
-{i, i'}, so its form never carries the desired symbol and tau never
-moves it; it is a slot that a run fills after drawing the pools and
-checking the drawn sigma. Each server's request layout, its nonempty
-neighbourhood subsets with their edges, is one object shared by every
-pair on K_n (`_server`).
+drawn from, the pair-bit indices, the requests with their plan, and the
+half-swapping involution tau that the lift flips its stages by. A
+pooled subset's request is a slot that a run fills after drawing the
+pools and checking the drawn sigma. Each server's request layout, its
+nonempty neighbourhood subsets with their edges, is one object shared
+by every pair on K_n (`_server`).
 """
 from __future__ import annotations
 
@@ -118,10 +116,10 @@ def complete_downloads_per_server(n: int) -> int:
     return 2 ** (n - 1) + 2 ** (n - 3) - 1
 
 
-# Kernel templates kept alive at once. One entry holds both orientations
-# of a desired pair, which a lift's stage runs alternate, and every
-# caller builds theta by theta, so one template hits almost every time,
-# and keeping more would only hold memory.
+# Kernel templates kept alive at once. One entry holds a desired pair's
+# run and its involution, and every caller builds theta by theta, so one
+# template hits almost every time, and keeping more would only hold
+# memory.
 KERNEL_TEMPLATES = 1
 
 
@@ -140,10 +138,11 @@ class _Template:
     # pools[j-1] = (pooled positions k in lex_key order, free indices)
     pools: tuple
     pair_bits: tuple  # pair_bits[j-1]: pair-bit indices in bij.pairs order
-    # runs[orientation] = ((server, form) per request in run order, plan),
-    # already oriented, read only; a pooled subset's request is an empty
-    # placeholder
-    runs: dict
+    # (server, form) per request in run order, read only; a pooled
+    # subset's request is an empty placeholder
+    requests: tuple
+    plan: tuple
+    tau: tuple  # the half-swapping involution, tau[m-1] = tau(m)
     # (position in requests, server j, subset index k in sigma[j-1],
     # the symbols of the subset's edges) per pooled subset
     slots: tuple
@@ -152,15 +151,12 @@ class _Template:
 @functools.lru_cache(maxsize=KERNEL_TEMPLATES)
 def _template(n: int, i: int, i_prime: int, symbols: tuple) -> _Template:
     """The draw-free part of a run, following the construction's
-    equations, with `symbols` given in _edges(n) order. Orienting leaves
-    the placeholders as they are: tau moves only the desired symbol's
-    positions, which no pooled form carries."""
+    equations, with `symbols` given in _edges(n) order."""
     bij = build_families(n, i, i_prime)
     half = 2 ** (n - 1)
     quarter = 2 ** (n - 3)
     L = complete_length(n)
     symbol = dict(zip(_edges(n), symbols))
-    theta_symbol = symbol[frozenset({i, i_prime})]
     # varphi of the pair class of each subset of [n] - {i, i'}
     pair_index = {q: bij.varphi[rep] for rep, p2 in bij.pairs for q in (rep, p2)}
 
@@ -181,7 +177,7 @@ def _template(n: int, i: int, i_prime: int, symbols: tuple) -> _Template:
         return None  # drawn from the leftover pool
 
     fixed, pools, pair_bits, slots = [], [], [], []
-    plus = []  # (server, form) per request of a +1 run, in run order
+    requests = []  # (server, form) per request, in run order
     subset_req: dict[tuple[int, frozenset], int] = {}  # request positions
     pair_req: dict[tuple[int, frozenset], int] = {}
     for j in range(1, n + 1):
@@ -197,17 +193,16 @@ def _template(n: int, i: int, i_prime: int, symbols: tuple) -> _Template:
         pools.append((tuple(pooled), free))
         pair_bits.append(bits)
         for k, (p, idx, edges) in enumerate(zip(server.subsets, sj, server.edges)):
-            subset_req[(j, p)] = len(plus)
+            subset_req[(j, p)] = len(requests)
             syms = [symbol[e] for e in edges]
             if idx is None:
-                assert j not in (i, i_prime) and theta_symbol not in syms
-                slots.append((len(plus), j, k, tuple(syms)))
-                plus.append((j, frozenset()))
+                slots.append((len(requests), j, k, tuple(syms)))
+                requests.append((j, frozenset()))
             else:
-                plus.append((j, frozenset([(sym, idx) for sym in syms])))
+                requests.append((j, frozenset([(sym, idx) for sym in syms])))
         for (rep, _p2), idx in zip(bij.pairs, bits):
-            pair_req[(j, rep)] = len(plus)
-            plus.append((j, frozenset([(symbol[e], idx) for e in server.nbr_edges])))
+            pair_req[(j, rep)] = len(requests)
+            requests.append((j, frozenset([(symbol[e], idx) for e in server.nbr_edges])))
 
     plan: list[frozenset] = [frozenset()] * L
     for t in range(1, half + 1):
@@ -241,24 +236,17 @@ def _template(n: int, i: int, i_prime: int, symbols: tuple) -> _Template:
                 entry.add(pair_req[(jj, rep)])
         plan[v + quarter - 1] = frozenset(entry)
 
-    # tau, the half-swapping involution of an orientation -1 run
+    # tau pairs the targets hosted at i (the phi targets whose subset
+    # holds i, then the middle range) with those hosted at i' in order
     side_i = [t for t in range(1, half + 1) if i in bij.phi_inv[t - 1]]
     side_i += list(range(half + 1, half + quarter + 1))
     side_ip = [t for t in range(1, half + 1) if i_prime in bij.phi_inv[t - 1]]
     side_ip += list(range(half + quarter + 1, L + 1))
-    tau = {}
+    tau = [0] * L
     for a, b in zip(sorted(side_i), sorted(side_ip)):
-        tau[a] = b
-        tau[b] = a
-    # a -1 run moves the desired symbol's index by tau, so only forms at
-    # servers i and i' change, and recovers target tau(m) where a +1 run
-    # recovers m
-    minus = tuple(
-        (j, frozenset([(sym, tau[m] if sym == theta_symbol else m) for sym, m in form]))
-        if j in (i, i_prime) else (j, form) for j, form in plus)
-    runs = {1: (tuple(plus), tuple(plan)),
-            -1: (minus, tuple(plan[tau[m] - 1] for m in range(1, L + 1)))}
-    return _Template(tuple(fixed), tuple(pools), tuple(pair_bits), runs, tuple(slots))
+        tau[a - 1], tau[b - 1] = b, a
+    return _Template(tuple(fixed), tuple(pools), tuple(pair_bits), tuple(requests),
+                     tuple(plan), tuple(tau), tuple(slots))
 
 
 def _draw_sigma(n: int, tpl: _Template, rng: RandomSource) -> list[list[int]]:
@@ -294,7 +282,6 @@ def complete_kernel(
     i_prime: int,
     symbols: dict,
     rng: RandomSource,
-    orientation: int = 1,
 ) -> KernelRun:
     """One run of the complete-graph scheme on K_n.
 
@@ -303,9 +290,14 @@ def complete_kernel(
     """
     tpl = _template(n, i, i_prime, tuple(symbols[e] for e in _edges(n)))
     sigma = _draw_sigma(n, tpl, rng)
-    requests, plan = tpl.runs[orientation]
-    requests = list(requests)
+    requests = list(tpl.requests)
     for pos, j, k, syms in tpl.slots:
         idx = sigma[j - 1][k]
         requests[pos] = (j, frozenset([(sym, idx) for sym in syms]))
-    return KernelRun(tuple(requests), plan)
+    return KernelRun(tuple(requests), tpl.plan)
+
+
+def complete_tau(n: int, i: int, i_prime: int, symbols: dict) -> tuple:
+    """The half-swapping involution of the pair's runs, tau[m-1] = tau(m),
+    read from the pair's template."""
+    return _template(n, i, i_prime, tuple(symbols[e] for e in _edges(n))).tau

@@ -23,6 +23,16 @@ class FileId(NamedTuple):
     copy: int
 
 
+def file_ids(graph: GraphSpec) -> list[FileId]:
+    """Every file of graph in FileId order: edge by edge, each edge's
+    copies in turn."""
+    return [
+        FileId(e, c)
+        for e in range(1, graph.n_base_edges + 1)
+        for c in range(1, graph.multiplicity + 1)
+    ]
+
+
 # A coordinate is (FileId, bit index); a form is a frozenset of them.
 LinearForm = frozenset
 
@@ -93,16 +103,11 @@ def assemble_transcript(
     for target t' must XOR to position t' of the desired file.
     """
     L = file_length
-    file_ids = [
-        FileId(e, c)
-        for e in range(1, graph.n_base_edges + 1)
-        for c in range(1, graph.multiplicity + 1)
-    ]
     if identity_perms:
         ident = tuple(range(1, L + 1))
-        perms = {f: ident for f in file_ids}
+        perms = {f: ident for f in file_ids(graph)}
     else:
-        perms = {f: rng.permutation(L) for f in file_ids}
+        perms = {f: rng.permutation(L) for f in file_ids(graph)}
 
     per_server: list[list[tuple[LinearForm, int]]] = [
         [] for _ in range(graph.n_vertices)
@@ -154,10 +159,9 @@ def random_store(graph: GraphSpec, file_length: int, rng) -> dict:
     significant bit first as bits 1..L; rng is a random.Random."""
     fmt = "0%db" % file_length
     return {
-        FileId(e, c): tuple(
+        f: tuple(
             format(rng.getrandbits(file_length), fmt).encode().translate(_BIT_BYTES))
-        for e in range(1, graph.n_base_edges + 1)
-        for c in range(1, graph.multiplicity + 1)
+        for f in file_ids(graph)
     }
 
 

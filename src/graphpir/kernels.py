@@ -9,11 +9,6 @@ backs three uses: a standalone scheme (the forms are used as they are,
 then go through fresh uniform permutations), a composition part
 (positions get a repetition offset), and a lift stage instance (each
 symbol's edge names a virtual file that expands into real coordinates).
-
-Orientation selects which hosting server of the desired edge delivers
-which half of the file: -1 relabels the desired symbol's positions by
-the kernel's half-swapping involution. The lift needs both versions; for
-a standalone run the choice is absorbed by the uniform permutations.
 """
 from __future__ import annotations
 
@@ -29,29 +24,17 @@ class KernelRun:
     plan: tuple[frozenset, ...]
 
 
-def _orient(requests, plan, theta_symbol, tau: dict[int, int]) -> tuple[tuple, tuple]:
-    """Relabel the desired symbol's positions by the involution tau and
-    move the plan entries accordingly."""
-    new_requests = tuple(
-        (
-            server,
-            frozenset(
-                (sym, tau[m] if sym == theta_symbol else m) for sym, m in form
-            ),
-        )
-        for server, form in requests
-    )
-    new_plan = [None] * len(plan)
-    for m, entry in enumerate(plan, start=1):
-        new_plan[tau[m] - 1] = entry
-    return new_requests, tuple(new_plan)
+# The half-swapping involution of the path and star kernels, as
+# tau[m-1] = tau(m): the desired symbol's two positions trade places,
+# and so do the hosting servers that deliver them. The lift reads its
+# flipped stages through it.
+HALF_SWAP = (2, 1)
 
 
 def path_kernel(
     vertices: Sequence[int],
     symbols: Sequence,
     theta_pos: int,
-    orientation: int = 1,
 ) -> KernelRun:
     """One run of the path scheme on vertices in path order.
 
@@ -81,9 +64,6 @@ def path_kernel(
         frozenset(range(theta_pos)),
         frozenset(range(theta_pos, n)),
     )
-    theta_symbol = symbols[theta_pos - 1]
-    if orientation == -1:
-        requests, plan = _orient(requests, plan, theta_symbol, {1: 2, 2: 1})
     return KernelRun(tuple(requests), plan)
 
 
@@ -92,7 +72,6 @@ def star_kernel(
     leaves: Sequence[int],
     symbols: Sequence,
     theta_pos: int,
-    orientation: int = 1,
 ) -> KernelRun:
     """One run of the trivial star scheme.
 
@@ -113,7 +92,4 @@ def star_kernel(
         frozenset({0} | {i for i in range(1, len(leaves) + 1) if i != theta_pos}),
         frozenset({theta_pos}),
     )
-    theta_symbol = symbols[theta_pos - 1]
-    if orientation == -1:
-        requests, plan = _orient(requests, plan, theta_symbol, {1: 2, 2: 1})
     return KernelRun(tuple(requests), plan)

@@ -17,10 +17,14 @@ every copy t the blocks used by instances containing t are pairwise
 distinct; this keeps every per-file index reference fresh, which is what
 makes the per-server query patterns independent of theta.
 
-Each instance's base run is oriented so that the halves of the virtual
-desired file land on the right servers: instances with j in A beyond
-stage 1 run with the base orientation flipped. Block u(B) of the desired
-file is then decoded by XORing instance B union {j} against instance B.
+Every base run is built one way. The halves of the virtual desired file
+must land on the right servers, so the instances with j in A beyond
+stage 1 are flipped stages: they read their run through the kernel's
+half-swapping involution tau, which the kernel factory declares. A
+flipped stage relabels the desired symbol's position m to tau(m) as it
+expands coordinates, and takes target m from plan entry tau(m). Block
+u(B) of the desired file is then decoded by XORing instance B union {j}
+against instance B.
 """
 from __future__ import annotations
 
@@ -86,14 +90,14 @@ STAGE_TABLES = 1
 
 class _Stage(dict):
     """Stage instance A of the lift for one desired file (e, j): its
-    base orientation, its window offsets, and a map, filled as runs
-    reach them, from each kernel coordinate (symbol, m) to its tuple of
-    expanded storage coordinates."""
+    window offsets, and a map, filled as runs reach them, from each
+    kernel coordinate (symbol, m) to its tuple of expanded storage
+    coordinates. The desired symbol's position m is read as tau(m)."""
 
-    def __init__(self, subset, orientation, edge, desired, shared, file_id):
+    def __init__(self, subset, tau, edge, desired, shared, file_id):
         super().__init__()
         self.subset = subset
-        self.orientation = orientation
+        self.tau = tau  # the identity, or the kernel's involution if flipped
         self.edge = edge
         self.desired = desired  # (copy t, window offset) per desired block
         self.shared = shared  # window offset of every other file
@@ -102,6 +106,7 @@ class _Stage(dict):
     def __missing__(self, coord):
         sym, m = coord
         if sym.edge == self.edge:
+            m = self.tau[m - 1]
             out = tuple((self.file_id(self.edge, t), off + m) for t, off in self.desired)
         else:
             out = tuple(
@@ -112,13 +117,16 @@ class _Stage(dict):
 
 
 @functools.lru_cache(maxsize=STAGE_TABLES)
-def _stage_table(r: int, j: int, e: int, Lp: int) -> tuple[tuple, tuple]:
-    """The stages of a lift of desired file (e, j) with base length Lp,
-    in run order, and the plan merge: per block u(B), the stages whose
-    plans it XORs (B + {j}, and B unless B is empty) and the block's
-    window offset."""
+def _stage_table(r: int, j: int, e: int, tau: tuple) -> tuple[tuple, tuple]:
+    """The stages of a lift of desired file (e, j) whose base runs have
+    the involution tau (so base length len(tau)), in run order, and the
+    plan merge: per block u(B), the stages whose plans it XORs (B + {j},
+    and B unless B is empty), each with the plan index it reads for
+    each target, and the block's window offset."""
     bp = build_block_plan(r, j)
     file_id = functools.cache(FileId)
+    Lp = len(tau)
+    identity = tuple(range(1, Lp + 1))
     stages = []
     for size in range(1, r + 1):
         for c in sorted(itertools.combinations(range(1, r + 1), size)):
@@ -132,15 +140,16 @@ def _stage_table(r: int, j: int, e: int, Lp: int) -> tuple[tuple, tuple]:
                 desired = {t: bp.u[A - {t}] for t in A}
             stages.append(_Stage(
                 A,
-                -1 if (j in A and size > 1) else 1,
+                tau if (j in A and size > 1) else identity,
                 e,
                 tuple((t, (block - 1) * Lp) for t, block in desired.items()),
                 (bp.beta[A] - 1) * Lp,
                 file_id,
             ))
     at = {st.subset: k for k, st in enumerate(stages)}
+    reads = [tuple(m - 1 for m in st.tau) for st in stages]
     merge = tuple(
-        (tuple(at[A] for A in (B | {j}, B) if A), (block - 1) * Lp)
+        (tuple((at[A], reads[at[A]]) for A in (B | {j}, B) if A), (block - 1) * Lp)
         for B, block in bp.u.items()
     )
     return tuple(stages), merge
@@ -162,13 +171,13 @@ def lift_scheme(
     f = _theta_file(g, theta)
     e, j = f
     Lp = factory.length
-    stages, merge = _stage_table(r, j, e, Lp)
+    stages, merge = _stage_table(r, j, e, factory.tau(e))
 
     requests: list = []
     starts: list = []  # index in `requests` of each stage's first request
     plans: list = []
     for st in stages:
-        kr = factory.run(e, st.orientation, rng)
+        kr = factory.run(e, rng)
         starts.append(len(requests))
         plans.append(kr.plan)
         expand = st.__getitem__
@@ -181,6 +190,6 @@ def lift_scheme(
     for merged, off in merge:
         for m in range(Lp):
             plan[off + m] = frozenset(
-                starts[s] + k for s in merged for k in plans[s][m]
+                starts[s] + k for s, read in merged for k in plans[s][read[m]]
             )
     return assemble_transcript(g, len(plan), f, requests, plan, rng, **assemble_kw)

@@ -1,7 +1,7 @@
 """Name-based scheme dispatch shared by the CLI and the verifier."""
 from __future__ import annotations
 
-from .core import FileId
+from .core import file_ids
 from .graphs import GraphSpec, classify_family
 from .lift import lift_scheme
 from .schemes import (
@@ -66,9 +66,4 @@ def resolve_scheme(scheme, g: GraphSpec):
     return name, run
 
 
-def all_thetas(g: GraphSpec) -> list[FileId]:
-    return [
-        FileId(e, c)
-        for e in range(1, g.n_base_edges + 1)
-        for c in range(1, g.multiplicity + 1)
-    ]
+all_thetas = file_ids  # every file can be the desired one

@@ -1,10 +1,11 @@
 """Standalone schemes, edge-disjoint composition, and kernel factories.
 
 A kernel factory binds a base kernel kind to a set of a graph's base
-edges and can then produce kernel runs for any desired edge and
-orientation. `bind` is the one place where a scheme kind meets a graph:
-it validates the pair once and returns the scheme's factories, which
-standalone schemes, compositions and the lift all run from.
+edges and can then produce kernel runs for any desired edge, and name
+the half-swapping involution of those runs. `bind` is the one place
+where a scheme kind meets a graph: it validates the pair once and
+returns the scheme's factories, which standalone schemes, compositions
+and the lift all run from.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .graphs import (
     star_center,
     star_decomposition,
 )
-from .kernels import KernelRun, path_kernel, star_kernel
+from .kernels import HALF_SWAP, KernelRun, path_kernel, star_kernel
 from .rng import RandomSource
 
 
@@ -39,11 +40,15 @@ class KernelFactory:
     length: int
     edge_indices: tuple[int, ...]
     _runner: object
+    # tau(theta_edge): the half-swapping involution of that edge's runs,
+    # tau[m-1] = tau(m), where the desired file's positions m and tau(m)
+    # come from its two different hosting servers
+    tau: object
 
-    def run(self, theta_edge: int, orientation: int, rng: RandomSource) -> KernelRun:
+    def run(self, theta_edge: int, rng: RandomSource) -> KernelRun:
         if theta_edge not in self.edge_indices:
             raise SchemeError("edge %d not in this part" % theta_edge)
-        return self._runner(theta_edge, orientation, rng)
+        return self._runner(theta_edge, rng)
 
 
 def kernel_factory(
@@ -71,12 +76,10 @@ def kernel_factory(
         ]
         symbols = [FileId(e, 1) for e in path_edges]
 
-        def run(theta_edge, orientation, rng):
-            return path_kernel(
-                order, symbols, path_edges.index(theta_edge) + 1, orientation
-            )
+        def run(theta_edge, rng):
+            return path_kernel(order, symbols, path_edges.index(theta_edge) + 1)
 
-        return KernelFactory(2, edge_indices, run)
+        return KernelFactory(2, edge_indices, run, lambda theta_edge: HALF_SWAP)
 
     if kind == "star":
         sub = GraphSpec(g.n_vertices, tuple(pairs))
@@ -91,12 +94,10 @@ def kernel_factory(
         leaves = [leaf_of[e] for e in order]
         symbols = [FileId(e, 1) for e in order]
 
-        def run(theta_edge, orientation, rng):
-            return star_kernel(
-                center, leaves, symbols, order.index(theta_edge) + 1, orientation
-            )
+        def run(theta_edge, rng):
+            return star_kernel(center, leaves, symbols, order.index(theta_edge) + 1)
 
-        return KernelFactory(2, edge_indices, run)
+        return KernelFactory(2, edge_indices, run, lambda theta_edge: HALF_SWAP)
 
     if kind == "complete":
         n = len(vertices)
@@ -106,11 +107,13 @@ def kernel_factory(
             raise SchemeError("complete scheme needs N >= 3")
         symbols = {frozenset(p): FileId(e, 1) for p, e in zip(pairs, edge_indices)}
 
-        def run(theta_edge, orientation, rng):
-            i, ip = g.edge_endpoints(theta_edge)
-            return comp.complete_kernel(n, i, ip, symbols, rng, orientation)
+        def run(theta_edge, rng):
+            return comp.complete_kernel(n, *g.edge_endpoints(theta_edge), symbols, rng)
 
-        return KernelFactory(comp.complete_length(n), edge_indices, run)
+        def tau(theta_edge):
+            return comp.complete_tau(n, *g.edge_endpoints(theta_edge), symbols)
+
+        return KernelFactory(comp.complete_length(n), edge_indices, run, tau)
 
     raise SchemeError("unknown scheme kind %r" % kind)
 
@@ -170,12 +173,10 @@ def _run_bound(
     factories: Sequence[KernelFactory],
     theta,
     rng,
-    *,
-    orientation: int = 1,
     **assemble_kw,
 ) -> Transcript:
     """One transcript from bound factories, composed as `compose`
-    describes; every kernel runs with the given orientation."""
+    describes."""
     f = _theta_file(g, theta)
     L = math.lcm(*(fa.length for fa in factories))
 
@@ -188,7 +189,7 @@ def _run_bound(
         ]
         for rep in range(L // fa.length):
             off = rep * fa.length
-            kr = fa.run(target, orientation, rng)
+            kr = fa.run(target, rng)
             base_idx = len(requests)
             if off:
                 requests.extend(
@@ -205,27 +206,25 @@ def _run_bound(
     return assemble_transcript(g, L, f, requests, plan, rng, **assemble_kw)
 
 
-def _standalone(kind: str, g, theta, rng, orientation: int, **assemble_kw) -> Transcript:
+def _standalone(kind: str, g, theta, rng, **assemble_kw) -> Transcript:
     """One base kernel over all of g's base edges; theta is a FileId, an
     (edge, copy) pair or an edge index, as for every scheme."""
-    return _run_bound(
-        g, bind(kind, g), theta, rng, orientation=orientation, **assemble_kw
-    )
+    return _run_bound(g, bind(kind, g), theta, rng, **assemble_kw)
 
 
-def path_scheme(g, theta, rng, orientation: int = 1, **assemble_kw) -> Transcript:
+def path_scheme(g, theta, rng, **assemble_kw) -> Transcript:
     """Path scheme on the path graph g."""
-    return _standalone("path", g, theta, rng, orientation, **assemble_kw)
+    return _standalone("path", g, theta, rng, **assemble_kw)
 
 
-def star_scheme(g, theta, rng, orientation: int = 1, **assemble_kw) -> Transcript:
+def star_scheme(g, theta, rng, **assemble_kw) -> Transcript:
     """Trivial star scheme on the star graph g."""
-    return _standalone("star", g, theta, rng, orientation, **assemble_kw)
+    return _standalone("star", g, theta, rng, **assemble_kw)
 
 
-def complete_scheme(g, theta, rng, orientation: int = 1, **assemble_kw) -> Transcript:
+def complete_scheme(g, theta, rng, **assemble_kw) -> Transcript:
     """Complete-graph scheme on the complete graph g, N >= 3."""
-    return _standalone("complete", g, theta, rng, orientation, **assemble_kw)
+    return _standalone("complete", g, theta, rng, **assemble_kw)
 
 
 def compose(

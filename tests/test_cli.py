@@ -191,6 +191,18 @@ def test_seed_env_default(capsys, monkeypatch):
     assert a == b
 
 
+def test_bad_seed_env_is_a_usage_error_where_it_is_read(capsys, monkeypatch):
+    monkeypatch.setenv("GRAPHPIR_SEED", "abc")
+    for argv in (("run", "--graph", "path:3"), ("sweep", "--n-max", "3")):
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: GRAPHPIR_SEED must be an integer, got 'abc'\n")
+    # --seed wins over the variable, and no other subcommand reads it
+    assert run_cli(capsys, "run", "--graph", "path:3", "--seed", "0")[0] == 0
+    for argv in (("bounds", "--graph", "path:3"), ("table", "--name", "tableI"),
+                 ("verify", "--graph", "path:3", "--seeds", "1")):
+        assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_verifier_refusal_exits_3(capsys, monkeypatch):
     import graphpir.cli as cli
     from graphpir.core import TranscriptError

@@ -24,7 +24,7 @@ from graphpir.core import (
     xor_forms,
 )
 from graphpir.graphs import build_family, parse_graph
-from graphpir.kernels import KernelRun, _orient
+from graphpir.kernels import KernelRun
 from graphpir.mutants import MUTANTS
 from graphpir.rng import CanonicalSource, SeededSource
 from graphpir.runner import all_thetas, resolve_scheme
@@ -125,42 +125,6 @@ def test_complete_scheme_reads_a_tuple_theta_as_edge_and_copy():
     t = complete_scheme(g, (3, 1), SeededSource(0))
     assert t.theta == FileId(3, 1)
     assert symbolic_decode_check(t)
-
-
-@pytest.mark.parametrize("n", (3, 4))
-def test_complete_scheme_flipped_orientation_still_decodes(n):
-    g = build_family("complete", [n])
-    for e in range(1, g.n_base_edges + 1):
-        t = complete_scheme(g, e, SeededSource(e), orientation=-1)
-        assert symbolic_decode_check(t)
-        assert srp_attribution(t) == (complete_length(n) // 2,) * 2
-
-
-def test_orientation_swaps_srp_halves_per_target():
-    # with identity permutations the flipped run must attribute each
-    # individual target to the opposite hosting server
-    g = build_family("complete", [4])
-    t_pos = complete_scheme(g, 1, CanonicalSource(), identity_perms=True)
-    t_neg = complete_scheme(
-        g, 1, CanonicalSource(), identity_perms=True, orientation=-1
-    )
-
-    def holders(t):
-        out = []
-        for tp in range(1, t.file_length + 1):
-            fresh = (t.theta, tp)
-            out.append(
-                [
-                    s
-                    for s, p in t.decoding_plan[tp - 1]
-                    if fresh in t.requests[s - 1][p - 1]
-                ]
-            )
-        return out
-
-    hp, hn = holders(t_pos), holders(t_neg)
-    assert all(len(h) == 1 for h in hp + hn)
-    assert all(a != b for a, b in zip(hp, hn))
 
 
 # SHA-256 of the dumps in dump_digest, recorded before the draw-free
@@ -264,12 +228,11 @@ def test_sigma_checks_run_on_every_drawn_sigma(source, message):
         complete._draw_sigma(5, tpl, source(0))
 
 
-@pytest.mark.parametrize("orientation", (1, -1))
-def test_forms_use_the_symbols_of_each_call(orientation):
+def test_forms_use_the_symbols_of_each_call():
     ints = edge_symbols(5)
     names = edge_symbols(5, lambda k: "f%d" % k)
-    first = complete_kernel(5, 2, 4, ints, SeededSource(7), orientation)
-    second = complete_kernel(5, 2, 4, names, SeededSource(7), orientation)
+    first = complete_kernel(5, 2, 4, ints, SeededSource(7))
+    second = complete_kernel(5, 2, 4, names, SeededSource(7))
     assert second.plan == first.plan
     # each plan entry XORs to its position of the desired pair's symbol
     desired = names[frozenset({2, 4})]
@@ -283,11 +246,24 @@ def test_forms_use_the_symbols_of_each_call(orientation):
     assert {sym for _, form in second.requests for sym, _ in form} == set(names.values())
 
 
-def kernel_from_scratch(n, i, i_prime, symbols, rng, orientation):
+def kernel_from_scratch(n, i, i_prime, symbols, rng):
     """complete_kernel as it was before templates: every request form
-    built from the drawn sigma with the +1 plan, then oriented by a tau
-    derived here from the subset families."""
+    built from the drawn sigma, with the template's plan. Checks the
+    template's tau against one derived here from the subset families."""
     tpl = complete._template(n, i, i_prime, tuple(symbols[e] for e in complete._edges(n)))
+    # tau pairs the targets hosted at i (the phi targets whose subset
+    # holds i, then the middle range) with those hosted at i' (phi
+    # targets holding i', then the last range), in sorted order
+    bij = build_families(n, i, i_prime)
+    half, quarter = 2 ** (n - 1), 2 ** (n - 3)
+    side_i = [bij.phi[p] for p in bij.phi if i in p]
+    side_i += range(half + 1, half + quarter + 1)
+    side_ip = [bij.phi[p] for p in bij.phi if i_prime in p]
+    side_ip += range(half + quarter + 1, complete_length(n) + 1)
+    tau = {}
+    for a, b in zip(sorted(side_i), sorted(side_ip)):
+        tau[a], tau[b] = b, a
+    assert tpl.tau == tuple(tau[m] for m in range(1, complete_length(n) + 1))
     requests = []
     for j, sj in enumerate(complete._draw_sigma(n, tpl, rng), start=1):
         server = complete._server(n, j)
@@ -295,22 +271,7 @@ def kernel_from_scratch(n, i, i_prime, symbols, rng, orientation):
             requests.append((j, frozenset((symbols[e], idx) for e in edges)))
         for idx in tpl.pair_bits[j - 1]:
             requests.append((j, frozenset((symbols[e], idx) for e in server.nbr_edges)))
-    requests, plan = tuple(requests), tpl.runs[1][1]
-    if orientation == -1:
-        # tau pairs the targets hosted at i (the phi targets whose subset
-        # holds i, then the middle range) with those hosted at i' (phi
-        # targets holding i', then the last range), in sorted order
-        bij = build_families(n, i, i_prime)
-        half, quarter = 2 ** (n - 1), 2 ** (n - 3)
-        side_i = [bij.phi[p] for p in bij.phi if i in p]
-        side_i += range(half + 1, half + quarter + 1)
-        side_ip = [bij.phi[p] for p in bij.phi if i_prime in p]
-        side_ip += range(half + quarter + 1, complete_length(n) + 1)
-        tau = {}
-        for a, b in zip(sorted(side_i), sorted(side_ip)):
-            tau[a], tau[b] = b, a
-        requests, plan = _orient(requests, plan, symbols[frozenset({i, i_prime})], tau)
-    return KernelRun(requests, plan)
+    return KernelRun(tuple(requests), tpl.plan)
 
 
 @pytest.mark.parametrize("n", (3, 4, 5, 6))
@@ -318,20 +279,18 @@ def test_template_runs_equal_runs_built_from_scratch(n):
     complete._template.cache_clear()
     symbols = edge_symbols(n, lambda k: FileId(k, 1))
     for i, i_prime in itertools.permutations(range(1, n + 1), 2):
-        for orientation in (1, -1):
-            for seed in (1, 2, 3):  # a cold template, then warm ones
-                a, b = SeededSource(seed), SeededSource(seed)
-                assert (complete_kernel(n, i, i_prime, symbols, a, orientation)
-                        == kernel_from_scratch(n, i, i_prime, symbols, b, orientation))
-                # the same draws were made
-                assert a.choice_index(1 << 30) == b.choice_index(1 << 30)
+        for seed in (1, 2, 3):  # a cold template, then warm ones
+            a, b = SeededSource(seed), SeededSource(seed)
+            assert (complete_kernel(n, i, i_prime, symbols, a)
+                    == kernel_from_scratch(n, i, i_prime, symbols, b))
+            # the same draws were made
+            assert a.choice_index(1 << 30) == b.choice_index(1 << 30)
 
 
 def test_kernel_templates_are_reused_per_theta_and_bounded():
     # theta by theta, as verify builds: one template per desired pair,
-    # holding both orientations, reused by every later run of that pair
-    # (a lift's stage runs alternate orientations); at most
-    # KERNEL_TEMPLATES alive
+    # holding its run and its involution, reused by every later run of
+    # that pair; at most KERNEL_TEMPLATES alive
     complete._template.cache_clear()
     for text in ("complete:4^3", "complete:6"):
         g = parse_graph(text)
@@ -341,6 +300,7 @@ def test_kernel_templates_are_reused_per_theta_and_bounded():
                 assert symbolic_decode_check(run(g, theta, SeededSource(seed)))
     info = complete._template.cache_info()
     assert info.currsize <= complete.KERNEL_TEMPLATES
-    # complete:4^3: 6 pairs built, 18 theta x 2 seeds x 7 stage runs in
-    # all; complete:6: 15 pairs, 15 theta x 2 seeds
-    assert (info.misses, info.hits) == (6 + 15, 252 - 6 + 30 - 15)
+    # complete:4^3: 6 pairs built, 18 theta x 2 seeds lift calls, each
+    # reading tau once and making 7 stage runs; complete:6: 15 pairs,
+    # 15 theta x 2 seeds
+    assert (info.misses, info.hits) == (6 + 15, 18 * 2 * (1 + 7) - 6 + 30 - 15)

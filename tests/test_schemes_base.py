@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from graphpir.core import dump_transcript, measured_rate, symbolic_decode_check
+from graphpir.core import FileId, dump_transcript, measured_rate, symbolic_decode_check
 from graphpir.graphs import GraphSpec, build_family
 from graphpir.kernels import path_kernel, star_kernel
 from graphpir.rng import CanonicalSource, SeededSource
 from graphpir.schemes import (
     SchemeError,
+    bind,
     compose,
     compose_stars,
     kernel_factory,
@@ -37,16 +38,28 @@ def test_path_kernel_three_servers():
     assert kr2.plan == (frozenset({0, 1}), frozenset({2}))
 
 
-def test_path_kernel_orientation_is_involution():
-    kr = path_kernel([1, 2, 3, 4], list("abc"), 2, orientation=-1)
-    back = path_kernel([1, 2, 3, 4], list("abc"), 2, orientation=1)
-    # flipping swaps the desired symbol's positions and the two plan halves
-    assert kr.plan == (back.plan[1], back.plan[0])
-    flipped = {
-        (s, frozenset((sym, 3 - m if sym == "b" else m) for sym, m in f))
-        for s, f in kr.requests
-    }
-    assert flipped == set(back.requests)
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+@pytest.mark.parametrize("kind", ("path", "star", "complete"))
+def test_declared_involution_swaps_hosting_servers(kind, n):
+    # the lift flips a stage by reading its run through tau, so tau must
+    # be an involution, and for every target m the fresh (theta, m) and
+    # (theta, tau(m)) must come from the desired file's two different
+    # hosting servers
+    g = build_family(kind, [n])
+    (factory,) = bind(kind, g)
+    L = factory.length
+    for e in range(1, g.n_base_edges + 1):
+        tau = factory.tau(e)
+        assert sorted(tau) == list(range(1, L + 1))
+        assert all(tau[tau[m - 1] - 1] == m for m in range(1, L + 1))
+        kr = factory.run(e, SeededSource(e))
+        theta = FileId(e, 1)
+        holder = []
+        for m, entry in enumerate(kr.plan, start=1):
+            (k,) = [k for k in entry if (theta, m) in kr.requests[k][1]]
+            holder.append(kr.requests[k][0])
+        assert set(holder) == set(g.edge_endpoints(e))
+        assert all(holder[m - 1] != holder[tau[m - 1] - 1] for m in range(1, L + 1))
 
 
 def test_star_kernel_shape():
@@ -105,7 +118,7 @@ def test_kernel_factory_rejects_wrong_edge():
     g = build_family("path", [4])
     fa = kernel_factory("path", g, [1, 2])
     with pytest.raises(SchemeError):
-        fa.run(3, 1, SeededSource(0))
+        fa.run(3, SeededSource(0))
 
 
 def test_compose_two_isolated_edges():
