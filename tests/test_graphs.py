@@ -201,6 +201,34 @@ def test_classify_family_overlaps():
     assert fam["complete_bipartite"] == (1, 3)
 
 
+def _family_members(n):
+    """(name, params) of every build_family member on n vertices."""
+    out = [(name, (n,)) for name, least in
+           (("path", 2), ("cycle", 3), ("star", 2), ("complete", 2)) if n >= least]
+    return out + [("complete_bipartite", (m, n - m)) for m in range(1, n // 2 + 1)]
+
+
+def test_classify_family_matches_brute_force_isomorphism():
+    # every labelled graph on n <= 5 vertices belongs exactly to the
+    # family members some vertex permutation carries onto it
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        orbits = {}
+        for name, params in _family_members(n):
+            base = build_family(name, params).edges
+            for perm in itertools.permutations(range(1, n + 1)):
+                image = frozenset(
+                    tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in base)
+                orbits.setdefault(image, {})[name] = params
+        for k in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, k):
+                g = GraphSpec(n, edges)
+                assert classify_family(g) == orbits.get(frozenset(edges), {}), edges
+    two_triangles = GraphSpec(6, ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)))
+    assert max_degree(two_triangles) == 2
+    assert "cycle" not in classify_family(two_triangles)
+
+
 def test_path_vertex_order():
     g = build_family("path", [5])
     assert path_vertex_order(g) == [1, 2, 3, 4, 5]
