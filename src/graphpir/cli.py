@@ -27,7 +27,7 @@ from .graphs import GraphSpecError, build_family, parse_graph
 from .rng import BudgetExceeded, SeededSource
 from .runner import SCHEME_NAMES, all_thetas, resolve_scheme
 from .schemes import SchemeError
-from .tables import render_table
+from .tables import md_table, render_table
 from .verify import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, PRIVACY_MODES, verify_scheme
 
 SWEEP_N_CAP = 8
@@ -115,6 +115,7 @@ def cmd_bounds(args) -> int:
             )
         )
         return 0
+    headers = ["kind", "value", "precision", "source", "applicable"]
     rows = [
         [e.kind, _fmt_value(e.value), "exact" if e.exact else "float",
          e.source, "yes" if e.applicable else "no (%s)" % e.reason]
@@ -123,14 +124,11 @@ def cmd_bounds(args) -> int:
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
-        w.writerow(["kind", "value", "precision", "source", "applicable"])
+        w.writerow(headers)
         w.writerows(rows)
         print(buf.getvalue(), end="")
     else:
-        print("| kind | value | precision | source | applicable |")
-        print("| --- | --- | --- | --- | --- |")
-        for r in rows:
-            print("| " + " | ".join(r) + " |")
+        print(md_table(headers, rows))
         print()
         print(
             "tightness: %s (lower %s, upper %s)"

@@ -3,13 +3,16 @@
 Vertices are servers, base edges are files stored on exactly their two
 endpoint servers, and a uniform multiplicity r turns each base edge into
 r parallel files.
+
+classify_family names the paper's graph families (build_family) from
+one degree count (GraphSpec.degree) and one path walk (path_vertex_order).
 """
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 KNOWN_FLAGS = frozenset({"vertex_transitive", "hamiltonian_vertex_transitive"})
 
@@ -72,13 +75,9 @@ class GraphSpec:
         """Endpoints of 1-based base-edge index."""
         return self.edges[edge_index - 1]
 
-    def incident_edges(self, vertex: int) -> tuple[int, ...]:
-        return tuple(
-            i + 1 for i, (u, v) in enumerate(self.edges) if vertex in (u, v)
-        )
-
     def degree(self, vertex: int) -> int:
-        return len(self.incident_edges(vertex))
+        """Number of base edges at `vertex`."""
+        return sum(vertex in e for e in self.edges)
 
     def base(self) -> "GraphSpec":
         """The same graph with multiplicity 1."""
@@ -193,13 +192,7 @@ def graph_from_dict(obj: dict) -> GraphSpec:
 
 def max_degree(g: GraphSpec) -> int:
     """Maximum vertex degree of the base simple graph."""
-    if not g.edges:
-        return 0
-    deg = [0] * (g.n_vertices + 1)
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return max(deg)
+    return max((g.degree(v) for v in range(1, g.n_vertices + 1)), default=0)
 
 
 def _matching_search(edges, idx: int, used: int, size: int, best: int) -> int:
@@ -276,16 +269,19 @@ def classify_family(g: GraphSpec) -> dict[str, tuple[int, ...]]:
     """All named families the base graph belongs to, with their parameters.
 
     A graph can match several (star:2 is also path:2, complete:3 is also
-    cycle:3); callers pick what they need.
+    cycle:3); callers pick what they need. g is a path when its n - 1
+    edges form one, and a cycle when it is 2-regular with n edges and
+    dropping its first edge leaves a path.
     """
     out: dict[str, tuple[int, ...]] = {}
     n, k = g.n_vertices, g.n_base_edges
     if k == 0:
         return out
     degs = sorted(g.degree(v) for v in range(1, n + 1))
-    if path_vertex_order(g) is not None:
+    if k == n - 1 and path_vertex_order(g) is not None:
         out["path"] = (n,)
-    if k == n and degs == [2] * n and _connected(g):
+    if k == n and degs == [2] * n and (
+            path_vertex_order(GraphSpec(n, g.edges[1:])) is not None):
         out["cycle"] = (n,)
     if star_center(g) is not None and k == n - 1:
         out["star"] = (n,)
@@ -297,52 +293,24 @@ def classify_family(g: GraphSpec) -> dict[str, tuple[int, ...]]:
     return out
 
 
-def _connected(g: GraphSpec) -> bool:
-    if g.n_vertices == 1:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in range(1, g.n_vertices + 1)}
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {1}
-    queue = [1]
-    while queue:
-        x = queue.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == g.n_vertices
+def path_vertex_order(g: GraphSpec) -> list[int] | None:
+    """The vertices g's edges touch, in path order from the smaller
+    endpoint, or None if those edges do not form a path.
 
-
-def path_vertex_order(g: GraphSpec, vertices: Iterable[int] | None = None) -> list[int] | None:
-    """Vertices of a path graph in path order (starting from the
-    smaller-labeled endpoint), or None if the edges do not form a path.
-
-    With `vertices`, only the induced subgraph on the given edge set is
-    considered (used when running a path part inside a larger host graph).
+    Vertices no edge touches are ignored, so a path part of a larger
+    host graph reads as it stands.
     """
-    edges = g.edges
-    touched = sorted({v for e in edges for v in e})
-    if vertices is not None:
-        want = sorted(vertices)
-        if touched != want:
-            return None
-    elif len(touched) != g.n_vertices:
+    adj: dict[int, list[int]] = {}
+    for u, v in g.edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    ends = [v for v in adj if len(adj[v]) == 1]
+    # |V| - 1 edges and two ends leave every other vertex at degree 2
+    if len(g.edges) != len(adj) - 1 or len(ends) != 2:
         return None
-    if len(edges) != len(touched) - 1:
-        return None
-    adj: dict[int, list[int]] = {v: [] for v in touched}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    ends = [v for v in touched if len(adj[v]) == 1]
-    if len(ends) != 2 or any(len(adj[v]) > 2 for v in touched):
-        return None
-    start = min(ends)
-    order = [start]
+    order = [min(ends)]
     prev = None
-    while len(order) < len(touched):
+    while len(order) < len(adj):
         nxts = [w for w in adj[order[-1]] if w != prev]
         if len(nxts) != 1:
             return None

@@ -52,21 +52,17 @@ class KernelFactory:
 
 
 def kernel_factory(
-    kind: str, g: GraphSpec, edge_indices: Sequence[int] | None = None
+    kind: str, g: GraphSpec, edge_indices: Sequence[int]
 ) -> KernelFactory:
-    """Build a factory for a scheme kind over a subset of g's base edges
-    (default: all of them). Kernel symbols are the files FileId(e, 1)
-    of those edges, made once here, so a run's forms are already over
-    g's copy-1 files."""
-    if edge_indices is None:
-        edge_indices = tuple(range(1, g.n_base_edges + 1))
+    """Build a factory for a scheme kind over a subset of g's base edges.
+    Kernel symbols are the files FileId(e, 1) of those edges, made once
+    here, so a run's forms are already over g's copy-1 files."""
     edge_indices = tuple(sorted(edge_indices))
     pairs = [g.edge_endpoints(e) for e in edge_indices]
-    vertices = sorted({v for p in pairs for v in p})
 
     if kind == "path":
         sub = GraphSpec(g.n_vertices, tuple(pairs))
-        order = path_vertex_order(sub, vertices)
+        order = path_vertex_order(sub)
         if order is None:
             raise SchemeError("edges do not form a path")
         by_pair = {frozenset(p): e for p, e in zip(pairs, edge_indices)}
@@ -100,6 +96,7 @@ def kernel_factory(
         return KernelFactory(2, edge_indices, run, lambda theta_edge: HALF_SWAP)
 
     if kind == "complete":
+        vertices = sorted({v for p in pairs for v in p})
         n = len(vertices)
         if vertices != list(range(1, n + 1)) or len(pairs) != n * (n - 1) // 2:
             raise SchemeError("edges do not form a complete graph on [1..N]")

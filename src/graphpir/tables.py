@@ -47,7 +47,8 @@ def answer_grid(t: Transcript, letter_by_edge) -> list[list[str]]:
     return grid
 
 
-def _md(headers: list[str], rows: list[list[str]]) -> str:
+def md_table(headers: list[str], rows: list[list[str]]) -> str:
+    """A markdown table of `rows` under `headers`."""
     out = ["| " + " | ".join(headers) + " |"]
     out.append("| " + " | ".join("---" for _ in headers) + " |")
     for r in rows:
@@ -136,7 +137,7 @@ def render_table(name: str) -> str:
         rows = [bound_row(*spec) for spec in BOUND_ROWS[name]]
         if name == "tableI":
             rows.append(["general", "", "same as complete", "min(Delta/|E|, 1/nu)"])
-        return _md(["family", "params", "lower", "upper"], rows)
+        return md_table(["family", "params", "lower", "upper"], rows)
     if name in ("tableIII", "tableIV"):
         grids = table_three() if name == "tableIII" else table_four()
         blocks = []
@@ -145,6 +146,6 @@ def render_table(name: str) -> str:
                 "S_%d" % s for s in range(1, len(grid[0]) + 1)
             ]
             rows = [[str(rix + 1)] + row for rix, row in enumerate(grid)]
-            blocks.append(_md(headers, rows))
+            blocks.append(md_table(headers, rows))
         return "\n\n".join(blocks)
     raise ValueError("unknown table %r" % name)

@@ -2,9 +2,9 @@
 
 One walk over the desired files theta (_walk), on one resolution of
 the scheme, proves every check a call asks for. For each theta it
-learns the draw shape once (record_shape) and, in the exact tier or
-under auto until some theta passes it, checks it against EXACT_BUDGET,
-so a refusal costs one build; tallies theta's privacy stream (_tally);
+learns the draw shape once (record_shape); tallies theta's privacy
+stream (_tally), whose exact stream checks the shape against
+EXACT_BUDGET before it builds a point, so a refusal costs one build;
 then builds the seeded transcripts that reliability, SRP and rate all
 read: one per seed (the CLI's --seeds), with random file permutations,
 until every named check has failed. These keep each server's wire in
@@ -94,7 +94,6 @@ from .rng import (
     BudgetExceeded,
     ReplaySource,
     SeededSource,
-    domain_size,
     draw_point,
     enumerate_sources,
     record_shape,
@@ -223,14 +222,12 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
             build = functools.partial(run, g, theta, identity_perms=True)
             kept[theta] = build, record_shape(build)
             try:
-                if tier == "exact":
-                    domain_size(kept[theta][1], EXACT_BUDGET)
+                dists[theta] = tally(theta)
             except BudgetExceeded:
                 if privacy == "exact":
                     raise
                 tier = "structural"
-                dists = {walked: tally(walked) for walked in dists}
-            dists[theta] = tally(theta)
+                dists = {walked: tally(walked) for walked in kept}
         for seed in seeds:
             if len(failed) == len(checks):
                 break

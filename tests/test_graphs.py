@@ -236,6 +236,8 @@ def test_path_vertex_order():
     assert path_vertex_order(scrambled) == [1, 3, 5, 4, 2]
     assert path_vertex_order(build_family("cycle", [4])) is None
     assert path_vertex_order(build_family("star", [4])) is None
+    # vertices no edge touches are ignored, as for a path part of a host graph
+    assert path_vertex_order(GraphSpec(5, ((1, 2), (2, 3)))) == [1, 2, 3]
 
 
 def test_base_and_with_multiplicity():
