@@ -149,7 +149,9 @@ def cmd_sweep(args) -> int:
         )
     seed = seed_of(args)
     graphs = []  # all built first, so a bad range or seed writes nothing
-    for n in range(args.n_min, args.n_max + 1):
+    # a cycle needs N >= 3, every other family N >= 2
+    n_min = args.n_min if args.n_min is not None else 3 if args.family == "cycle" else 2
+    for n in range(n_min, args.n_max + 1):
         params = [n, n] if args.family == "complete_bipartite" else [n]
         for r in range(args.r_min, args.r_max + 1):
             label = "%s:%s" % (args.family, ",".join(map(str, params)))
@@ -214,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--family", default="path",
                     choices=("path", "cycle", "star", "complete",
                              "complete_bipartite"))
-    sw.add_argument("--n-min", type=int, default=2)
+    sw.add_argument("--n-min", type=int, help="default: the family's smallest N")
     sw.add_argument("--n-max", type=int, default=8)
     sw.add_argument("--r-min", type=int, default=1)
     sw.add_argument("--r-max", type=int, default=1)

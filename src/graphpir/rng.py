@@ -34,18 +34,56 @@ class RandomSource:
 
 
 class SeededSource(RandomSource):
+    """random.Random's stream, drawn through getrandbits directly: a
+    choice is randrange's rejection draw (redraw n.bit_length() bits
+    while they are >= n) and a permutation is shuffle's Fisher-Yates
+    walk, so every value is the one randrange or shuffle would draw."""
+
     def __init__(self, seed) -> None:
         self._rng = random.Random(seed)
 
     def permutation(self, n: int) -> tuple[int, ...]:
+        getrandbits = self._rng.getrandbits
         vals = list(range(1, n + 1))
-        self._rng.shuffle(vals)
+        for i in range(n - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            vals[i], vals[j] = vals[j], vals[i]
         return tuple(vals)
 
     def choice_index(self, n: int) -> int:
         if n <= 0:
             raise ValueError("empty choice")
-        return self._rng.randrange(n)
+        k = n.bit_length()
+        r = self._rng.getrandbits(k)
+        while r >= n:
+            r = self._rng.getrandbits(k)
+        return r
+
+    def points(self, shape: Sequence[tuple[str, int]], count: int) -> Iterator[tuple]:
+        """`count` successive draw points of `shape`: each holds one value
+        per draw, drawn in order, as a run of that shape would draw them
+        (see ReplaySource). A choice's bit length is computed once per
+        shape; an empty shape yields () without drawing."""
+        getrandbits = self._rng.getrandbits
+        plan = []  # (is a permutation, domain size, bit length)
+        for kind, n in shape:
+            if kind != "perm" and n <= 0:
+                raise ValueError("empty choice")
+            plan.append((kind == "perm", n, n.bit_length()))
+        for _ in range(count):
+            point = []
+            for perm, n, k in plan:
+                if perm:
+                    point.append(self.permutation(n))
+                else:
+                    r = getrandbits(k)
+                    while r >= n:
+                        r = getrandbits(k)
+                    point.append(r)
+            yield tuple(point)
 
 
 class CanonicalSource(RandomSource):
@@ -133,15 +171,6 @@ def record_shape(builder) -> list[tuple[str, int]]:
     rec = CanonicalSource()
     builder(rec)
     return rec.shape
-
-
-def draw_point(src: RandomSource, shape: Sequence[tuple[str, int]]) -> tuple:
-    """One value per draw of `shape`, drawn from `src` in order: the
-    draws a run of that shape would make, as a point to replay."""
-    return tuple([
-        src.permutation(n) if kind == "perm" else src.choice_index(n)
-        for kind, n in shape
-    ])
 
 
 def enumerate_sources(shape: Sequence[tuple[str, int]],

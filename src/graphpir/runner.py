@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from .core import file_ids
-from .graphs import GraphSpec, classify_family
+from .graphs import GraphSpec, classify_family, path_vertex_order, star_center
 from .lift import lift_scheme
 from .schemes import (
     BASE_KINDS,
@@ -26,11 +26,14 @@ SCHEME_NAMES = tuple(STANDALONE) + tuple("lift:" + kind for kind in BASE_KINDS)
 
 
 def auto_scheme_name(g: GraphSpec) -> str:
+    """The scheme `auto` binds to g. A path or star scheme runs on any
+    graph whose edges form one, vertices no edge touches included, so
+    those are asked of the edges, not of the spanning families."""
     fam = classify_family(g.base())
     base = None
-    if "path" in fam:
+    if path_vertex_order(g) is not None:
         base = "path"
-    elif "star" in fam:
+    elif star_center(g) is not None:
         base = "star"
     elif "complete" in fam:
         base = "complete"

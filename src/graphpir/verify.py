@@ -18,17 +18,17 @@ A scheme is private when each server's query distribution is the same
 for every desired file theta. One engine checks this for every privacy
 tier: _tally counts one view of each server's request sequence, its
 pattern (core.server_pattern), over the runs of a per-theta stream of
-random sources, and _verdict turns the counts into a verdict at a
-tolerance on the total-variation (TV) distance; tolerance 0 means exact
-equality, tested in integers. The tiers differ only in their stream
-and tolerance:
+points of the scheme's own draws, and _verdict turns the counts into a
+verdict at a tolerance on the total-variation (TV) distance; tolerance
+0 means exact equality, tested in integers. The tiers differ only in
+their stream and tolerance:
 
-* exact: one replay of every point of the scheme's own draws
-  (rng.enumerate_sources), at most EXACT_BUDGET points per theta
-  (BudgetExceeded past it); tolerance 0;
-* structural: one seeded source per seed; tolerance 0;
-* statistical: one seeded source drawn from `samples` times; the
-  given tolerance.
+* exact: every point of the scheme's own draws (rng.enumerate_sources),
+  at most EXACT_BUDGET points per theta (BudgetExceeded past it);
+  tolerance 0;
+* structural: one point of a fresh seeded source per seed; tolerance 0;
+* statistical: `samples` successive points of one seeded source
+  (SeededSource.points); the given tolerance.
 
 auto stays exact unless some theta passes EXACT_BUDGET; then it turns
 structural and re-tallies the thetas already walked from their kept
@@ -70,7 +70,6 @@ depends on its drawn values (TranscriptError).
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -94,7 +93,6 @@ from .rng import (
     BudgetExceeded,
     ReplaySource,
     SeededSource,
-    draw_point,
     enumerate_sources,
     record_shape,
 )
@@ -126,24 +124,23 @@ def _seed_for(base_seed, theta, tag: str) -> str:
     return "%s/%d.%d/%s" % (base_seed, theta.edge, theta.copy, tag)
 
 
-def _tally(build, shape, sources, view, servers: int):
+def _tally(build, shape, points, view, servers: int):
     """(one Counter of `view` per server, runs): the counts of running
-    `build`, whose draw shape is `shape` (record_shape), once per source
-    of `sources`, over `servers` servers. Callers name the view (say
-    server_pattern) at call time, never in a default or a table, so a
-    rebinding of the module attribute, as a tracer does, sees every call.
+    `build`, whose draw shape is `shape` (record_shape), once per point
+    of `points`, over `servers` servers. A point holds one value per
+    draw of the shape, in the order the run draws them
+    (SeededSource.points, or a point of enumerate_sources). Callers name
+    the view (say server_pattern) at call time, never in a default or a
+    table, so a rebinding of the module attribute, as a tracer does,
+    sees every call.
 
-    Each distinct point of the scheme's own draws is built and viewed
-    once: each source gives up one value per draw of the shape in the
-    order the run would draw them (draw_point), and the points are
-    tallied; then each point runs the scheme on a replay of its values,
-    which must draw exactly that shape (a run that draws past them or
-    leaves some undrawn is refused), and its views count as often as it
-    was drawn. An empty shape is one point, tallied once per source
-    without drawing.
+    Each distinct point is built and viewed once: the points are
+    tallied, then each runs the scheme on a replay of its values, which
+    must draw exactly that shape (a run that draws past them or leaves
+    some undrawn is refused), and its views count as often as it was
+    drawn.
     """
-    tally = (Counter(draw_point(src, shape) for src in sources) if shape
-             else Counter({(): sum(1 for _ in sources)}))
+    tally = Counter(points)
     counters = [Counter() for _ in range(servers)]
     for point, k in tally.items():
         replay = ReplaySource(shape, point)
@@ -207,12 +204,13 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
     def tally(theta):
         build, shape = kept[theta]
         if tier == "exact":
-            sources = enumerate_sources(shape, EXACT_BUDGET)
+            points = (src.point for src in enumerate_sources(shape, EXACT_BUDGET))
         elif tier == "structural":
-            sources = (SeededSource(_seed_for(seed, theta, "struct")) for seed in seeds)
+            points = (next(SeededSource(_seed_for(seed, theta, "struct")).points(shape, 1))
+                      for seed in seeds)
         else:
-            sources = itertools.repeat(SeededSource(_seed_for(0, theta, "stat")), samples)
-        return _tally(build, shape, sources, server_pattern, g.n_vertices)
+            points = SeededSource(_seed_for(0, theta, "stat")).points(shape, samples)
+        return _tally(build, shape, points, server_pattern, g.n_vertices)
 
     faults = {"reliability": reliability, "srp": srp, "rate": rate}
     tier = "exact" if privacy == "auto" else privacy

@@ -149,11 +149,19 @@ def test_sweep_caps(capsys):
 
 
 def test_sweep_bad_range_writes_nothing(capsys):
-    # the default --n-min 2 is below the cycle's smallest member
-    code, out, err = run_cli(capsys, "sweep", "--family", "cycle")
+    # --n-min 2 is below the cycle's smallest member
+    code, out, err = run_cli(capsys, "sweep", "--family", "cycle", "--n-min", "2")
     assert code == 2
     assert out == ""
     assert err == "error: cycle needs N >= 3\n"
+
+
+def test_sweep_starts_at_the_family_smallest_member(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--family", "cycle", "--n-max", "4")
+    assert code == 0
+    assert [row[0] for row in csv.reader(io.StringIO(out))] == ["graph", "cycle:3", "cycle:4"]
+    code, out, _ = run_cli(capsys, "sweep", "--family", "star", "--n-max", "3")
+    assert [row[0] for row in csv.reader(io.StringIO(out))] == ["graph", "star:2", "star:3"]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -249,6 +257,20 @@ def test_no_scheme_for_family_exits_2(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--graph", "cycle:5")
     assert code == 0
     assert "tightness:" in out
+
+
+@pytest.mark.parametrize("edges,scheme", [
+    ([[1, 2], [2, 3], [3, 4]], "path"),
+    ([[1, 4], [2, 4], [3, 4]], "star"),
+])
+def test_auto_binds_a_path_or_star_beside_an_isolated_vertex(capsys, edges, scheme):
+    graph = json.dumps({"n": 5, "edges": edges})
+    code, out, err = run_cli(capsys, "verify", "--graph", graph, "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["scheme"] == scheme and report["passed"]
+    assert run_cli(capsys, "verify", "--graph", graph, "--scheme", scheme,
+                   "--format", "json") == (0, out, "")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

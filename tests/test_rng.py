@@ -1,10 +1,12 @@
 """SeededSource draws the stream of random.Random: its choices are
 randrange's values and its permutations are shuffle's, draw for draw, so
 every seeded transcript, tally and verdict keeps its value. A Python
-whose randrange or shuffle draws differently fails here by name."""
+whose randrange or shuffle draws differently fails here by name.
+SeededSource.points draws a stream of whole draw points from it."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphpir.rng import SeededSource
 
@@ -40,3 +42,40 @@ def test_seeded_draws_equal_randrange_and_shuffle():
 def test_seeded_choice_of_an_empty_domain_is_refused():
     with pytest.raises(ValueError, match="empty choice"):
         SeededSource(0).choice_index(0)
+
+
+def draw_point(src, shape):
+    """One value per draw of `shape`, drawn from `src` in order, one
+    primitive call per draw: the reference for SeededSource.points."""
+    return tuple([
+        src.permutation(n) if kind == "perm" else src.choice_index(n)
+        for kind, n in shape
+    ])
+
+
+SHAPES = st.lists(st.tuples(st.sampled_from(["perm", "choice"]), st.integers(1, 40)),
+                  max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SHAPES, st.integers(0, 20), st.integers(0, 1 << 32))
+def test_points_are_successive_draw_points(shape, count, seed):
+    src, ref = SeededSource(seed), SeededSource(seed)
+    assert list(src.points(shape, count)) == [draw_point(ref, shape) for _ in range(count)]
+    # both left the generator in the same state
+    assert src.choice_index(1 << 40) == ref.choice_index(1 << 40)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 20), st.integers(0, 1 << 32))
+def test_points_of_an_empty_shape_draw_nothing(count, seed):
+    src = SeededSource(seed)
+    state = src._rng.getstate()
+    assert list(src.points([], count)) == [()] * count
+    assert src._rng.getstate() == state
+
+
+@pytest.mark.parametrize("shape", [[("choice", 0)], [("perm", 3), ("choice", -1)]])
+def test_points_of_an_empty_choice_are_refused(shape):
+    with pytest.raises(ValueError, match="empty choice"):
+        next(SeededSource(0).points(shape, 1))

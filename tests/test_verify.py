@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import random
 import time
 from collections import Counter, defaultdict
 
@@ -20,7 +21,6 @@ from graphpir.rng import (
     BudgetExceeded,
     SeededSource,
     domain_size,
-    draw_point,
     enumerate_sources,
     record_shape,
 )
@@ -43,6 +43,7 @@ from graphpir.verify import (
     verify_scheme,
     verify_srp,
 )
+from test_rng import draw_point
 
 
 def test_tv_distance():
@@ -318,14 +319,14 @@ CROSS_VALIDATION = (
 )
 
 
-def _per_theta(run, g, view, sources, **run_kw):
-    """{theta: _tally of `view` over the sources `sources(theta, shape)`},
+def _per_theta(run, g, view, points, **run_kw):
+    """{theta: _tally of `view` over the draw points `points(theta, shape)`},
     each run as run(g, theta, source, **run_kw)."""
     dists = {}
     for theta in all_thetas(g):
         build = functools.partial(run, g, theta, **run_kw)
         shape = record_shape(build)
-        dists[theta] = _tally(build, shape, sources(theta, shape), view, g.n_vertices)
+        dists[theta] = _tally(build, shape, points(theta, shape), view, g.n_vertices)
     return dists
 
 
@@ -334,7 +335,9 @@ def _sweep(run, g, view, **run_kw):
     space of `run`, file permutations included unless `run_kw` drops
     them."""
     dists = _per_theta(
-        run, g, view, lambda theta, shape: enumerate_sources(shape, 1 << 20), **run_kw,
+        run, g, view,
+        lambda theta, shape: (src.point for src in enumerate_sources(shape, 1 << 20)),
+        **run_kw,
     )
     differs, _, at = _compare(dists)
     return differs, at
@@ -461,17 +464,18 @@ def test_auto_verifies_graphs_with_large_tie_groups(graph):
 def test_empty_draw_shape_draws_no_points(monkeypatch):
     # a lifted path scheme draws nothing under identity permutations: its
     # one point is tallied once per sample without being drawn
-    import graphpir.verify as verify
-
     calls = 0
-    real = verify.draw_point
+    real = random.Random.getrandbits
 
-    def counted(src, shape):
+    def counted(rng, k):
         nonlocal calls
         calls += 1
-        return real(src, shape)
+        return real(rng, k)
 
-    monkeypatch.setattr(verify, "draw_point", counted)
+    monkeypatch.setattr(random.Random, "getrandbits", counted)
+    SeededSource(0).choice_index(2)
+    assert calls > 0  # the seeded draws are seen
+    calls = 0
     assert verify_privacy_statistical("lift:path", parse_graph("path:4^3")).passed
     assert calls == 0
 
@@ -541,6 +545,15 @@ def _sources(theta):
     return fresh + [SeededSource("%s/memo" % (tuple(theta),))] * 200
 
 
+def _points(theta, shape):
+    """The draw points of _sources(theta), made as _walk makes them: one
+    points(shape, 1) per fresh source, then points(shape, 200) of the
+    repeated one."""
+    sources = _sources(theta)
+    return ([next(src.points(shape, 1)) for src in sources[:10]]
+            + list(sources[10].points(shape, 200)))
+
+
 def _direct_counts(run, g):
     """The reference for the tally: one build and one pattern per source."""
     dists = {}
@@ -586,7 +599,7 @@ def test_memoised_counts_equal_a_run_per_source(scheme, graph):
     g = parse_graph(graph)
     _, run = resolve_scheme(scheme, g)
     dists = _per_theta(
-        run, g, server_pattern, lambda theta, shape: _sources(theta), identity_perms=True,
+        run, g, server_pattern, _points, identity_perms=True,
     )
     assert dists == _direct_counts(run, g)
 
