@@ -22,9 +22,14 @@ must land on the right servers, so the instances with j in A beyond
 stage 1 are flipped stages: they read their run through the kernel's
 half-swapping involution tau, which the kernel factory declares. A
 flipped stage relabels the desired symbol's position m to tau(m) as it
-expands coordinates, and takes target m from plan entry tau(m). Block
-u(B) of the desired file is then decoded by XORing instance B union {j}
-against instance B.
+lifts forms, and takes target m from plan entry tau(m). Block u(B) of
+the desired file is then decoded by XORing instance B union {j} against
+instance B.
+
+Each stage lifts a kernel form once (_Stage) and keeps it, in the stage
+table, for every later build of the same desired file, so the builds of
+one theta share their lifted form objects wherever their kernel runs
+share forms.
 """
 from __future__ import annotations
 
@@ -91,29 +96,33 @@ STAGE_TABLES = 1
 class _Stage(dict):
     """Stage instance A of the lift for one desired file (e, j): its
     window offsets, and a map, filled as runs reach them, from each
-    kernel coordinate (symbol, m) to its tuple of expanded storage
-    coordinates. The desired symbol's position m is read as tau(m)."""
+    kernel form to its lifted form. A frozenset caches its hash, so a
+    form the kernel hands every run (a draw-free template request) is
+    looked up at the cost of one equality, and every build of theta is
+    handed the same lifted form object. A form is lifted coordinate by
+    coordinate: the desired symbol's position m, read as tau(m), over
+    the desired blocks, every other symbol over the stage's copies."""
 
     def __init__(self, subset, tau, edge, desired, shared, file_id):
         super().__init__()
         self.subset = subset
+        self.copies = tuple(sorted(subset))
         self.tau = tau  # the identity, or the kernel's involution if flipped
         self.edge = edge
         self.desired = desired  # (copy t, window offset) per desired block
         self.shared = shared  # window offset of every other file
         self.file_id = file_id  # one FileId per (edge, copy)
 
-    def __missing__(self, coord):
-        sym, m = coord
-        if sym.edge == self.edge:
-            m = self.tau[m - 1]
-            out = tuple((self.file_id(self.edge, t), off + m) for t, off in self.desired)
-        else:
-            out = tuple(
-                (self.file_id(sym.edge, t), self.shared + m) for t in sorted(self.subset)
-            )
-        self[coord] = out
-        return out
+    def __missing__(self, form):
+        file_id, out = self.file_id, []
+        for sym, m in form:
+            if sym.edge == self.edge:
+                m = self.tau[m - 1]
+                out.extend((file_id(sym.edge, t), off + m) for t, off in self.desired)
+            else:
+                out.extend((file_id(sym.edge, t), self.shared + m) for t in self.copies)
+        lifted = self[form] = frozenset(out)
+        return lifted
 
 
 @functools.lru_cache(maxsize=STAGE_TABLES)
@@ -180,11 +189,7 @@ def lift_scheme(
         kr = factory.run(e, rng)
         starts.append(len(requests))
         plans.append(kr.plan)
-        expand = st.__getitem__
-        requests.extend(
-            (server, frozenset(itertools.chain.from_iterable(map(expand, form))))
-            for server, form in kr.requests
-        )
+        requests.extend((server, st[form]) for server, form in kr.requests)
 
     plan: list = [None] * (2 ** (r - 1) * Lp)
     for merged, off in merge:

@@ -195,9 +195,11 @@ def _run_bound(
                 )
             else:
                 requests.extend(kr.requests)
-            if is_theta_part:
-                for m, entry in enumerate(kr.plan, start=1):
-                    plan[off + m - 1] = frozenset(base_idx + k for k in entry)
+            if is_theta_part:  # the first run's plan already indexes `requests`
+                for m, entry in enumerate(kr.plan):
+                    if base_idx:
+                        entry = frozenset(base_idx + k for k in entry)
+                    plan[off + m] = entry
     if any(p is None for p in plan):
         raise SchemeError("desired part did not cover all targets")
     return assemble_transcript(g, L, f, requests, plan, rng, **assemble_kw)

@@ -9,10 +9,11 @@ then builds the seeded transcripts that reliability, SRP and rate all
 read: one per seed (the CLI's --seeds), with random file permutations,
 until every named check has failed. These keep each server's wire in
 construction order: a runner, a callable one included, receives
-canonical_order=False there, as it receives identity_perms=True in the
-privacy tiers. Decoding, SRP attribution and the rate resolve the plan
-to positions in the order the wire has, so sorting it would change none
-of them, and the sort draws nothing.
+canonical_order=False there, as it receives identity_perms=True and
+wire_key (a memoised core.wire_sort_key) in the privacy tiers, and
+passes each on to assemble_transcript. Decoding, SRP attribution and
+the rate resolve the plan to positions in the order the wire has, so
+sorting it would change none of them, and the sort draws nothing.
 
 A scheme is private when each server's query distribution is the same
 for every desired file theta. One engine checks this for every privacy
@@ -63,9 +64,12 @@ brackets that TV between two views:
 
 With identity permutations a run's views are a function of the
 scheme's own draws, which take few values (3 points per theta for the
-K_{2,3} star composition), so each distinct point is built and viewed
-once per theta (_tally). Every tier refuses a scheme whose draw shape
-depends on its drawn values (TranscriptError).
+K_{2,3} star composition), so each distinct point is built once per
+theta, and each distinct server wire viewed once (_tally); a wire's
+forms repeat across points too, so each distinct form's wire key is
+computed once. These memos last for one theta's tally, no longer.
+Every tier refuses a scheme whose draw shape depends on its drawn
+values (TranscriptError).
 """
 from __future__ import annotations
 
@@ -85,6 +89,7 @@ from .core import (
     srp_attribution,
     server_pattern,
     symbolic_decode_check,
+    wire_sort_key,
     AttributionUndefined,
     TranscriptError,
 )
@@ -134,20 +139,28 @@ def _tally(build, shape, points, view, servers: int):
     table, so a rebinding of the module attribute, as a tracer does,
     sees every call.
 
-    Each distinct point is built and viewed once: the points are
-    tallied, then each runs the scheme on a replay of its values, which
-    must draw exactly that shape (a run that draws past them or leaves
-    some undrawn is refused), and its views count as often as it was
-    drawn.
+    Each distinct point is built, and each distinct server wire viewed,
+    once: the points are tallied, then each runs the scheme on a replay
+    of its values, which must draw exactly that shape (a run that draws
+    past them or leaves some undrawn is refused), and its views count as
+    often as it was drawn. A view is a function of the wire, so a wire
+    already seen, at any server of any point, reuses its view. The
+    builds share one memoised wire_sort_key (build's wire_key), so each
+    distinct form's wire key is computed once too. Neither memo outlives
+    the call.
     """
     tally = Counter(points)
     counters = [Counter() for _ in range(servers)]
+    views: dict = {}  # wire -> view
+    wire_key = functools.cache(wire_sort_key)
     for point, k in tally.items():
         replay = ReplaySource(shape, point)
-        t = build(replay)
+        t = build(replay, wire_key=wire_key)
         replay.finish()
-        for c, server in zip(counters, t.requests):
-            c[view(server)] += k
+        for c, wire in zip(counters, t.requests):
+            if (seen := views.get(wire)) is None:
+                seen = views[wire] = view(wire)
+            c[seen] += k
     return counters, sum(tally.values())
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 from fractions import Fraction
@@ -21,6 +22,7 @@ from graphpir.core import (
     random_store,
     srp_attribution,
     symbolic_decode_check,
+    wire_sort_key,
     xor_forms,
 )
 from graphpir.graphs import build_family, parse_graph
@@ -162,10 +164,11 @@ DUMP_DIGESTS["drop-request complete_bipartite:2,3"] = (
     "4a3d1deedde764427d36b19d585e5e9ae7c779759a695c12f8f52411d5490d77")
 
 
-def dump_digest(key: str) -> str:
+def dump_digest(key: str, **run_kw) -> str:
     """SHA-256 over the dumps of every theta, seeds 1 and 2, random and
-    identity permutations. Every desired pair is run more than once, so
-    runs from a cold and a warm cache are both covered."""
+    identity permutations, each run with `run_kw` as well. Every desired
+    pair is run more than once, so runs from a cold and a warm cache are
+    both covered."""
     mutant, _, text = key.rpartition(" ")
     g = parse_graph(text)
     if mutant == "drop-request":  # a transcript transform, not a runner
@@ -178,7 +181,7 @@ def dump_digest(key: str) -> str:
     for theta in all_thetas(g):
         for seed in (1, 2):
             for identity in (False, True):
-                t = run(g, theta, SeededSource(seed), identity_perms=identity)
+                t = run(g, theta, SeededSource(seed), identity_perms=identity, **run_kw)
                 h.update(dump_transcript(t).encode() + b"\n\n")
     return h.hexdigest()
 
@@ -186,6 +189,14 @@ def dump_digest(key: str) -> str:
 @pytest.mark.parametrize("key", sorted(DUMP_DIGESTS))
 def test_transcripts_are_pinned_byte_for_byte(key):
     assert dump_digest(key) == DUMP_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(DUMP_DIGESTS))
+def test_a_memoised_wire_key_keeps_every_dump(key):
+    # the privacy tiers sort the canonical wire by one memoised
+    # wire_sort_key per tally; here one memo serves every theta, seed and
+    # permutation of a key, so it hits across all of them
+    assert dump_digest(key, wire_key=functools.cache(wire_sort_key)) == DUMP_DIGESTS[key]
 
 
 def edge_symbols(n: int, name=lambda k: k) -> dict:

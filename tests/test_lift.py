@@ -110,6 +110,34 @@ def test_lift_r1_reduces_to_base():
     assert t.total_requests == 4
 
 
+@pytest.mark.parametrize("text", ["complete:3^2", "path:3^2"])
+def test_lifted_builds_of_one_theta_share_their_forms(text):
+    # neither base kernel draws anything on these graphs, so every form
+    # comes from a draw-free kernel request, and each stage lifts it
+    # once: two builds of one theta hold the same form objects
+    g = parse_graph(text)
+    _, run = resolve_scheme("auto", g)
+    theta = all_thetas(g)[-1]
+    a, b = (run(g, theta, SeededSource(seed), identity_perms=True) for seed in (1, 2))
+    assert a.requests == b.requests
+    assert all(x is y for wa, wb in zip(a.requests, b.requests) for x, y in zip(wa, wb))
+
+
+def test_lifted_forms_that_are_equal_are_one_object():
+    # complete:4 draws its leftover pools, so its drawn forms differ from
+    # seed to seed; in construction order a form that two builds of one
+    # theta share sits at one position, and is one object
+    g = parse_graph("complete:4^2")
+    _, run = resolve_scheme("auto", g)
+    theta = all_thetas(g)[-1]
+    a, b = (run(g, theta, SeededSource(seed), identity_perms=True, canonical_order=False)
+            for seed in (1, 2))
+    pairs = [(x, y) for wa, wb in zip(a.requests, b.requests) for x, y in zip(wa, wb)]
+    shared = [x for x, y in pairs if x == y]
+    assert 0 < len(shared) < len(pairs)
+    assert all(x is y for x, y in pairs if x == y)
+
+
 def test_stage_tables_are_reused_per_theta_and_bounded():
     # one stage table per desired file, reused by every later build of
     # that file; however many files the lift has built, it keeps at most

@@ -30,6 +30,7 @@ from graphpir.verify import (
     EXACT_BUDGET,
     _colour_classes,
     _compare,
+    _seed_for,
     _tally,
     _verdict,
     _walk,
@@ -602,6 +603,71 @@ def test_memoised_counts_equal_a_run_per_source(scheme, graph):
         run, g, server_pattern, _points, identity_perms=True,
     )
     assert dists == _direct_counts(run, g)
+
+
+@pytest.mark.parametrize("graph,repeats", [
+    ("path:4^3", False), ("complete:3^2", False), ("complete:4", True),
+])
+def test_tally_views_each_distinct_server_wire_once_per_call(graph, repeats):
+    # at the structural tier's ten seeded points per theta, each distinct
+    # (server, wire) pair is viewed once, however many points repeat it;
+    # the memo lives for one call, so a second call views every wire
+    # again. The first two graphs draw nothing (one point per theta), so
+    # only on complete:4 do distinct points repeat a server's wire
+    g = parse_graph(graph)
+    _, run = resolve_scheme("auto", g)
+    calls = 0
+
+    def counted(forms):
+        nonlocal calls
+        calls += 1
+        return server_pattern(forms)
+
+    for theta in all_thetas(g):
+        build = functools.partial(run, g, theta, identity_perms=True)
+        shape = record_shape(build)
+        seeds = [SeededSource(_seed_for(seed, theta, "struct")) for seed in range(10)]
+        points = [next(src.points(shape, 1)) for src in seeds]
+        wires = {
+            (s, wire)
+            for seed in range(10)
+            for s, wire in enumerate(
+                build(SeededSource(_seed_for(seed, theta, "struct"))).requests)
+        }
+        assert (len(wires) < g.n_vertices * len(set(points))) == repeats
+        for _ in range(2):
+            calls = 0
+            counts = _tally(build, shape, points, counted, g.n_vertices)
+            assert calls == len(wires)
+        assert counts == _tally(build, shape, points, server_pattern, g.n_vertices)
+
+
+def test_theta_ordered_mutant_keeps_its_wire_order_under_a_wire_key():
+    # the mutant asks for construction order, so a wire key the privacy
+    # tiers hand it is never called and its wire is the one it builds
+    # without a key; it still fails both tiers with the same witness
+    g = parse_graph("complete_bipartite:2,3")
+    keyed = 0
+
+    def key(form):
+        nonlocal keyed
+        keyed += 1
+        return wire_sort_key(form)
+
+    unsorted = 0
+    for theta in all_thetas(g):
+        for seed in (1, 2):
+            plain = THETA_ORDERED(g, theta, SeededSource(seed), identity_perms=True)
+            t = THETA_ORDERED(g, theta, SeededSource(seed), identity_perms=True,
+                              wire_key=key)
+            assert t.requests == plain.requests
+            unsorted += any(list(w) != sorted(w, key=wire_sort_key) for w in t.requests)
+    assert keyed == 0
+    assert unsorted
+    for tier in ("exact", "structural"):
+        c = TIERS[tier](THETA_ORDERED, g)
+        assert not c.passed
+        assert c.to_dict()["witness"] == _witness("compose_stars_theta_ordered", 3, 4)
 
 
 def test_statistical_scheme_runs_do_not_grow_with_samples():
