@@ -71,6 +71,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seeds > sys.maxsize:  # a range longer than this has no len()
+        raise UsageError("--seeds must be at most %d, got %d" % (sys.maxsize, args.seeds))
     g = parse_graph(args.graph)
     report = verify_scheme(
         args.scheme,
@@ -99,7 +101,19 @@ def cmd_bounds(args) -> int:
     g = parse_graph(args.graph)
     entries = bound_report(g)
     tight = tightness_check(g)
-    if args.format == "json":
+    # exact bounds grow with the multiplicity, past Python's default cap
+    # of 4300 digits on int-to-str conversion (path:3^15000 has 9033)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        _print_bounds(args.format, g, entries, tight)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return 0
+
+
+def _print_bounds(fmt: str, g, entries, tight) -> None:
+    if fmt == "json":
         print(
             json.dumps(
                 {
@@ -114,14 +128,14 @@ def cmd_bounds(args) -> int:
                 indent=2,
             )
         )
-        return 0
+        return
     headers = ["kind", "value", "precision", "source", "applicable"]
     rows = [
         [e.kind, _fmt_value(e.value), "exact" if e.exact else "float",
          e.source, "yes" if e.applicable else "no (%s)" % e.reason]
         for e in entries
     ]
-    if args.format == "csv":
+    if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(headers)
@@ -134,7 +148,6 @@ def cmd_bounds(args) -> int:
             "tightness: %s (lower %s, upper %s)"
             % (tight.status, _fmt_value(tight.lower), _fmt_value(tight.upper))
         )
-    return 0
 
 
 def cmd_table(args) -> int:

@@ -12,12 +12,14 @@ then 2^(N-3) targets decoded through the pair bit at server i, then
 Only the leftover pools of sigma are drawn. Everything else a run
 needs is fixed by the desired pair (i, i') and the file symbols, and
 built once from the pair's subset families in one pass over the servers
-(`_template`, the last KERNEL_TEMPLATES kept): every draw-free sigma
-entry, each server's pooled subsets with the free indices they are
-drawn from, the pair-bit indices, the requests with their plan, and the
-half-swapping involution tau that the lift flips its stages by. A
-pooled subset's request is a slot that a run fills after drawing the
-pools and checking the drawn sigma. Each server's request layout, its
+(`_template`, the last KERNEL_TEMPLATES kept): the requests with their
+plan, each server's pooled subsets with the free indices they are drawn
+from, and the half-swapping involution tau that the lift flips its
+stages by. sigma is proven once per template, for every run: the fixed
+indices and pair bits touching each file are distinct, and the free
+indices avoid both. A pooled subset's request is a slot that a run
+fills straight from its server's pool draw, after checking that the
+draw is distinct free indices. Each server's request layout, its
 nonempty neighbourhood subsets with their edges, is one object shared
 by every pair on K_n (`_server`).
 """
@@ -112,10 +114,6 @@ def complete_length(n: int) -> int:
     return 3 * 2 ** (n - 2)
 
 
-def complete_downloads_per_server(n: int) -> int:
-    return 2 ** (n - 1) + 2 ** (n - 3) - 1
-
-
 # Kernel templates kept alive at once. One entry holds a desired pair's
 # run and its involution, and every caller builds theta by theta, so one
 # template hits almost every time, and keeping more would only hold
@@ -133,19 +131,18 @@ def _edges(n: int) -> tuple:
 @dataclass(frozen=True)
 class _Template:
     """Everything a run for one desired pair and set of symbols does not
-    draw. Per server (index j - 1), aligned with _server(n, j).subsets."""
-    fixed: tuple  # fixed[j-1][k]: sigma index of subsets[k], None if pooled
-    # pools[j-1] = (pooled positions k in lex_key order, free indices)
-    pools: tuple
-    pair_bits: tuple  # pair_bits[j-1]: pair-bit indices in bij.pairs order
+    draw."""
     # (server, form) per request in run order, read only; a pooled
     # subset's request is an empty placeholder
     requests: tuple
     plan: tuple
     tau: tuple  # the half-swapping involution, tau[m-1] = tau(m)
-    # (position in requests, server j, subset index k in sigma[j-1],
-    # the symbols of the subset's edges) per pooled subset
-    slots: tuple
+    # pools[j-1] = (slots, free indices) of server j: per pooled subset
+    # in lex_key order, (position in requests, the symbols of its
+    # edges); the pool is drawn from the free indices, the indices of
+    # [2^(N-1)] the server's fixed entries leave unused. Both are empty
+    # at i and i'.
+    pools: tuple
 
 
 @functools.lru_cache(maxsize=KERNEL_TEMPLATES)
@@ -176,30 +173,39 @@ def _template(n: int, i: int, i_prime: int, symbols: tuple) -> _Template:
             return pair_index[frozenset({j}) | (p - {i, i_prime})]
         return None  # drawn from the leftover pool
 
-    fixed, pools, pair_bits, slots = [], [], [], []
+    pools = []
     requests = []  # (server, form) per request, in run order
     subset_req: dict[tuple[int, frozenset], int] = {}  # request positions
     pair_req: dict[tuple[int, frozenset], int] = {}
     for j in range(1, n + 1):
         server = _server(n, j)
         sj = tuple(index(j, p) for p in server.subsets)
-        pooled = sorted((k for k, v in enumerate(sj) if v is None),
-                        key=lambda k: lex_key(server.subsets[k]))
-        used = set(sj)
-        free = tuple(v for v in range(1, half + 1) if v not in used) if pooled else ()
         bits = tuple(bij.varphi[rep] if j == i else bij.varphi[rep] + quarter
                      for rep, _p2 in bij.pairs)
-        fixed.append(sj)
-        pools.append((tuple(pooled), free))
-        pair_bits.append(bits)
-        for k, (p, idx, edges) in enumerate(zip(server.subsets, sj, server.edges)):
+        pooled = []  # (lex_key of the subset, its slot) per pooled subset
+        for p, idx, edges in zip(server.subsets, sj, server.edges):
             subset_req[(j, p)] = len(requests)
             syms = [symbol[e] for e in edges]
             if idx is None:
-                slots.append((len(requests), j, k, tuple(syms)))
+                pooled.append((lex_key(p), (len(requests), tuple(syms))))
                 requests.append((j, frozenset()))
             else:
                 requests.append((j, frozenset([(sym, idx) for sym in syms])))
+        used = set(sj)
+        free = tuple(v for v in range(1, half + 1) if v not in used) if pooled else ()
+        # sigma's proof for every run, whose pool draws are distinct free
+        # indices: the fixed indices and pair bits touching each file
+        # {j, l} are distinct, and the free indices avoid both (the
+        # fixed ones by their making)
+        for l, positions in server.touching:
+            seen = [sj[k] for k in positions if sj[k] is not None]
+            seen.extend(bits)
+            if len(seen) != len(set(seen)):
+                raise AssertionError(
+                    "index collision for file (%d,%d) at server %d" % (j, l, j))
+        if not set(bits).isdisjoint(free):
+            raise AssertionError("a pair bit at server %d is free" % j)
+        pools.append((tuple(slot for _key, slot in sorted(pooled)), free))
         for (rep, _p2), idx in zip(bij.pairs, bits):
             pair_req[(j, rep)] = len(requests)
             requests.append((j, frozenset([(symbol[e], idx) for e in server.nbr_edges])))
@@ -245,35 +251,7 @@ def _template(n: int, i: int, i_prime: int, symbols: tuple) -> _Template:
     tau = [0] * L
     for a, b in zip(sorted(side_i), sorted(side_ip)):
         tau[a - 1], tau[b - 1] = b, a
-    return _Template(tuple(fixed), tuple(pools), tuple(pair_bits), tuple(requests),
-                     tuple(plan), tuple(tau), tuple(slots))
-
-
-def _draw_sigma(n: int, tpl: _Template, rng: RandomSource) -> list[list[int]]:
-    """One run's sigma, aligned like tpl.fixed: the leftover pool at
-    servers outside the desired pair is drawn from the unused indices of
-    [2^(N-1)], server by server, and each server's row is checked as it
-    is drawn."""
-    sigma = []
-    for j in range(1, n + 1):
-        sj = list(tpl.fixed[j - 1])
-        pooled, free = tpl.pools[j - 1]
-        if pooled:
-            for k, v in zip(pooled, rng.sample_without_replacement(free, len(pooled))):
-                sj[k] = v
-        if None in sj:
-            raise AssertionError("sigma at server %d left subsets unassigned" % j)
-        # per-file injectivity: the indices touching file {j, l} must be
-        # distinct
-        for l, positions in _server(n, j).touching:
-            seen = [sj[k] for k in positions]
-            seen.extend(tpl.pair_bits[j - 1])
-            if len(seen) != len(set(seen)):
-                raise AssertionError(
-                    "index collision for file (%d,%d) at server %d" % (j, l, j)
-                )
-        sigma.append(sj)
-    return sigma
+    return _Template(tuple(requests), tuple(plan), tuple(tau), tuple(pools))
 
 
 def complete_kernel(
@@ -289,11 +267,17 @@ def complete_kernel(
     Its forms are frozensets of (symbol, index) pairs in permuted index space.
     """
     tpl = _template(n, i, i_prime, tuple(symbols[e] for e in _edges(n)))
-    sigma = _draw_sigma(n, tpl, rng)
     requests = list(tpl.requests)
-    for pos, j, k, syms in tpl.slots:
-        idx = sigma[j - 1][k]
-        requests[pos] = (j, frozenset([(sym, idx) for sym in syms]))
+    for j, (slots, free) in enumerate(tpl.pools, start=1):
+        if not slots:
+            continue
+        # server j's pooled subsets, in lex_key order, take its pool draw
+        drawn = rng.sample_without_replacement(free, len(slots))
+        if not len(slots) == len(drawn) == len(set(drawn).intersection(free)):
+            raise AssertionError(
+                "pool draw at server %d is not %d distinct free indices" % (j, len(slots)))
+        for (pos, syms), idx in zip(slots, drawn):
+            requests[pos] = (j, frozenset([(sym, idx) for sym in syms]))
     return KernelRun(tuple(requests), tpl.plan)
 
 

@@ -67,10 +67,6 @@ class GraphSpec:
     def n_base_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def n_files(self) -> int:
-        return self.multiplicity * len(self.edges)
-
     def edge_endpoints(self, edge_index: int) -> tuple[int, int]:
         """Endpoints of 1-based base-edge index."""
         return self.edges[edge_index - 1]
@@ -84,9 +80,6 @@ class GraphSpec:
         if self.multiplicity == 1:
             return self
         return GraphSpec(self.n_vertices, self.edges, 1, self.flags)
-
-    def with_multiplicity(self, r: int) -> "GraphSpec":
-        return GraphSpec(self.n_vertices, self.edges, r, self.flags)
 
     def to_dict(self) -> dict:
         return {

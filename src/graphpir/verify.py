@@ -176,7 +176,8 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
     two servers; rate, within every applicable exact upper bound. rate
     is the largest rate measured, or the failing one (None unless rate
     is checked)."""
-    seeds = list(seeds)
+    if not isinstance(seeds, range):  # a range is walked lazily, however long
+        seeds = list(seeds)
     if not seeds and (checks or privacy in ("auto", "structural")):
         raise ValueError("need at least one seed")
     if privacy not in (None,) + PRIVACY_MODES:

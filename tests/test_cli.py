@@ -242,6 +242,30 @@ def test_verify_without_seeds_exits_2(capsys, seeds):
     assert err == "error: need at least one seed\n"
 
 
+def test_verify_with_more_seeds_than_a_range_holds_exits_2(capsys):
+    # refused before any build: a range this long has no len()
+    code, out, err = run_cli(capsys, "verify", "--graph", "complete:3",
+                             "--seeds", "100000000000000000000")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: --seeds must be at most %d, got 100000000000000000000\n"
+                   % sys.maxsize)
+
+
+@pytest.mark.parametrize("fmt", ("md", "json"))
+def test_bounds_print_exact_values_past_the_int_digit_cap(capsys, fmt):
+    # path:3^15000's exact bounds have 9033 digits, more than Python's
+    # default cap of 4300 on int-to-str conversion, which is restored
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "bounds", "--graph", "path:3^15000", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    values = ([e["value"] for e in json.loads(out)["entries"]] if fmt == "json"
+              else re.findall(r"^\| (?:lower|upper) \| (\S+) \|", out, re.M))
+    assert sorted(len(v) for v in values) == [3, 7] + [9033] * 6
+    assert "1/22500" in values  # path:3's rate 2/3 over r
+
+
 def test_privacy_choices_are_the_verifier_modes():
     for mode in PRIVACY_MODES:
         args = build_parser().parse_args(

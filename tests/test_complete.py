@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -9,7 +10,6 @@ import graphpir.complete as complete
 from graphpir.complete import (
     build_families,
     complement_rep,
-    complete_downloads_per_server,
     complete_kernel,
     complete_length,
 )
@@ -58,18 +58,22 @@ def test_subset_bijections_n4():
 
 
 def sigma_view(n, i, i_prime, rng):
-    """One drawn sigma keyed by server, then subset, and the pair-bit
-    indices keyed by server, then pair representative."""
-    tpl = complete._template(n, i, i_prime, complete._edges(n))
-    sigma = {
-        j: dict(zip(complete._server(n, j).subsets, sj))
-        for j, sj in enumerate(complete._draw_sigma(n, tpl, rng), start=1)
-    }
-    pairs = build_families(n, i, i_prime).pairs
-    pair_bit_index = {
-        j: {rep: v for (rep, _p2), v in zip(pairs, bits)}
-        for j, bits in enumerate(tpl.pair_bits, start=1)
-    }
+    """One run's sigma keyed by server, then subset, and its pair-bit
+    indices keyed by server, then pair representative, read off the
+    kernel's requests: each server's subsets in _server order, then its
+    pair bits in the order of the pair classes."""
+    run = complete_kernel(n, i, i_prime, edge_symbols(n), rng)
+    indices = {j: [] for j in range(1, n + 1)}
+    for server, form in run.requests:
+        (idx,) = {m for _sym, m in form}
+        indices[server].append(idx)
+    reps = [rep for rep, _p2 in build_families(n, i, i_prime).pairs]
+    sigma, pair_bit_index = {}, {}
+    for j, idxs in indices.items():
+        subsets = complete._server(n, j).subsets
+        assert len(idxs) == len(subsets) + len(reps)
+        sigma[j] = dict(zip(subsets, idxs))
+        pair_bit_index[j] = dict(zip(reps, idxs[len(subsets):]))
     return sigma, pair_bit_index
 
 
@@ -94,7 +98,8 @@ def test_sigma_covers_every_server(n):
 
 def test_lengths_and_downloads():
     assert [complete_length(n) for n in (3, 4, 5)] == [6, 12, 24]
-    assert [complete_downloads_per_server(n) for n in (3, 4, 5)] == [4, 9, 19]
+    # 2^(N-1) - 1 subset requests and 2^(N-3) pair bits per server
+    assert [2 ** (n - 1) + 2 ** (n - 3) - 1 for n in (3, 4, 5)] == [4, 9, 19]
 
 
 @pytest.mark.parametrize("n,rate", [(3, Fraction(1, 2)), (4, Fraction(1, 3)), (5, Fraction(24, 95))])
@@ -108,7 +113,7 @@ def test_complete_scheme_rate_reliability_srp(n, rate):
             assert measured_rate(t) == rate
             assert srp_attribution(t) == (half, half)
             for server in t.requests:
-                assert len(server) == complete_downloads_per_server(n)
+                assert len(server) == 2 ** (n - 1) + 2 ** (n - 3) - 1
 
 
 def test_complete_scheme_end_to_end():
@@ -220,23 +225,49 @@ class ShortSource(SeededSource):
         return []
 
 
-@pytest.mark.parametrize("source,message", [
+class HeldIndexSource(SeededSource):
+    """Draws as SeededSource does, except that its first pool's first
+    subset takes the smallest index below the pool's largest that the
+    pool leaves out, an index its server already holds."""
+
+    first = True
+
+    def sample_without_replacement(self, seq, k):
+        out = super().sample_without_replacement(seq, k)
+        if self.first:
+            self.first = False
+            out[0] = min(set(range(1, max(seq) + 1)) - set(seq))
+        return out
+
+
+@pytest.mark.parametrize("source", (RepeatingSource, ShortSource, HeldIndexSource))
+def test_every_pool_draw_is_checked(source):
     # at server 3 of K_5 with desired pair (1, 2), the pool {4}, {4, 5},
-    # {5} is drawn in that order; {4} and {4, 5} share file {3, 4}
-    (RepeatingSource, r"index collision for file \(3,4\) at server 3"),
-    (ShortSource, r"sigma at server 3 left subsets unassigned"),
-])
-def test_sigma_checks_run_on_every_drawn_sigma(source, message):
+    # {5} is drawn in that order; HeldIndexSource hands {4} the index 2,
+    # which server 3 holds as sigma({1}) but no subset touching file
+    # {3, 4} holds
     complete._template.cache_clear()
     symbols = edge_symbols(5)
     for _ in range(2):  # cold template, then warm
-        with pytest.raises(AssertionError, match=message):
+        with pytest.raises(AssertionError,
+                           match="pool draw at server 3 is not 3 distinct free indices"):
             complete_kernel(5, 1, 2, symbols, source(0))
         complete_kernel(5, 1, 2, symbols, SeededSource(0))
     assert complete._template.cache_info().hits >= 3
-    tpl = complete._template(5, 1, 2, complete._edges(5))
-    with pytest.raises(AssertionError, match=message):
-        complete._draw_sigma(5, tpl, source(0))
+
+
+def test_a_template_that_breaks_sigma_is_refused(monkeypatch):
+    # families whose pair classes share one varphi index give server 1 two
+    # equal pair bits, and each pair bit touches every file at its server
+    def merged(n, i, i_prime):
+        bij = build_families(n, i, i_prime)
+        return dataclasses.replace(bij, varphi=dict.fromkeys(bij.varphi, min(bij.varphi.values())))
+
+    monkeypatch.setattr(complete, "build_families", merged)
+    complete._template.cache_clear()
+    with pytest.raises(AssertionError, match=r"index collision for file \(1,2\) at server 1"):
+        complete_kernel(4, 1, 2, edge_symbols(4), SeededSource(0))
+    assert complete._template.cache_info().currsize == 0
 
 
 def test_forms_use_the_symbols_of_each_call():
@@ -258,9 +289,12 @@ def test_forms_use_the_symbols_of_each_call():
 
 
 def kernel_from_scratch(n, i, i_prime, symbols, rng):
-    """complete_kernel as it was before templates: every request form
-    built from the drawn sigma, with the template's plan. Checks the
-    template's tau against one derived here from the subset families."""
+    """complete_kernel as it was before templates: sigma from the subset
+    families' equations, its leftover pools drawn here (server by server,
+    each pool's subsets in lex_key order, from the indices of [2^(N-1)]
+    the server leaves unused), and every request form built from it, with
+    the template's plan. Checks the template's tau against one derived
+    here from the subset families."""
     tpl = complete._template(n, i, i_prime, tuple(symbols[e] for e in complete._edges(n)))
     # tau pairs the targets hosted at i (the phi targets whose subset
     # holds i, then the middle range) with those hosted at i' (phi
@@ -275,13 +309,34 @@ def kernel_from_scratch(n, i, i_prime, symbols, rng):
     for a, b in zip(sorted(side_i), sorted(side_ip)):
         tau[a], tau[b] = b, a
     assert tpl.tau == tuple(tau[m] for m in range(1, complete_length(n) + 1))
+    # varphi of the pair class of each subset of [n] - {i, i'}
+    pair_of = {q: bij.varphi[rep] for rep, p2 in bij.pairs for q in (rep, p2)}
     requests = []
-    for j, sj in enumerate(complete._draw_sigma(n, tpl, rng), start=1):
-        server = complete._server(n, j)
-        for idx, edges in zip(sj, server.edges):
-            requests.append((j, frozenset((symbols[e], idx) for e in edges)))
-        for idx in tpl.pair_bits[j - 1]:
-            requests.append((j, frozenset((symbols[e], idx) for e in server.nbr_edges)))
+    for j in range(1, n + 1):
+        nbrs = [v for v in range(1, n + 1) if v != j]
+        subsets = sorted((frozenset(c) for k in range(1, n) for c in itertools.combinations(nbrs, k)),
+                         key=lambda p: (len(p), sorted(p)))
+        sigma = {}
+        for p in subsets:
+            if j in (i, i_prime):
+                other = i_prime if j == i else i
+                if other in p:
+                    sigma[p] = bij.phi[p - {other} | {j}]
+                else:
+                    sigma[p] = pair_of[p] + (quarter if j == i else 0)
+            elif len(p & {i, i_prime}) == 1:
+                sigma[p] = bij.phi[p | {j}]
+            elif len(p & {i, i_prime}) == 2:
+                sigma[p] = pair_of[p - {i, i_prime} | {j}]
+        pool = sorted((p for p in subsets if p not in sigma), key=sorted)
+        if pool:
+            free = [v for v in range(1, half + 1) if v not in sigma.values()]
+            sigma.update(zip(pool, rng.sample_without_replacement(free, len(pool))))
+        for p in subsets:
+            requests.append((j, frozenset((symbols[frozenset({j, l})], sigma[p]) for l in p)))
+        for rep, _p2 in bij.pairs:
+            bit = bij.varphi[rep] + (0 if j == i else quarter)
+            requests.append((j, frozenset((symbols[frozenset({j, l})], bit) for l in nbrs)))
     return KernelRun(tuple(requests), tpl.plan)
 
 

@@ -12,6 +12,7 @@ from graphpir.core import (
     assemble_transcript,
     decode,
     dump_transcript,
+    file_ids,
     measured_rate,
     random_store,
     server_pattern,
@@ -196,6 +197,71 @@ def test_request_pattern_invariant_under_per_file_permutation(fp):
     form, perms = fp
     mapped = frozenset((f, perms[f][b - 1]) for f, b in form)
     assert wire_sort_key(mapped)[0] == wire_sort_key(form)[0]
+
+
+@st.composite
+def transcript_parts(draw):
+    """(graph, theta, L, requests, plan) that assemble_transcript accepts.
+    Each target's plan entry is up to three requests at one server
+    hosting theta, whose forms XOR to the target; noise requests lie
+    outside every plan entry. Half of the plans leave one planned
+    request out of its entry, so that target does not decode."""
+    g = parse_graph(draw(st.sampled_from(("path:3", "path:3^2", "star:4", "complete:4^2"))))
+    files = file_ids(g)
+    theta = draw(st.sampled_from(files))
+    L = draw(st.integers(1, 4))
+
+    def form(server):
+        stored = [f for f in files if server in g.edges[f.edge - 1]]
+        coords = st.tuples(st.sampled_from(stored), st.integers(1, L))
+        return frozenset(draw(st.lists(coords, max_size=3, unique=True)))
+
+    requests, plan = [], []
+    for tp in range(1, L + 1):
+        server = draw(st.sampled_from(g.edges[theta.edge - 1]))
+        forms = [form(server) for _ in range(draw(st.integers(0, 2)))]
+        forms.append(xor_forms(forms) ^ {(theta, tp)})
+        plan.append(list(range(len(requests), len(requests) + len(forms))))
+        requests += [(server, f) for f in forms]
+    for _ in range(draw(st.integers(0, 3))):
+        server = draw(st.integers(1, g.n_vertices))
+        requests.append((server, form(server)))
+    if draw(st.booleans()):
+        entry = draw(st.sampled_from(plan))
+        entry.pop(draw(st.integers(0, len(entry) - 1)))
+    return g, theta, L, requests, plan
+
+
+def _outcome(check, t):
+    try:
+        return check(t)
+    except TranscriptError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(transcript_parts(), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_checks_agree_under_random_and_identity_permutations(parts, seed, canonical):
+    # a per-file permutation relabels every form and the decoding target
+    # alike, so the checks cannot tell a permuted build from its identity
+    # build
+    g, theta, L, requests, plan = parts
+    ident, perm = (
+        assemble_transcript(g, L, theta, requests, plan, SeededSource(seed),
+                            identity_perms=identity, canonical_order=canonical)
+        for identity in (True, False))
+    for check in (symbolic_decode_check, srp_attribution, measured_rate):
+        assert _outcome(check, perm) == _outcome(check, ident)
+    store = random_store(g, L, random.Random(seed))
+    got = decode(perm, answer_all(store, perm))
+    if symbolic_decode_check(ident):
+        assert got == decode(ident, answer_all(store, ident)) == store[theta]
+    # whether or not theta decodes, the permuted build decodes the store
+    # as the identity build decodes the store read through the permutations
+    pi = perm.permutations
+    relabelled = {f: tuple(bits[m - 1] for m in pi[f]) for f, bits in store.items()}
+    assert (tuple(got[m - 1] for m in pi[theta])
+            == decode(ident, answer_all(relabelled, ident)))
 
 
 def test_server_pattern_keeps_wire_order():

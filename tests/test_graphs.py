@@ -26,7 +26,7 @@ def test_path_family():
     assert g.n_vertices == 4
     assert g.edges == ((1, 2), (2, 3), (3, 4))
     assert g.multiplicity == 1
-    assert g.n_files == 3
+    assert g.multiplicity * g.n_base_edges == 3  # files
 
 
 def test_star_family_center_is_last_vertex():
@@ -244,4 +244,5 @@ def test_base_and_with_multiplicity():
     g = build_family("cycle", [4], 3)
     assert g.base().multiplicity == 1
     assert g.base().flags == g.flags
-    assert g.base().with_multiplicity(3) == g
+    base = g.base()
+    assert GraphSpec(base.n_vertices, base.edges, 3, base.flags) == g
