@@ -13,9 +13,8 @@ Only the leftover pools of sigma are drawn. Everything else a run
 needs is fixed by the desired pair (i, i') and the file symbols, and
 built once from the pair's subset families in one pass over the servers
 (`_template`, the last KERNEL_TEMPLATES kept): the requests with their
-plan, each server's pooled subsets with the free indices they are drawn
-from, and the half-swapping involution tau that the lift flips its
-stages by. sigma is proven once per template, for every run: the fixed
+plan, and each server's pooled subsets with the free indices they are
+drawn from. sigma is proven once per template, for every run: the fixed
 indices and pair bits touching each file are distinct, and the free
 indices avoid both. A pooled subset's request is a slot that a run
 fills straight from its server's pool draw, after checking that the
@@ -50,9 +49,6 @@ def _subsets(base: list[int]):
 
 @dataclass(frozen=True)
 class SubsetBijections:
-    n: int
-    i: int
-    i_prime: int
     # phi: subsets P with |P & {i,i'}| == 1 -> [1 .. 2^(N-1)], lex rank
     phi: dict
     phi_inv: tuple
@@ -82,7 +78,7 @@ def build_families(n: int, i: int, i_prime: int) -> SubsetBijections:
     assert len(reps) == 2 ** (n - 3)
     varphi = {p: 2 ** (n - 1) + k + 1 for k, p in enumerate(reps)}
     pairs = tuple((p, others_set - p) for p in reps)
-    return SubsetBijections(n, i, i_prime, phi, tuple(fam), varphi, pairs)
+    return SubsetBijections(phi, tuple(fam), varphi, pairs)
 
 
 @dataclass(frozen=True)
@@ -115,9 +111,8 @@ def complete_length(n: int) -> int:
 
 
 # Kernel templates kept alive at once. One entry holds a desired pair's
-# run and its involution, and every caller builds theta by theta, so one
-# template hits almost every time, and keeping more would only hold
-# memory.
+# run, and every caller builds theta by theta, so one template hits
+# almost every time, and keeping more would only hold memory.
 KERNEL_TEMPLATES = 1
 
 
@@ -136,7 +131,6 @@ class _Template:
     # subset's request is an empty placeholder
     requests: tuple
     plan: tuple
-    tau: tuple  # the half-swapping involution, tau[m-1] = tau(m)
     # pools[j-1] = (slots, free indices) of server j: per pooled subset
     # in lex_key order, (position in requests, the symbols of its
     # edges); the pool is drawn from the free indices, the indices of
@@ -241,17 +235,7 @@ def _template(n: int, i: int, i_prime: int, symbols: tuple) -> _Template:
             if jj not in (i, i_prime):
                 entry.add(pair_req[(jj, rep)])
         plan[v + quarter - 1] = frozenset(entry)
-
-    # tau pairs the targets hosted at i (the phi targets whose subset
-    # holds i, then the middle range) with those hosted at i' in order
-    side_i = [t for t in range(1, half + 1) if i in bij.phi_inv[t - 1]]
-    side_i += list(range(half + 1, half + quarter + 1))
-    side_ip = [t for t in range(1, half + 1) if i_prime in bij.phi_inv[t - 1]]
-    side_ip += list(range(half + quarter + 1, L + 1))
-    tau = [0] * L
-    for a, b in zip(sorted(side_i), sorted(side_ip)):
-        tau[a - 1], tau[b - 1] = b, a
-    return _Template(tuple(requests), tuple(plan), tuple(tau), tuple(pools))
+    return _Template(tuple(requests), tuple(plan), tuple(pools))
 
 
 def complete_kernel(
@@ -280,8 +264,3 @@ def complete_kernel(
             requests[pos] = (j, frozenset([(sym, idx) for sym in syms]))
     return KernelRun(tuple(requests), tpl.plan)
 
-
-def complete_tau(n: int, i: int, i_prime: int, symbols: dict) -> tuple:
-    """The half-swapping involution of the pair's runs, tau[m-1] = tau(m),
-    read from the pair's template."""
-    return _template(n, i, i_prime, tuple(symbols[e] for e in _edges(n))).tau

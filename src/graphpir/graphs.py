@@ -18,6 +18,10 @@ KNOWN_FLAGS = frozenset({"vertex_transitive", "hamiltonian_vertex_transitive"})
 
 MATCHING_EDGE_LIMIT = 24
 
+# The largest multiplicity: the exact bounds compute 2^r, so past it
+# `bounds` would work on numbers too long to print in reasonable time.
+MAX_MULTIPLICITY = 1 << 16
+
 
 class GraphSpecError(ValueError):
     pass
@@ -41,6 +45,8 @@ class GraphSpec:
             raise GraphSpecError("need at least one vertex")
         if self.multiplicity < 1:
             raise GraphSpecError("multiplicity must be positive")
+        if self.multiplicity > MAX_MULTIPLICITY:
+            raise GraphSpecError("multiplicity above the limit of %d" % MAX_MULTIPLICITY)
         norm = []
         for e in self.edges:
             if len(e) != 2:

@@ -24,13 +24,6 @@ class KernelRun:
     plan: tuple[frozenset, ...]
 
 
-# The half-swapping involution of the path and star kernels, as
-# tau[m-1] = tau(m): the desired symbol's two positions trade places,
-# and so do the hosting servers that deliver them. The lift reads its
-# flipped stages through it.
-HALF_SWAP = (2, 1)
-
-
 def path_kernel(
     vertices: Sequence[int],
     symbols: Sequence,

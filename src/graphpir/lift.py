@@ -19,12 +19,13 @@ makes the per-server query patterns independent of theta.
 
 Every base run is built one way. The halves of the virtual desired file
 must land on the right servers, so the instances with j in A beyond
-stage 1 are flipped stages: they read their run through the kernel's
-half-swapping involution tau, which the kernel factory declares. A
-flipped stage relabels the desired symbol's position m to tau(m) as it
-lifts forms, and takes target m from plan entry tau(m). Block u(B) of
-the desired file is then decoded by XORing instance B union {j} against
-instance B.
+stage 1 are flipped stages: they read their run through its
+half-swapping involution tau, which the lift derives from one draw-free
+run (_half_swap) and which a run whose fresh bits do not split evenly
+between two servers lacks. A flipped stage relabels the desired
+symbol's position m to tau(m) as it lifts forms, and takes target m
+from plan entry tau(m). Block u(B) of the desired file is then decoded
+by XORing instance B union {j} against instance B.
 
 Each stage lifts a kernel form once (_Stage) and keeps it, in the stage
 table, for every later build of the same desired file, so the builds of
@@ -40,14 +41,12 @@ from dataclasses import dataclass
 from .complete import complement_rep, lex_key
 from .core import FileId, Transcript, assemble_transcript
 from .graphs import GraphSpec
-from .rng import RandomSource
-from .schemes import BASE_KINDS, SchemeError, _theta_file, bind
+from .rng import CanonicalSource, RandomSource
+from .schemes import BASE_KINDS, KernelFactory, SchemeError, _theta_file, bind
 
 
 @dataclass(frozen=True)
 class BlockPlan:
-    r: int
-    j: int
     u: dict  # subsets of [r] minus {j}, including empty -> [1 .. 2^(r-1)]
     beta: dict  # nonempty subsets of [r] -> [1 .. 2^(r-1)]
 
@@ -84,13 +83,17 @@ def build_block_plan(r: int, j: int) -> BlockPlan:
     for t in range(1, r + 1):
         blocks = [b for a, b in beta.items() if t in a]
         assert len(blocks) == len(set(blocks))
-    return BlockPlan(r, j, u, beta)
+    return BlockPlan(u, beta)
 
 
 # Stage tables kept alive at once. Every caller builds theta by theta
 # (all seeds or draw points of one theta, then the next), so one table
 # hits almost every time, and keeping more would only hold memory.
 STAGE_TABLES = 1
+
+# The largest file length 2^(r-1) * L' built: the stages and block plan
+# grow with 2^r, so a larger lift would exhaust memory unbuilt.
+MAX_LIFT_LENGTH = 1 << 17
 
 
 class _Stage(dict):
@@ -107,7 +110,7 @@ class _Stage(dict):
         super().__init__()
         self.subset = subset
         self.copies = tuple(sorted(subset))
-        self.tau = tau  # the identity, or the kernel's involution if flipped
+        self.tau = tau  # the identity, or the run's involution if flipped
         self.edge = edge
         self.desired = desired  # (copy t, window offset) per desired block
         self.shared = shared  # window offset of every other file
@@ -125,13 +128,37 @@ class _Stage(dict):
         return lifted
 
 
+def _half_swap(factory: KernelFactory, e: int) -> tuple:
+    """tau[m-1] = tau(m) of factory's runs for desired edge e, from one
+    draw-free run: target m is held at the server of the one planned
+    request holding the fresh (FileId(e, 1), m), as srp_attribution
+    finds it, and tau pairs, in target order, the targets held at one
+    server with those held at the other. Refuses a run whose fresh bits
+    do not split so, one to one and evenly between two servers."""
+    kr, desired, sides = factory.run(e, CanonicalSource()), FileId(e, 1), {}
+    for m, entry in enumerate(kr.plan, start=1):
+        holders = [kr.requests[k][0] for k in entry if (desired, m) in kr.requests[k][1]]
+        if len(holders) != 1:
+            raise SchemeError("base run of edge %d: target %d has %d fresh-bit requests"
+                              % (e, m, len(holders)))
+        sides.setdefault(holders[0], []).append(m)
+    if len(sides) != 2 or len(set(map(len, sides.values()))) != 1:
+        raise SchemeError("base run of edge %d splits its fresh bits %s, not evenly "
+                          "between two servers" % (e, {s: len(ms) for s, ms in sides.items()}))
+    tau = [0] * len(kr.plan)
+    for a, b in zip(*sides.values()):
+        tau[a - 1], tau[b - 1] = b, a
+    return tuple(tau)
+
+
 @functools.lru_cache(maxsize=STAGE_TABLES)
-def _stage_table(r: int, j: int, e: int, tau: tuple) -> tuple[tuple, tuple]:
-    """The stages of a lift of desired file (e, j) whose base runs have
-    the involution tau (so base length len(tau)), in run order, and the
-    plan merge: per block u(B), the stages whose plans it XORs (B + {j},
-    and B unless B is empty), each with the plan index it reads for
-    each target, and the block's window offset."""
+def _stage_table(r: int, j: int, e: int, factory: KernelFactory) -> tuple[tuple, tuple]:
+    """The stages of a lift of desired file (e, j) whose base runs come
+    from `factory`, in run order, and the plan merge: per block u(B),
+    the stages whose plans it XORs (B + {j}, and B unless B is empty),
+    each with the plan index it reads for each target, and the block's
+    window offset."""
+    tau = _half_swap(factory, e)
     bp = build_block_plan(r, j)
     file_id = functools.cache(FileId)
     Lp = len(tau)
@@ -140,13 +167,7 @@ def _stage_table(r: int, j: int, e: int, tau: tuple) -> tuple[tuple, tuple]:
     for size in range(1, r + 1):
         for c in sorted(itertools.combinations(range(1, r + 1), size)):
             A = frozenset(c)
-            if j in A:
-                desired = {
-                    t: bp.u[A - {j, t}] if t != j else bp.u[A - {j}]
-                    for t in A
-                }
-            else:
-                desired = {t: bp.u[A - {t}] for t in A}
+            desired = {t: bp.u[A - {j, t}] for t in A}
             stages.append(_Stage(
                 A,
                 tau if (j in A and size > 1) else identity,
@@ -164,6 +185,18 @@ def _stage_table(r: int, j: int, e: int, tau: tuple) -> tuple[tuple, tuple]:
     return tuple(stages), merge
 
 
+def lift_factory(base_kind: str, g: GraphSpec) -> KernelFactory:
+    """The factory of the named base scheme on g's base graph, if its
+    lift to g's multiplicity fits MAX_LIFT_LENGTH."""
+    if base_kind not in BASE_KINDS:
+        raise SchemeError("no SRP base scheme of kind %r" % base_kind)
+    (factory,) = bind(base_kind, g.base())
+    if factory.length << (g.multiplicity - 1) > MAX_LIFT_LENGTH:
+        raise SchemeError("lift too large to build: file length 2^%d * %d is above %d"
+                          % (g.multiplicity - 1, factory.length, MAX_LIFT_LENGTH))
+    return factory
+
+
 def lift_scheme(
     base_kind: str,
     g: GraphSpec,
@@ -173,14 +206,12 @@ def lift_scheme(
 ) -> Transcript:
     """Lift the named base scheme (path, star, or complete) of g's base
     graph to g's multiplicity."""
-    if base_kind not in BASE_KINDS:
-        raise SchemeError("no SRP base scheme of kind %r" % base_kind)
-    (factory,) = bind(base_kind, g.base())
+    factory = lift_factory(base_kind, g)
     r = g.multiplicity
     f = _theta_file(g, theta)
     e, j = f
     Lp = factory.length
-    stages, merge = _stage_table(r, j, e, factory.tau(e))
+    stages, merge = _stage_table(r, j, e, factory)
 
     requests: list = []
     starts: list = []  # index in `requests` of each stage's first request

@@ -174,16 +174,15 @@ def record_shape(builder) -> list[tuple[str, int]]:
 
 
 def enumerate_sources(shape: Sequence[tuple[str, int]],
-                      budget: int) -> Iterator[ReplaySource]:
-    """Yield one ReplaySource per point of the randomness space of draw
-    shape `shape`, in lexicographic order: permutations of [1..n] in
-    lexicographic order, indices ascending, the last draw varying
-    fastest. Raises BudgetExceeded, before yielding, when the space has
-    more than `budget` points."""
+                      budget: int) -> Iterator[tuple]:
+    """Yield every draw point of the randomness space of draw shape
+    `shape` (as SeededSource.points does, one value per draw), in
+    lexicographic order: permutations of [1..n] in lexicographic order,
+    indices ascending, the last draw varying fastest. Raises
+    BudgetExceeded, before yielding, when the space has more than
+    `budget` points."""
     domain_size(shape, budget)
-    domains = [
+    yield from itertools.product(*(
         itertools.permutations(range(1, n + 1)) if kind == "perm" else range(n)
         for kind, n in shape
-    ]
-    for point in itertools.product(*domains):
-        yield ReplaySource(shape, point)
+    ))

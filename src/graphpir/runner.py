@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from .core import file_ids
 from .graphs import GraphSpec, classify_family, path_vertex_order, star_center
-from .lift import lift_scheme
+from .lift import lift_factory, lift_scheme
 from .schemes import (
     BASE_KINDS,
     SchemeError,
@@ -61,7 +61,7 @@ def resolve_scheme(scheme, g: GraphSpec):
         bind(name, g)
         return name, STANDALONE[name]
     kind = name.removeprefix("lift:")
-    bind(kind, g.base())
+    lift_factory(kind, g)
 
     def run(g, theta, rng, **kw):
         return lift_scheme(kind, g, theta, rng, **kw)

@@ -1,11 +1,10 @@
 """Standalone schemes, edge-disjoint composition, and kernel factories.
 
 A kernel factory binds a base kernel kind to a set of a graph's base
-edges and can then produce kernel runs for any desired edge, and name
-the half-swapping involution of those runs. `bind` is the one place
-where a scheme kind meets a graph: it validates the pair once and
-returns the scheme's factories, which standalone schemes, compositions
-and the lift all run from.
+edges and can then produce kernel runs for any desired edge. `bind` is
+the one place where a scheme kind meets a graph: it validates the pair
+once and returns the scheme's factories, which standalone schemes,
+compositions and the lift all run from.
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from .graphs import (
     star_center,
     star_decomposition,
 )
-from .kernels import HALF_SWAP, KernelRun, path_kernel, star_kernel
+from .kernels import KernelRun, path_kernel, star_kernel
 from .rng import RandomSource
 
 
@@ -40,10 +39,6 @@ class KernelFactory:
     length: int
     edge_indices: tuple[int, ...]
     _runner: object
-    # tau(theta_edge): the half-swapping involution of that edge's runs,
-    # tau[m-1] = tau(m), where the desired file's positions m and tau(m)
-    # come from its two different hosting servers
-    tau: object
 
     def run(self, theta_edge: int, rng: RandomSource) -> KernelRun:
         if theta_edge not in self.edge_indices:
@@ -66,26 +61,20 @@ def kernel_factory(
         if order is None:
             raise SchemeError("edges do not form a path")
         by_pair = {frozenset(p): e for p, e in zip(pairs, edge_indices)}
-        path_edges = [
-            by_pair[frozenset({order[k], order[k + 1]})]
-            for k in range(len(order) - 1)
-        ]
+        path_edges = [by_pair[frozenset(uv)] for uv in zip(order, order[1:])]
         symbols = [FileId(e, 1) for e in path_edges]
 
         def run(theta_edge, rng):
             return path_kernel(order, symbols, path_edges.index(theta_edge) + 1)
 
-        return KernelFactory(2, edge_indices, run, lambda theta_edge: HALF_SWAP)
+        return KernelFactory(2, edge_indices, run)
 
     if kind == "star":
         sub = GraphSpec(g.n_vertices, tuple(pairs))
         center = star_center(sub)
         if center is None:
             raise SchemeError("edges do not form a star")
-        leaf_of = {}
-        for p, e in zip(pairs, edge_indices):
-            u, v = p
-            leaf_of[e] = u if v == center else v
+        leaf_of = {e: u if v == center else v for (u, v), e in zip(pairs, edge_indices)}
         order = sorted(edge_indices, key=lambda e: leaf_of[e])
         leaves = [leaf_of[e] for e in order]
         symbols = [FileId(e, 1) for e in order]
@@ -93,7 +82,7 @@ def kernel_factory(
         def run(theta_edge, rng):
             return star_kernel(center, leaves, symbols, order.index(theta_edge) + 1)
 
-        return KernelFactory(2, edge_indices, run, lambda theta_edge: HALF_SWAP)
+        return KernelFactory(2, edge_indices, run)
 
     if kind == "complete":
         vertices = sorted({v for p in pairs for v in p})
@@ -107,10 +96,7 @@ def kernel_factory(
         def run(theta_edge, rng):
             return comp.complete_kernel(n, *g.edge_endpoints(theta_edge), symbols, rng)
 
-        def tau(theta_edge):
-            return comp.complete_tau(n, *g.edge_endpoints(theta_edge), symbols)
-
-        return KernelFactory(comp.complete_length(n), edge_indices, run, tau)
+        return KernelFactory(comp.complete_length(n), edge_indices, run)
 
     raise SchemeError("unknown scheme kind %r" % kind)
 

@@ -134,10 +134,10 @@ def _tally(build, shape, points, view, servers: int):
     `build`, whose draw shape is `shape` (record_shape), once per point
     of `points`, over `servers` servers. A point holds one value per
     draw of the shape, in the order the run draws them
-    (SeededSource.points, or a point of enumerate_sources). Callers name
-    the view (say server_pattern) at call time, never in a default or a
-    table, so a rebinding of the module attribute, as a tracer does,
-    sees every call.
+    (SeededSource.points or enumerate_sources). Callers name the view
+    (say server_pattern) at call time, never in a default or a table, so
+    a rebinding of the module attribute, as a tracer does, sees every
+    call.
 
     Each distinct point is built, and each distinct server wire viewed,
     once: the points are tallied, then each runs the scheme on a replay
@@ -218,7 +218,7 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
     def tally(theta):
         build, shape = kept[theta]
         if tier == "exact":
-            points = (src.point for src in enumerate_sources(shape, EXACT_BUDGET))
+            points = enumerate_sources(shape, EXACT_BUDGET)
         elif tier == "structural":
             points = (next(SeededSource(_seed_for(seed, theta, "struct")).points(shape, 1))
                       for seed in seeds)

@@ -266,6 +266,45 @@ def test_bounds_print_exact_values_past_the_int_digit_cap(capsys, fmt):
     assert "1/22500" in values  # path:3's rate 2/3 over r
 
 
+@pytest.mark.parametrize("graph", [
+    "path:3^" + "9" * 40,
+    '{"n": 3, "edges": [[1, 2]], "multiplicity": %s}' % ("9" * 40),
+])
+def test_bounds_refuses_a_huge_multiplicity_at_once(capsys, graph):
+    # the exact bounds compute 2^r, so a multiplicity past the limit is
+    # refused before any bound is computed
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", "--graph", graph)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: multiplicity above the limit of 65536\n"
+
+
+def test_bounds_at_the_largest_multiplicity(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--graph", "path:3^65536")
+    assert (code, err) == (0, "")
+    assert "| 1/98304 |" in out  # path:3's rate 2/3 over r
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--graph", "path:2^40"),
+    ("verify", "--graph", "path:2^24"),
+])
+def test_a_lift_too_large_to_build_exits_2(capsys, argv):
+    # refused before any stage or block plan is built, which would take
+    # memory growing with 2^r
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: lift too large to build: file length 2^")
+    assert err.count("\n") == 1
+
+
+def test_a_large_lift_still_runs(capsys):
+    code, out, err = run_cli(capsys, "run", "--graph", "star:2^12")
+    assert (code, err) == (0, "")
+    assert out.endswith("rate 2048/4095\n")
+
+
 def test_privacy_choices_are_the_verifier_modes():
     for mode in PRIVACY_MODES:
         args = build_parser().parse_args(

@@ -14,6 +14,7 @@ from graphpir.complete import (
     complete_length,
 )
 from graphpir.core import (
+    AttributionUndefined,
     FileId,
     answer_all,
     decode,
@@ -29,8 +30,10 @@ from graphpir.graphs import build_family, parse_graph
 from graphpir.kernels import KernelRun
 from graphpir.mutants import MUTANTS
 from graphpir.rng import CanonicalSource, SeededSource
+from graphpir.lift import _half_swap
 from graphpir.runner import all_thetas, resolve_scheme
-from graphpir.schemes import complete_scheme
+from graphpir.schemes import KernelFactory, complete_scheme
+from graphpir.verify import _seed_for
 from test_verify import compose_stars_drop_request
 
 import random
@@ -169,19 +172,23 @@ DUMP_DIGESTS["drop-request complete_bipartite:2,3"] = (
     "4a3d1deedde764427d36b19d585e5e9ae7c779759a695c12f8f52411d5490d77")
 
 
+def key_runner(key: str):
+    """(graph, runner) of a DUMP_DIGESTS key."""
+    mutant, _, text = key.rpartition(" ")
+    g = parse_graph(text)
+    if mutant == "drop-request":  # a transcript transform, not a runner
+        return g, compose_stars_drop_request
+    if mutant:
+        return g, MUTANTS[mutant][0]
+    return g, resolve_scheme("auto", g)[1]
+
+
 def dump_digest(key: str, **run_kw) -> str:
     """SHA-256 over the dumps of every theta, seeds 1 and 2, random and
     identity permutations, each run with `run_kw` as well. Every desired
     pair is run more than once, so runs from a cold and a warm cache are
     both covered."""
-    mutant, _, text = key.rpartition(" ")
-    g = parse_graph(text)
-    if mutant == "drop-request":  # a transcript transform, not a runner
-        run = compose_stars_drop_request
-    elif mutant:
-        run = MUTANTS[mutant][0]
-    else:
-        _, run = resolve_scheme("auto", g)
+    g, run = key_runner(key)
     h = hashlib.sha256()
     for theta in all_thetas(g):
         for seed in (1, 2):
@@ -202,6 +209,41 @@ def test_a_memoised_wire_key_keeps_every_dump(key):
     # wire_sort_key per tally; here one memo serves every theta, seed and
     # permutation of a key, so it hits across all of them
     assert dump_digest(key, wire_key=functools.cache(wire_sort_key)) == DUMP_DIGESTS[key]
+
+
+def _outcome(check, t):
+    try:
+        return check(t)
+    except AttributionUndefined as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("key", sorted(DUMP_DIGESTS))
+def test_checks_agree_on_the_seeded_builds_with_and_without_permutations(key):
+    # verify's "rel" builds, with random file permutations and with
+    # identity ones, at every theta and seeds 0-2: a per-file
+    # permutation relabels every form and the decoding target alike, so
+    # the symbolic verdict, SRP attribution and rate agree, and each
+    # build decodes a store as the other decodes it read through the
+    # permutations; where theta decodes, both recover the same stores
+    g, run = key_runner(key)
+    for theta in all_thetas(g):
+        for seed in range(3):
+            perm, ident = (
+                run(g, theta, SeededSource(_seed_for(seed, theta, "rel")),
+                    identity_perms=identity, canonical_order=False)
+                for identity in (False, True))
+            for check in (symbolic_decode_check, srp_attribution, measured_rate):
+                assert _outcome(check, perm) == _outcome(check, ident)
+            data = random.Random(_seed_for(seed, theta, "store"))
+            pi = perm.permutations
+            for store in (random_store(g, perm.file_length, data) for _ in range(2)):
+                got = decode(perm, answer_all(store, perm))
+                if symbolic_decode_check(ident):
+                    assert got == decode(ident, answer_all(store, ident)) == store[theta]
+                relabelled = {f: tuple(bits[m - 1] for m in pi[f]) for f, bits in store.items()}
+                assert (tuple(got[m - 1] for m in pi[theta])
+                        == decode(ident, answer_all(relabelled, ident)))
 
 
 def edge_symbols(n: int, name=lambda k: k) -> dict:
@@ -293,8 +335,9 @@ def kernel_from_scratch(n, i, i_prime, symbols, rng):
     families' equations, its leftover pools drawn here (server by server,
     each pool's subsets in lex_key order, from the indices of [2^(N-1)]
     the server leaves unused), and every request form built from it, with
-    the template's plan. Checks the template's tau against one derived
-    here from the subset families."""
+    the template's plan. Checks the tau the lift derives from a run of
+    the pair against one derived here from the subset families; the
+    desired symbol must be FileId(e, 1) of some e."""
     tpl = complete._template(n, i, i_prime, tuple(symbols[e] for e in complete._edges(n)))
     # tau pairs the targets hosted at i (the phi targets whose subset
     # holds i, then the middle range) with those hosted at i' (phi
@@ -308,7 +351,10 @@ def kernel_from_scratch(n, i, i_prime, symbols, rng):
     tau = {}
     for a, b in zip(sorted(side_i), sorted(side_ip)):
         tau[a], tau[b] = b, a
-    assert tpl.tau == tuple(tau[m] for m in range(1, complete_length(n) + 1))
+    e = symbols[frozenset({i, i_prime})].edge
+    factory = KernelFactory(complete_length(n), (e,),
+                            lambda _e, src: complete_kernel(n, i, i_prime, symbols, src))
+    assert _half_swap(factory, e) == tuple(tau[m] for m in range(1, complete_length(n) + 1))
     # varphi of the pair class of each subset of [n] - {i, i'}
     pair_of = {q: bij.varphi[rep] for rep, p2 in bij.pairs for q in (rep, p2)}
     requests = []
@@ -355,8 +401,8 @@ def test_template_runs_equal_runs_built_from_scratch(n):
 
 def test_kernel_templates_are_reused_per_theta_and_bounded():
     # theta by theta, as verify builds: one template per desired pair,
-    # holding its run and its involution, reused by every later run of
-    # that pair; at most KERNEL_TEMPLATES alive
+    # holding its run, reused by every later run of that pair; at most
+    # KERNEL_TEMPLATES alive
     complete._template.cache_clear()
     for text in ("complete:4^3", "complete:6"):
         g = parse_graph(text)
@@ -367,6 +413,6 @@ def test_kernel_templates_are_reused_per_theta_and_bounded():
     info = complete._template.cache_info()
     assert info.currsize <= complete.KERNEL_TEMPLATES
     # complete:4^3: 6 pairs built, 18 theta x 2 seeds lift calls, each
-    # reading tau once and making 7 stage runs; complete:6: 15 pairs,
-    # 15 theta x 2 seeds
-    assert (info.misses, info.hits) == (6 + 15, 18 * 2 * (1 + 7) - 6 + 30 - 15)
+    # making 7 stage runs, and one draw-free run per theta for the
+    # stage table's tau; complete:6: 15 pairs, 15 theta x 2 seeds
+    assert (info.misses, info.hits) == (6 + 15, 18 * 2 * 7 + 18 - 6 + 30 - 15)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ import graphpir.lift as lift
 from graphpir.bounds import discount
 from graphpir.graphs import build_family, parse_graph
 from graphpir.lift import build_block_plan, lift_scheme
+from graphpir.kernels import KernelRun
 from graphpir.rng import SeededSource
 from graphpir.runner import all_thetas, resolve_scheme
+from graphpir.schemes import KernelFactory, SchemeError
 
 
 def fs(*xs):
@@ -152,3 +155,21 @@ def test_stage_tables_are_reused_per_theta_and_bounded():
     info = lift._stage_table.cache_info()
     assert info.currsize <= lift.STAGE_TABLES
     assert (info.misses, info.hits) == (18 + 9, 18 + 9)
+
+
+@pytest.mark.parametrize("requests,message", [
+    # server 1 delivers both fresh bits of the desired file
+    (((1, fs((FileId(1, 1), 1))), (1, fs((FileId(1, 1), 2)))),
+     "splits its fresh bits {1: 2}, not evenly between two servers"),
+    # target 1's fresh bit comes in both of its planned requests
+    (((1, fs((FileId(1, 1), 1))), (2, fs((FileId(1, 1), 1), (FileId(1, 1), 2)))),
+     "target 1 has 2 fresh-bit requests"),
+])
+def test_a_base_run_without_an_even_split_is_refused(monkeypatch, requests, message):
+    # a test-only base run of path:2 has no half-swapping involution, so
+    # the lift refuses it instead of building a broken transcript
+    run = KernelRun(requests, (fs(0, 1), fs(1)))
+    factory = KernelFactory(2, (1,), lambda e, rng: run)
+    monkeypatch.setattr(lift, "bind", lambda kind, g: (factory,))
+    with pytest.raises(SchemeError, match=re.escape(message)):
+        lift_scheme("path", parse_graph("path:2^2"), FileId(1, 1), SeededSource(0))

@@ -6,6 +6,7 @@ import pytest
 from graphpir.core import FileId, dump_transcript, measured_rate, symbolic_decode_check
 from graphpir.graphs import GraphSpec, build_family
 from graphpir.kernels import path_kernel, star_kernel
+from graphpir.lift import _half_swap
 from graphpir.rng import CanonicalSource, SeededSource
 from graphpir.schemes import (
     SchemeError,
@@ -41,15 +42,16 @@ def test_path_kernel_three_servers():
 @pytest.mark.parametrize("n", (3, 4, 5, 6))
 @pytest.mark.parametrize("kind", ("path", "star", "complete"))
 def test_declared_involution_swaps_hosting_servers(kind, n):
-    # the lift flips a stage by reading its run through tau, so tau must
-    # be an involution, and for every target m the fresh (theta, m) and
-    # (theta, tau(m)) must come from the desired file's two different
-    # hosting servers
+    # the lift flips a stage by reading its run through the tau it
+    # derives from a draw-free run (the name is kept from when each
+    # factory declared tau), so tau must be an involution, and for every
+    # target m of a seeded run the fresh (theta, m) and (theta, tau(m))
+    # must come from the desired file's two different hosting servers
     g = build_family(kind, [n])
     (factory,) = bind(kind, g)
     L = factory.length
     for e in range(1, g.n_base_edges + 1):
-        tau = factory.tau(e)
+        tau = _half_swap(factory, e)
         assert sorted(tau) == list(range(1, L + 1))
         assert all(tau[tau[m - 1] - 1] == m for m in range(1, L + 1))
         kr = factory.run(e, SeededSource(e))
