@@ -14,7 +14,6 @@ from graphpir.complete import (
     complete_length,
 )
 from graphpir.core import (
-    AttributionUndefined,
     FileId,
     answer_all,
     decode,
@@ -34,6 +33,7 @@ from graphpir.lift import _half_swap
 from graphpir.runner import all_thetas, resolve_scheme
 from graphpir.schemes import KernelFactory, complete_scheme
 from graphpir.verify import _seed_for
+from test_core import _outcome
 from test_verify import compose_stars_drop_request
 
 import random
@@ -209,13 +209,6 @@ def test_a_memoised_wire_key_keeps_every_dump(key):
     # wire_sort_key per tally; here one memo serves every theta, seed and
     # permutation of a key, so it hits across all of them
     assert dump_digest(key, wire_key=functools.cache(wire_sort_key)) == DUMP_DIGESTS[key]
-
-
-def _outcome(check, t):
-    try:
-        return check(t)
-    except AttributionUndefined as exc:
-        return repr(exc)
 
 
 @pytest.mark.parametrize("key", sorted(DUMP_DIGESTS))
