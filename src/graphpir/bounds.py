@@ -16,6 +16,8 @@ from .graphs import (
     classify_family,
     matching_number,
     max_degree,
+    path_vertex_order,
+    star_center,
 )
 
 
@@ -139,6 +141,16 @@ def bound_report(g: GraphSpec) -> list[BoundEntry]:
         else:
             lb(star_trivial_rate(n) / disc, "trivial star lift")
             ub(1 / disc, "multi-star upper bound")
+
+    if "path" not in fam and "star" not in fam:
+        # edges that form a path or star beside isolated vertices, which
+        # auto binds as it binds a spanning one
+        span = g.n_base_edges + 1  # the vertices the edges touch
+        if path_vertex_order(base) is not None:
+            lb(path_rate(span) / disc, "path scheme" if r == 1 else "multi-path lift")
+        elif star_center(base) is not None:
+            lb(star_trivial_rate(span) / disc,
+               "trivial star scheme" if r == 1 else "trivial star lift")
 
     if "complete_bipartite" in fam and "star" not in fam and r == 1:
         m, nl = fam["complete_bipartite"]

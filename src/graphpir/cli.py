@@ -164,6 +164,9 @@ def cmd_sweep(args) -> int:
     graphs = []  # all built first, so a bad range or seed writes nothing
     # a cycle needs N >= 3, every other family N >= 2
     n_min = args.n_min if args.n_min is not None else 3 if args.family == "cycle" else 2
+    for var, lo, hi in (("N", n_min, args.n_max), ("r", args.r_min, args.r_max)):
+        if lo > hi:
+            raise UsageError("empty sweep range: %s from %d to %d" % (var, lo, hi))
     for n in range(n_min, args.n_max + 1):
         params = [n, n] if args.family == "complete_bipartite" else [n]
         for r in range(args.r_min, args.r_max + 1):
@@ -178,7 +181,7 @@ def cmd_sweep(args) -> int:
             # the rate reads only L and the request count, which neither
             # the file permutations nor the wire order can change
             t = run(g, all_thetas(g)[0], SeededSource(seed),
-                    identity_perms=True, canonical_order=False)
+                    identity_perms=True, wire_key=None)
             rate = str(measured_rate(t))
         except SchemeError:
             name, rate = "", ""

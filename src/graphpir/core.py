@@ -92,16 +92,15 @@ def assemble_transcript(
     rng,
     *,
     identity_perms: bool = False,
-    canonical_order: bool = True,
     wire_key=wire_sort_key,
 ) -> Transcript:
     """Draw per-file permutations, map permuted-index forms to storage
     coordinates, canonically order each server's wire, and resolve the
     plan's request references to (server, position) pairs.
 
-    canonical_order=False keeps each wire in construction order. A
-    canonical wire is sorted by `wire_key`, which must order forms as
-    wire_sort_key does (a memoised wire_sort_key, say).
+    Each wire is sorted by `wire_key`, which must order forms as
+    wire_sort_key does (a memoised wire_sort_key, say); wire_key=None
+    keeps each wire in construction order.
 
     Scheme constructors describe their queries in permuted index space
     (position m of file f means storage bit perm_f(m)); the plan entry
@@ -138,7 +137,7 @@ def assemble_transcript(
     position: dict[int, tuple[int, int]] = {}
     final: list[tuple[LinearForm, ...]] = []
     for s0, lst in enumerate(per_server):
-        if canonical_order:
+        if wire_key is not None:
             lst = sorted(lst, key=lambda item: wire_key(item[0]))
         forms = []
         for pos0, (storage, idx) in enumerate(lst):

@@ -47,7 +47,7 @@ def compose_stars_theta_ordered(g, theta, rng, **kw) -> Transcript:
     reveals which part holds theta). Detected by the exact and
     structural/statistical tiers alike.
     """
-    kw.setdefault("canonical_order", False)
+    kw["wire_key"] = None  # set, not defaulted: the privacy tiers' key would sort it
     factories = bind("compose-stars", g)
     edge = _theta_file(g, theta).edge
     factories = sorted(factories, key=lambda fa: edge not in fa.edge_indices)

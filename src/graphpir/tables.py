@@ -65,7 +65,7 @@ def table_three() -> dict:
     for e, (i, ip) in enumerate(g.edges, start=1):
         t = complete_scheme(
             g, e, CanonicalSource(),
-            identity_perms=True, canonical_order=False,
+            identity_perms=True, wire_key=None,
         )
         out["theta=(%d,%d)" % (i, ip)] = answer_grid(t, letters)
     return out
@@ -81,7 +81,7 @@ def table_four() -> dict:
         for j in (1, 2):
             t = lift_scheme(
                 "path", g, FileId(e, j), CanonicalSource(),
-                identity_perms=True, canonical_order=False,
+                identity_perms=True, wire_key=None,
             )
             out["theta=(%d,%d)" % (e, j)] = answer_grid(t, letters)
     return out

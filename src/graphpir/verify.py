@@ -1,19 +1,18 @@
 """Verification engine: reliability, privacy, SRP, and rate checks.
 
 One walk over the desired files theta (_walk), on one resolution of
-the scheme, proves every check a call asks for. For each theta it
-learns the draw shape once (record_shape); tallies theta's privacy
-stream (_tally), whose exact stream checks the shape against
-EXACT_BUDGET before it builds a point, so a refusal costs one build;
-then builds the seeded transcripts that reliability, SRP and rate all
-read: one per seed (the CLI's --seeds), with random file permutations,
-until every named check has failed. These keep each server's wire in
-construction order: a runner, a callable one included, receives
-canonical_order=False there, as it receives identity_perms=True and
-wire_key (a memoised core.wire_sort_key) in the privacy tiers, and
-passes each on to assemble_transcript. Decoding, SRP attribution and
-the rate resolve the plan to positions in the order the wire has, so
-sorting it would change none of them, and the sort draws nothing.
+the scheme, proves every check a call asks for, reading only builds of
+theta with identity file permutations. For each theta it learns the
+draw shape once (record_shape); tallies theta's privacy stream
+(_tally), whose exact stream checks the shape against EXACT_BUDGET
+before it builds a point, so a refusal costs one build; then builds
+the seeded transcripts that reliability, SRP and rate all read, one
+per seed (the CLI's --seeds), until every named check has failed, each
+wire in construction order (wire_key=None). Decoding, SRP attribution
+and the rate resolve the plan to positions in the order the wire has,
+and a permutation relabels every form and the decoding target alike,
+so neither changes them. A runner, a callable one included, passes
+identity_perms and wire_key on to assemble_transcript.
 
 A scheme is private when each server's query distribution is the same
 for every desired file theta. One engine checks this for every privacy
@@ -230,8 +229,8 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
     tier = "exact" if privacy == "auto" else privacy
     kept, dists, failed = {}, {}, {}  # kept: (build, draw shape) per theta
     for theta in all_thetas(g):
+        build = functools.partial(run, g, theta, identity_perms=True)
         if tier:
-            build = functools.partial(run, g, theta, identity_perms=True)
             kept[theta] = build, record_shape(build)
             try:
                 dists[theta] = tally(theta)
@@ -243,7 +242,7 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
         for seed in seeds:
             if len(failed) == len(checks):
                 break
-            t = run(g, theta, SeededSource(_seed_for(seed, theta, "rel")), canonical_order=False)
+            t = build(SeededSource(_seed_for(seed, theta, "rel")), wire_key=None)
             for check in checks:
                 if check not in failed and (fault := faults[check](t, theta, seed)):
                     failed[check] = CheckResult(

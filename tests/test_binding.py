@@ -115,16 +115,19 @@ def test_verify_scheme_builds_each_seeded_transcript_once(monkeypatch):
     built = Counter()
 
     def counted(*args, **kwargs):
-        built[kwargs.get("identity_perms", False)] += 1
+        unsorted = "wire_key" in kwargs and kwargs["wire_key"] is None
+        built[kwargs.get("identity_perms", False), unsorted] += 1
         return core.assemble_transcript(*args, **kwargs)
 
     for mod in (schemes, lift):
         monkeypatch.setattr(mod, "assemble_transcript", counted)
     g = parse_graph("path:4")
     assert verify_scheme("auto", g, seeds=range(3)).passed
-    # one transcript with random permutations per theta and seed, read by
-    # the reliability, SRP and rate checks alike
-    assert built[False] == len(all_thetas(g)) * 3 == 9
+    # verify never draws a file permutation
+    assert built[False, False] == built[False, True] == 0
+    # one check transcript per theta and seed, in construction order,
+    # read by the reliability, SRP and rate checks alike
+    assert built[True, True] == len(all_thetas(g)) * 3 == 9
 
 
 @pytest.mark.parametrize("seeds", (range(1), range(3)))

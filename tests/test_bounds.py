@@ -139,3 +139,19 @@ def test_multigraph_report_has_base_candidate():
     entries = bound_report(build_family("path", [5], 2))
     cands = [e for e in entries if e.source == "base capacity candidate / r"]
     assert cands and cands[0].value == Fraction(1, 5)
+
+
+@pytest.mark.parametrize("n,edges,r,source,value", [
+    (5, ((1, 2), (2, 3), (3, 4)), 1, "path scheme", Fraction(1, 2)),
+    (5, ((1, 2), (2, 3), (3, 4)), 2, "multi-path lift", Fraction(1, 3)),
+    (3, ((1, 2),), 2, "multi-path lift", Fraction(2, 3)),
+    (5, ((1, 2), (1, 3), (1, 4)), 1, "trivial star scheme", Fraction(1, 2)),
+    (5, ((1, 2), (1, 3), (1, 4)), 2, "trivial star lift", Fraction(1, 3)),
+])
+def test_path_or_star_beside_isolated_vertices_has_its_scheme_bound(n, edges, r, source, value):
+    # the part the edges span sets the rate: 2/(k+1) for k path edges or
+    # k star leaves, over the lift's discount; every vertex still counts
+    # in the asymptotic 1/n
+    entries = bound_report(GraphSpec(n, edges, r))
+    assert [e.value for e in entries if e.kind == "lower" and e.source == source] == [value]
+    assert [e.value for e in entries if e.asymptotic] == [Fraction(1, n)]

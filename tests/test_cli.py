@@ -156,6 +156,15 @@ def test_sweep_bad_range_writes_nothing(capsys):
     assert err == "error: cycle needs N >= 3\n"
 
 
+@pytest.mark.parametrize("bounds,err", [
+    (("--n-min", "3", "--n-max", "2"), "error: empty sweep range: N from 3 to 2\n"),
+    (("--r-min", "2", "--r-max", "1"), "error: empty sweep range: r from 2 to 1\n"),
+])
+def test_sweep_refuses_an_empty_range(capsys, bounds, err):
+    code, out, got = run_cli(capsys, "sweep", "--family", "path", *bounds)
+    assert (code, out, got) == (2, "", err)
+
+
 def test_sweep_starts_at_the_family_smallest_member(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--family", "cycle", "--n-max", "4")
     assert code == 0

@@ -224,7 +224,7 @@ def test_checks_agree_on_the_seeded_builds_with_and_without_permutations(key):
         for seed in range(3):
             perm, ident = (
                 run(g, theta, SeededSource(_seed_for(seed, theta, "rel")),
-                    identity_perms=identity, canonical_order=False)
+                    identity_perms=identity, wire_key=None)
                 for identity in (False, True))
             for check in (symbolic_decode_check, srp_attribution, measured_rate):
                 assert _outcome(check, perm) == _outcome(check, ident)

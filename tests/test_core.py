@@ -248,7 +248,8 @@ def test_checks_agree_under_random_and_identity_permutations(parts, seed, canoni
     g, theta, L, requests, plan = parts
     ident, perm = (
         assemble_transcript(g, L, theta, requests, plan, SeededSource(seed),
-                            identity_perms=identity, canonical_order=canonical)
+                            identity_perms=identity,
+                            wire_key=wire_sort_key if canonical else None)
         for identity in (True, False))
     for check in (symbolic_decode_check, srp_attribution, measured_rate):
         assert _outcome(check, perm) == _outcome(check, ident)

@@ -133,7 +133,7 @@ def test_lifted_forms_that_are_equal_are_one_object():
     g = parse_graph("complete:4^2")
     _, run = resolve_scheme("auto", g)
     theta = all_thetas(g)[-1]
-    a, b = (run(g, theta, SeededSource(seed), identity_perms=True, canonical_order=False)
+    a, b = (run(g, theta, SeededSource(seed), identity_perms=True, wire_key=None)
             for seed in (1, 2))
     pairs = [(x, y) for wa, wb in zip(a.requests, b.requests) for x, y in zip(wa, wb)]
     shared = [x for x, y in pairs if x == y]

@@ -91,7 +91,7 @@ def test_path_answer_grid_reference():
     grids = {}
     for theta in (1, 2):
         t = path_scheme(g, theta, CanonicalSource(), identity_perms=True,
-                        canonical_order=False)
+                        wire_key=None)
         grids[theta] = answer_grid(t, {1: "a", 2: "b"})
     assert grids[1] == [["a_1", "a_2+b_2", "b_2"]]
     assert grids[2] == [["a_1", "a_1+b_1", "b_2"]]

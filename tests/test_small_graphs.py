@@ -1,8 +1,8 @@
 """The coverage baseline: every isomorphism class of graphs with at least
 one edge on 2-5 vertices (isolated vertices included), at r = 1 and 2,
 through the CLI in process. Pins which classes `auto` binds a scheme to,
-how their bounds read, and where a measured rate is not yet an exact
-lower entry of the bound report. A measured rate never passes the best
+how their bounds read, and where a measured rate is not an exact lower
+entry of the bound report. A measured rate never passes the best
 exact upper bound; a change that moves any pin re-pins it."""
 import contextlib
 import functools
@@ -55,27 +55,17 @@ def cli(*argv):
 # per r: (auto binds a scheme, tightness status) -> number of classes
 COUNTS = {
     1: {(False, "tight"): 1, (False, "unknown"): 28,
-        (True, "gap"): 5, (True, "tight"): 6, (True, "unknown"): 7},
+        (True, "gap"): 8, (True, "tight"): 10},
     2: {(False, "gap"): 3, (False, "unknown"): 28,
-        (True, "gap"): 7, (True, "tight"): 2, (True, "unknown"): 7},
+        (True, "gap"): 10, (True, "tight"): 6},
 }
 
 # (n, edges) -> measured rate at r = 1 and r = 2, where that rate is
-# not an exact lower entry of bound_report: `bounds` recognises only
-# spanning families, while `auto` binds a path or star beside isolated
-# vertices. Each reads "unknown" tightness.
-KNOWN_GAPS = {
-    (3, ((1, 2),)): ("1", "2/3"),
-    (4, ((1, 2),)): ("1", "2/3"),
-    (5, ((1, 2),)): ("1", "2/3"),
-    (4, ((1, 2), (1, 3))): ("2/3", "4/9"),
-    (5, ((1, 2), (1, 3))): ("2/3", "4/9"),
-    (5, ((1, 2), (1, 3), (1, 4))): ("1/2", "1/3"),
-    (5, ((1, 2), (1, 3), (2, 4))): ("1/2", "1/3"),
-}
+# not an exact lower entry of bound_report: none, as `bounds` recognises
+# a path or star beside isolated vertices where `auto` binds one.
+KNOWN_GAPS = {}
 # of those, the ones whose rate already equals the best exact upper bound
-AT_THE_UPPER_BOUND = {(3, ((1, 2),)), (4, ((1, 2),)), (5, ((1, 2),)),
-                      (5, ((1, 2), (1, 3), (2, 4)))}
+AT_THE_UPPER_BOUND = set()
 
 # per r, the classes whose measured rate lies below the best exact lower
 # bound: C4 at r = 1, where compose-stars measures 1/3 and the bound is

@@ -252,11 +252,22 @@ def compose_stars_drop_request(g, theta, rng, **kw):
 
 def _canonical(scheme, g):
     """The runner of `scheme` on g, under the same name, with every
-    server's wire in canonical order whatever its caller asks for."""
+    server's wire in canonical order whatever its caller or the scheme
+    asks for: it builds with wire_key=wire_sort_key, then sorts each wire
+    itself, moving the plan's positions with it, as a scheme may
+    override the key (the theta-ordered mutant sets None)."""
     name, run = resolve_scheme(scheme, g)
 
     def wrapped(g, theta, rng, **kw):
-        return run(g, theta, rng, **{**kw, "canonical_order": True})
+        t = run(g, theta, rng, **{**kw, "wire_key": wire_sort_key})
+        orders = [sorted(range(len(w)), key=lambda i: wire_sort_key(w[i]))
+                  for w in t.requests]
+        moved = [{old + 1: new + 1 for new, old in enumerate(o)} for o in orders]
+        return dataclasses.replace(
+            t,
+            requests=tuple(tuple(w[i] for i in o) for w, o in zip(t.requests, orders)),
+            decoding_plan=tuple(frozenset((s, moved[s - 1][p]) for s, p in entry)
+                                for entry in t.decoding_plan))
 
     wrapped.__name__ = name
     return wrapped
@@ -288,15 +299,23 @@ def test_check_transcripts_do_not_read_the_wire_order(scheme, graph):
         assert rel.witness["theta"] == FileId(1, 1) and rel.witness["seed"] == 0
 
 
-@pytest.mark.parametrize("graph", ["complete:4", "path:3^2"])
-def test_canonical_runner_reorders_the_same_wire(graph):
+REORDER_CASES = (("auto", "complete:4"), ("auto", "path:3^2"),
+                 (compose_stars_theta_ordered, "complete_bipartite:2,3"))
+
+
+@pytest.mark.parametrize(
+    "scheme,graph", REORDER_CASES,
+    ids=[g if s == "auto" else "%s-%s" % (s.__name__, g) for s, g in REORDER_CASES],
+)
+def test_canonical_runner_reorders_the_same_wire(scheme, graph):
     # the comparison above is not vacuous: here the canonical runner
-    # sends each server the same forms in another order
+    # sends each server the same forms in another order, the mutant's
+    # own construction order included
     g = parse_graph(graph)
-    _, run = resolve_scheme("auto", g)
-    theta = all_thetas(g)[0]
-    built = run(g, theta, SeededSource(0), canonical_order=False)
-    sorted_ = _canonical("auto", g)(g, theta, SeededSource(0), canonical_order=False)
+    _, run = resolve_scheme(scheme, g)
+    theta = all_thetas(g)[-1]  # in the mutant's wire, its part comes first
+    built = run(g, theta, SeededSource(0), wire_key=None)
+    sorted_ = _canonical(scheme, g)(g, theta, SeededSource(0), wire_key=None)
     assert built.requests != sorted_.requests
     assert [sorted(s, key=wire_sort_key) for s in built.requests] == [
         list(s) for s in sorted_.requests]
