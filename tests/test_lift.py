@@ -9,6 +9,7 @@ from graphpir.core import (
     FileId,
     answer_all,
     decode,
+    dump_transcript,
     measured_rate,
     random_store,
     srp_attribution,
@@ -111,6 +112,22 @@ def test_lift_r1_reduces_to_base():
     assert symbolic_decode_check(t)
     assert measured_rate(t) == Fraction(1, 2)
     assert t.total_requests == 4
+
+
+@pytest.mark.parametrize("identity_perms", (False, True))
+@pytest.mark.parametrize("text", ["path:6", "star:6", "complete:5", "complete:6"])
+def test_lift_at_multiplicity_one_is_the_base_scheme(text, identity_perms):
+    # at r = 1 the lift is one stage with every window at offset 0, so
+    # its transcript is the base scheme's, draw for draw and byte for byte
+    g = parse_graph(text)
+    kind = text.split(":")[0]
+    _, base = resolve_scheme(kind, g)
+    _, lifted = resolve_scheme("lift:" + kind, g)
+    for theta in all_thetas(g):
+        for seed in range(3):
+            a, b = (run(g, theta, SeededSource(seed), identity_perms=identity_perms)
+                    for run in (base, lifted))
+            assert dump_transcript(a) == dump_transcript(b)
 
 
 @pytest.mark.parametrize("text", ["complete:3^2", "path:3^2"])
