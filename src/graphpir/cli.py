@@ -144,10 +144,11 @@ def _print_bounds(fmt: str, g, entries, tight) -> None:
     else:
         print(md_table(headers, rows))
         print()
-        print(
-            "tightness: %s (lower %s, upper %s)"
-            % (tight.status, _fmt_value(tight.lower), _fmt_value(tight.upper))
-        )
+        if tight.status == "unknown":  # no exact lower and upper pair
+            print("tightness: unknown")
+        else:
+            print("tightness: %s (lower %s, upper %s)"
+                  % (tight.status, _fmt_value(tight.lower), _fmt_value(tight.upper)))
 
 
 def cmd_table(args) -> int:

@@ -128,10 +128,10 @@ class _Template:
     """Everything a run for one desired pair and set of symbols does not
     draw."""
     # (server, form) per request in run order, read only; a pooled
-    # subset's request is an empty placeholder
+    # subset's request is its server with an empty placeholder form
     requests: tuple
     plan: tuple
-    # pools[j-1] = (slots, free indices) of server j: per pooled subset
+    # pools[j-1] = (slots, free indices) of position j: per pooled subset
     # in lex_key order, (position in requests, the symbols of its
     # edges); the pool is drawn from the free indices, the indices of
     # [2^(N-1)] the server's fixed entries leave unused. Both are empty
@@ -140,9 +140,10 @@ class _Template:
 
 
 @functools.lru_cache(maxsize=KERNEL_TEMPLATES)
-def _template(n: int, i: int, i_prime: int, symbols: tuple) -> _Template:
+def _template(n: int, i: int, i_prime: int, symbols: tuple, servers=None) -> _Template:
     """The draw-free part of a run, following the construction's
-    equations, with `symbols` given in _edges(n) order."""
+    equations on positions 1..n, with `symbols` given in _edges(n)
+    order; servers[j-1] names position j's server in every request."""
     bij = build_families(n, i, i_prime)
     half = 2 ** (n - 1)
     quarter = 2 ** (n - 3)
@@ -171,7 +172,7 @@ def _template(n: int, i: int, i_prime: int, symbols: tuple) -> _Template:
     requests = []  # (server, form) per request, in run order
     subset_req: dict[tuple[int, frozenset], int] = {}  # request positions
     pair_req: dict[tuple[int, frozenset], int] = {}
-    for j in range(1, n + 1):
+    for j, host in enumerate(servers or range(1, n + 1), start=1):
         server = _server(n, j)
         sj = tuple(index(j, p) for p in server.subsets)
         bits = tuple(bij.varphi[rep] if j == i else bij.varphi[rep] + quarter
@@ -182,9 +183,9 @@ def _template(n: int, i: int, i_prime: int, symbols: tuple) -> _Template:
             syms = [symbol[e] for e in edges]
             if idx is None:
                 pooled.append((lex_key(p), (len(requests), tuple(syms))))
-                requests.append((j, frozenset()))
+                requests.append((host, frozenset()))
             else:
-                requests.append((j, frozenset([(sym, idx) for sym in syms])))
+                requests.append((host, frozenset([(sym, idx) for sym in syms])))
         used = set(sj)
         free = tuple(v for v in range(1, half + 1) if v not in used) if pooled else ()
         # sigma's proof for every run, whose pool draws are distinct free
@@ -202,7 +203,7 @@ def _template(n: int, i: int, i_prime: int, symbols: tuple) -> _Template:
         pools.append((tuple(slot for _key, slot in sorted(pooled)), free))
         for (rep, _p2), idx in zip(bij.pairs, bits):
             pair_req[(j, rep)] = len(requests)
-            requests.append((j, frozenset([(symbol[e], idx) for e in server.nbr_edges])))
+            requests.append((host, frozenset([(symbol[e], idx) for e in server.nbr_edges])))
 
     plan: list[frozenset] = [frozenset()] * L
     for t in range(1, half + 1):
@@ -244,23 +245,27 @@ def complete_kernel(
     i_prime: int,
     symbols: dict,
     rng: RandomSource,
+    servers=None,
 ) -> KernelRun:
-    """One run of the complete-graph scheme on K_n.
+    """One run of the complete-graph scheme on K_n, on positions 1..n
+    with desired pair (i, i').
 
-    `symbols` maps frozenset({u, v}) to the file symbol of that edge.
+    `symbols` maps frozenset({u, v}) of positions to the file symbol of
+    that edge; servers[j-1] is the server of position j (default j).
     Its forms are frozensets of (symbol, index) pairs in permuted index space.
     """
-    tpl = _template(n, i, i_prime, tuple(symbols[e] for e in _edges(n)))
+    tpl = _template(n, i, i_prime, tuple(symbols[e] for e in _edges(n)), servers)
     requests = list(tpl.requests)
-    for j, (slots, free) in enumerate(tpl.pools, start=1):
+    for slots, free in tpl.pools:
         if not slots:
             continue
-        # server j's pooled subsets, in lex_key order, take its pool draw
+        # one server's pooled subsets, in lex_key order, take its pool draw
+        server = requests[slots[0][0]][0]
         drawn = rng.sample_without_replacement(free, len(slots))
         if not len(slots) == len(drawn) == len(set(drawn).intersection(free)):
-            raise AssertionError(
-                "pool draw at server %d is not %d distinct free indices" % (j, len(slots)))
+            raise AssertionError("pool draw at server %d is not %d distinct free indices"
+                                 % (server, len(slots)))
         for (pos, syms), idx in zip(slots, drawn):
-            requests[pos] = (j, frozenset([(sym, idx) for sym in syms]))
+            requests[pos] = (server, frozenset([(sym, idx) for sym in syms]))
     return KernelRun(tuple(requests), tpl.plan)
 

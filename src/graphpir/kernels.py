@@ -4,11 +4,12 @@ A kernel describes one run of a retrieval scheme with all index
 randomization factored out: coordinates are (symbol, position) pairs
 where positions live in permuted index space. A kernel treats its
 symbols as opaque; the binding (`schemes.kernel_factory`) hands it the
-copy-1 file FileId(e, 1) of each edge e it covers. The same kernel run
-backs three uses: a standalone scheme (the forms are used as they are,
-then go through fresh uniform permutations), a composition part
-(positions get a repetition offset), and a lift stage instance (each
-symbol's edge names a virtual file that expands into real coordinates).
+copy-1 file FileId(e, 1) of each edge e it covers. Every scheme's run
+is a KernelRun: a composite factory joins its parts' runs into one
+(positions get a repetition offset), a lifted factory joins its
+stages' base runs into one (each symbol's edge names a virtual file
+that expands into real coordinates), and `schemes.build` turns any
+run into a transcript through fresh uniform permutations.
 """
 from __future__ import annotations
 

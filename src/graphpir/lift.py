@@ -31,6 +31,10 @@ Each stage lifts a kernel form once (_Stage) and keeps it, in the stage
 table, for every later build of the same desired file, so the builds of
 one theta share their lifted form objects wherever their kernel runs
 share forms.
+
+The lifted factory's run (lift_factory) is the stage loop and the plan
+merge. At r = 1 the lift is the base scheme itself, so no run passes
+through a stage.
 """
 from __future__ import annotations
 
@@ -39,10 +43,11 @@ import itertools
 from dataclasses import dataclass
 
 from .complete import complement_rep, lex_key
-from .core import FileId, Transcript, assemble_transcript
+from .core import FileId, Transcript
 from .graphs import GraphSpec
+from .kernels import KernelRun
 from .rng import CanonicalSource, RandomSource
-from .schemes import BASE_KINDS, KernelFactory, SchemeError, _theta_file, bind
+from .schemes import BASE_KINDS, KernelFactory, SchemeError, bind, build
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,8 @@ def _half_swap(factory: KernelFactory, e: int) -> tuple:
     finds it, and tau pairs, in target order, the targets held at one
     server with those held at the other. Refuses a run whose fresh bits
     do not split so, one to one and evenly between two servers."""
-    kr, desired, sides = factory.run(e, CanonicalSource()), FileId(e, 1), {}
+    desired, sides = FileId(e, 1), {}
+    kr = factory.run(desired, CanonicalSource())
     for m, entry in enumerate(kr.plan, start=1):
         holders = [kr.requests[k][0] for k in entry if (desired, m) in kr.requests[k][1]]
         if len(holders) != 1:
@@ -186,46 +192,46 @@ def _stage_table(r: int, j: int, e: int, factory: KernelFactory) -> tuple[tuple,
 
 
 def lift_factory(base_kind: str, g: GraphSpec) -> KernelFactory:
-    """The factory of the named base scheme on g's base graph, if its
-    lift to g's multiplicity fits MAX_LIFT_LENGTH."""
+    """The factory of the named base scheme (path, star, or complete) of
+    g's base graph lifted to g's multiplicity, if it fits
+    MAX_LIFT_LENGTH; at r = 1, the base factory itself."""
     if base_kind not in BASE_KINDS:
         raise SchemeError("no SRP base scheme of kind %r" % base_kind)
-    (factory,) = bind(base_kind, g.base())
-    if factory.length << (g.multiplicity - 1) > MAX_LIFT_LENGTH:
+    base = bind(base_kind, g.base())
+    r, Lp = g.multiplicity, base.length
+    L = Lp << (r - 1)
+    if L > MAX_LIFT_LENGTH:
         raise SchemeError("lift too large to build: file length 2^%d * %d is above %d"
-                          % (g.multiplicity - 1, factory.length, MAX_LIFT_LENGTH))
-    return factory
+                          % (r - 1, Lp, MAX_LIFT_LENGTH))
+    if r == 1:
+        return base
+
+    def run(f, rng):
+        e, j = f
+        stages, merge = _stage_table(r, j, e, base)
+        desired = FileId(e, 1)
+        requests: list = []
+        starts: list = []  # index in `requests` of each stage's first request
+        plans: list = []
+        for st in stages:
+            kr = base.run(desired, rng)
+            starts.append(len(requests))
+            plans.append(kr.plan)
+            requests.extend((server, st[form]) for server, form in kr.requests)
+
+        plan: list = [None] * L
+        for merged, off in merge:
+            for m in range(Lp):
+                plan[off + m] = frozenset(
+                    starts[s] + k for s, read in merged for k in plans[s][read[m]]
+                )
+        return KernelRun(tuple(requests), tuple(plan))
+
+    return KernelFactory(L, base.edge_indices, run)
 
 
-def lift_scheme(
-    base_kind: str,
-    g: GraphSpec,
-    theta,
-    rng: RandomSource,
-    **assemble_kw,
-) -> Transcript:
+def lift_scheme(base_kind: str, g: GraphSpec, theta, rng: RandomSource,
+                **assemble_kw) -> Transcript:
     """Lift the named base scheme (path, star, or complete) of g's base
     graph to g's multiplicity."""
-    factory = lift_factory(base_kind, g)
-    r = g.multiplicity
-    f = _theta_file(g, theta)
-    e, j = f
-    Lp = factory.length
-    stages, merge = _stage_table(r, j, e, factory)
-
-    requests: list = []
-    starts: list = []  # index in `requests` of each stage's first request
-    plans: list = []
-    for st in stages:
-        kr = factory.run(e, rng)
-        starts.append(len(requests))
-        plans.append(kr.plan)
-        requests.extend((server, st[form]) for server, form in kr.requests)
-
-    plan: list = [None] * (2 ** (r - 1) * Lp)
-    for merged, off in merge:
-        for m in range(Lp):
-            plan[off + m] = frozenset(
-                starts[s] + k for s, read in merged for k in plans[s][read[m]]
-            )
-    return assemble_transcript(g, len(plan), f, requests, plan, rng, **assemble_kw)
+    return build(lift_factory(base_kind, g), g, theta, rng, **assemble_kw)

@@ -6,7 +6,7 @@ verifier's test suite asserts these failures.
 from __future__ import annotations
 
 from .core import Transcript
-from .schemes import _run_bound, _theta_file, bind
+from .schemes import _theta_file, bind, build, composite
 
 
 def drop_planned_request(t: Transcript) -> Transcript:
@@ -39,6 +39,12 @@ def drop_planned_request(t: Transcript) -> Transcript:
     )
 
 
+def _star_parts(g) -> tuple:
+    """The star composition's part factories, in run order."""
+    factory = bind("compose-stars", g)
+    return factory.parts or (factory,)
+
+
 def compose_stars_theta_ordered(g, theta, rng, **kw) -> Transcript:
     """Star composition whose wire order puts the desired part's
     requests first instead of canonical order.
@@ -48,10 +54,9 @@ def compose_stars_theta_ordered(g, theta, rng, **kw) -> Transcript:
     structural/statistical tiers alike.
     """
     kw["wire_key"] = None  # set, not defaulted: the privacy tiers' key would sort it
-    factories = bind("compose-stars", g)
     edge = _theta_file(g, theta).edge
-    factories = sorted(factories, key=lambda fa: edge not in fa.edge_indices)
-    return _run_bound(g, factories, theta, rng, **kw)
+    parts = sorted(_star_parts(g), key=lambda fa: edge not in fa.edge_indices)
+    return build(composite(parts), g, theta, rng, **kw)
 
 
 def compose_stars_no_decoy(g, theta, rng, **kw) -> Transcript:
@@ -60,10 +65,9 @@ def compose_stars_no_decoy(g, theta, rng, **kw) -> Transcript:
 
     Expected failure: privacy with total-variation distance near 1.
     """
-    factories = bind("compose-stars", g)
     edge = _theta_file(g, theta).edge
-    theta_part = [fa for fa in factories if edge in fa.edge_indices]
-    return _run_bound(g, theta_part, theta, rng, **kw)
+    theta_part = [fa for fa in _star_parts(g) if edge in fa.edge_indices]
+    return build(composite(theta_part), g, theta, rng, **kw)
 
 
 MUTANTS = {

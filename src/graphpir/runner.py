@@ -1,28 +1,16 @@
 """Name-based scheme dispatch shared by the CLI and the verifier."""
 from __future__ import annotations
 
+import functools
+
 from .core import file_ids
 from .graphs import GraphSpec, classify_family, path_vertex_order, star_center
-from .lift import lift_factory, lift_scheme
-from .schemes import (
-    BASE_KINDS,
-    SchemeError,
-    bind,
-    complete_scheme,
-    compose_stars,
-    path_scheme,
-    star_scheme,
-)
+from .lift import lift_factory
+from .schemes import BASE_KINDS, SchemeError, bind, build
 
-# Scheme names that run on a multiplicity-1 graph; every base kind also
-# has a "lift:" name for its r-multigraph extension.
-STANDALONE = {
-    "path": path_scheme,
-    "star": star_scheme,
-    "complete": complete_scheme,
-    "compose-stars": compose_stars,
-}
-SCHEME_NAMES = tuple(STANDALONE) + tuple("lift:" + kind for kind in BASE_KINDS)
+# Scheme names that `bind` runs on a multiplicity-1 graph, then one
+# "lift:" name per base kind for its r-multigraph extension.
+SCHEME_NAMES = BASE_KINDS + ("compose-stars",) + tuple("lift:" + k for k in BASE_KINDS)
 
 
 def auto_scheme_name(g: GraphSpec) -> str:
@@ -50,23 +38,18 @@ def auto_scheme_name(g: GraphSpec) -> str:
 def resolve_scheme(scheme, g: GraphSpec):
     """(name, run) from a scheme name, 'auto', or a callable, where
     run(g, theta, rng, **assemble_kw) returns a Transcript. A named
-    scheme is bound to g here, so one that does not fit g is refused
-    before it runs."""
+    scheme is bound to g here, to its one factory, so one that does not
+    fit g is refused before it runs, and run builds from that factory."""
     if callable(scheme):
         return getattr(scheme, "__name__", "custom"), scheme
     name = auto_scheme_name(g) if scheme == "auto" else scheme
     if name not in SCHEME_NAMES:
         raise SchemeError("unknown scheme %r" % name)
-    if name in STANDALONE:
-        bind(name, g)
-        return name, STANDALONE[name]
-    kind = name.removeprefix("lift:")
-    lift_factory(kind, g)
-
-    def run(g, theta, rng, **kw):
-        return lift_scheme(kind, g, theta, rng, **kw)
-
-    return name, run
+    if name.startswith("lift:"):
+        factory = lift_factory(name.removeprefix("lift:"), g)
+    else:
+        factory = bind(name, g)
+    return name, functools.partial(build, factory)
 
 
 all_thetas = file_ids  # every file can be the desired one

@@ -101,6 +101,17 @@ def test_bounds_md_and_csv(capsys):
     assert ["lower", "1/3", "exact", "path scheme", "yes"] in rows
 
 
+def test_bounds_md_says_unknown_without_an_exact_pair(capsys):
+    # two disjoint edges beside two isolated vertices: an exact upper
+    # bound applies, but no exact lower one does
+    graph = '{"n":6,"edges":[[1,2],[3,4]]}'
+    code, out, _ = run_cli(capsys, "bounds", "--graph", graph)
+    assert code == 0
+    assert out.splitlines()[-1] == "tightness: unknown"
+    code, out, _ = run_cli(capsys, "bounds", "--graph", graph, "--format", "json")
+    assert json.loads(out)["tightness"] == {"status": "unknown", "lower": "", "upper": ""}
+
+
 def test_bounds_json(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--graph", "complete:3",
                            "--format", "json")

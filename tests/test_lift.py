@@ -22,7 +22,7 @@ from graphpir.lift import build_block_plan, lift_scheme
 from graphpir.kernels import KernelRun
 from graphpir.rng import SeededSource
 from graphpir.runner import all_thetas, resolve_scheme
-from graphpir.schemes import KernelFactory, SchemeError
+from graphpir.schemes import KernelFactory, SchemeError, bind
 
 
 def fs(*xs):
@@ -118,9 +118,11 @@ def test_lift_r1_reduces_to_base():
 @pytest.mark.parametrize("text", ["path:6", "star:6", "complete:5", "complete:6"])
 def test_lift_at_multiplicity_one_is_the_base_scheme(text, identity_perms):
     # at r = 1 the lift is one stage with every window at offset 0, so
-    # its transcript is the base scheme's, draw for draw and byte for byte
+    # its transcript is the base scheme's, draw for draw and byte for
+    # byte, and it builds from the base factory, not through a stage
     g = parse_graph(text)
     kind = text.split(":")[0]
+    assert lift.lift_factory(kind, g) is bind(kind, g)
     _, base = resolve_scheme(kind, g)
     _, lifted = resolve_scheme("lift:" + kind, g)
     for theta in all_thetas(g):
@@ -186,7 +188,7 @@ def test_a_base_run_without_an_even_split_is_refused(monkeypatch, requests, mess
     # a test-only base run of path:2 has no half-swapping involution, so
     # the lift refuses it instead of building a broken transcript
     run = KernelRun(requests, (fs(0, 1), fs(1)))
-    factory = KernelFactory(2, (1,), lambda e, rng: run)
-    monkeypatch.setattr(lift, "bind", lambda kind, g: (factory,))
+    factory = KernelFactory(2, (1,), lambda f, rng: run)
+    monkeypatch.setattr(lift, "bind", lambda kind, g: factory)
     with pytest.raises(SchemeError, match=re.escape(message)):
         lift_scheme("path", parse_graph("path:2^2"), FileId(1, 1), SeededSource(0))

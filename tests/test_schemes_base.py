@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from graphpir.rng import CanonicalSource, SeededSource
 from graphpir.schemes import (
     SchemeError,
     bind,
+    complete_scheme,
     compose,
     compose_stars,
     kernel_factory,
@@ -18,6 +20,7 @@ from graphpir.schemes import (
     star_scheme,
 )
 from graphpir.tables import answer_grid
+from graphpir.verify import verify_scheme
 
 
 def test_path_kernel_three_servers():
@@ -48,14 +51,14 @@ def test_declared_involution_swaps_hosting_servers(kind, n):
     # target m of a seeded run the fresh (theta, m) and (theta, tau(m))
     # must come from the desired file's two different hosting servers
     g = build_family(kind, [n])
-    (factory,) = bind(kind, g)
+    factory = bind(kind, g)
     L = factory.length
     for e in range(1, g.n_base_edges + 1):
         tau = _half_swap(factory, e)
         assert sorted(tau) == list(range(1, L + 1))
         assert all(tau[tau[m - 1] - 1] == m for m in range(1, L + 1))
-        kr = factory.run(e, SeededSource(e))
         theta = FileId(e, 1)
+        kr = factory.run(theta, SeededSource(e))
         holder = []
         for m, entry in enumerate(kr.plan, start=1):
             (k,) = [k for k in entry if (theta, m) in kr.requests[k][1]]
@@ -120,7 +123,7 @@ def test_kernel_factory_rejects_wrong_edge():
     g = build_family("path", [4])
     fa = kernel_factory("path", g, [1, 2])
     with pytest.raises(SchemeError):
-        fa.run(3, SeededSource(0))
+        fa.run(FileId(3, 1), SeededSource(0))
 
 
 def test_compose_two_isolated_edges():
@@ -186,3 +189,35 @@ def test_compose_with_repeated_parts_is_pinned_byte_for_byte():
     assert h.hexdigest() == (
         "8d214bcbdd2927e55eea901bb23d67a795b4a1a0837d5f5bbb81e408453acee8"
     )
+
+
+def test_a_complete_part_binds_by_its_shape_not_its_labels():
+    # K4 on vertices 1-4 beside vertex 5, and the same K4 moved to
+    # vertices 2-5 by v -> v % 5 + 1, which keeps the edge order: the
+    # second binds too, with the same verdicts, and each transcript is
+    # the first's with its servers relabelled
+    low = GraphSpec(5, tuple(itertools.combinations(range(1, 5), 2)))
+    high = GraphSpec(5, tuple(itertools.combinations(range(2, 6), 2)))
+    verdicts = [[(c.name, c.passed, c.detail) for c in verify_scheme(
+        "complete", g, seeds=range(3)).checks] for g in (low, high)]
+    assert verdicts[0] == verdicts[1]
+    assert all(passed for _, passed, _ in verdicts[0])
+    for theta in range(1, 7):
+        for seed in range(3):
+            a, b = (complete_scheme(g, theta, SeededSource(seed)) for g in (low, high))
+            assert b.requests == a.requests[-1:] + a.requests[:-1]
+            assert b.decoding_plan == tuple(
+                frozenset((s % 5 + 1, p) for s, p in entry) for entry in a.decoding_plan)
+            assert (b.file_length, b.theta, b.permutations) == (
+                a.file_length, a.theta, a.permutations)
+    # a triangle part composed beside a path part, on either side of it
+    for g, parts in (
+        (GraphSpec(6, ((1, 2), (1, 3), (2, 3), (4, 5), (5, 6))),
+         [((1, 2, 3), "complete"), ((4, 5), "path")]),
+        (GraphSpec(6, ((1, 2), (2, 3), (4, 5), (4, 6), (5, 6))),
+         [((1, 2), "path"), ((3, 4, 5), "complete")]),
+    ):
+        for theta in range(1, 6):
+            t = compose(g, parts, theta, SeededSource(theta))
+            assert symbolic_decode_check(t)
+            assert measured_rate(t) == Fraction(2, 7)
