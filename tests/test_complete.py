@@ -170,6 +170,13 @@ DUMP_DIGESTS.update({
 # wire entry was still a (server, form) record.
 DUMP_DIGESTS["drop-request complete_bipartite:2,3"] = (
     "4a3d1deedde764427d36b19d585e5e9ae7c779759a695c12f8f52411d5490d77")
+# Lifts at r = 4, recorded before the lift stopped building a
+# generator per coordinate; the pins above stop at r = 3.
+DUMP_DIGESTS.update({
+    "path:3^4": "2fc9cf39f4307ae092e653b12106b5edbd4ab447997f1cc2447fbbac506db868",
+    "star:4^4": "77d80986fa16983968ac13a68c70355a6021097dbe9c6c65fa5e05b671dbabd4",
+    "complete:3^4": "59c6d4c269422f8e0431320f27236df3695ff2eed10053287401afb9fd339cb6",
+})
 
 
 def key_runner(key: str):

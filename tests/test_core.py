@@ -199,6 +199,40 @@ def test_request_pattern_invariant_under_per_file_permutation(fp):
     assert wire_sort_key(mapped)[0] == wire_sort_key(form)[0]
 
 
+def pattern_key(form):
+    """The wire key as it was first written, kept as a reference: the
+    pattern, one (edge, copy, k) per sorted coordinate, k ranking the
+    coordinate among its file's, then the sorted coordinates."""
+    raw = tuple(sorted(form))
+    pattern, prev, k = [], None, 0
+    for f, _bit in raw:
+        k = k + 1 if f == prev else 1
+        prev = f
+        pattern.append((f.edge, f.copy, k))
+    return tuple(pattern), raw
+
+
+@st.composite
+def wires(draw):
+    """Lists of forms over three files, two of them copies of one edge,
+    with same-file runs, shared file prefixes and repeated forms."""
+    coords = st.tuples(st.sampled_from([A, FileId(1, 2), B]), st.integers(1, 4))
+    forms = draw(st.lists(st.frozensets(coords, min_size=1, max_size=5),
+                          min_size=1, max_size=8))
+    repeats = draw(st.lists(st.sampled_from(forms), max_size=4))
+    return draw(st.permutations(forms + repeats))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wires())
+def test_wire_key_orders_forms_as_the_pattern_key(wire):
+    assert sorted(wire, key=wire_sort_key) == sorted(wire, key=pattern_key)
+    keys = [(wire_sort_key(f), pattern_key(f)) for f in wire]
+    for new_a, old_a in keys:
+        for new_b, old_b in keys:
+            assert (new_a < new_b, new_a == new_b) == (old_a < old_b, old_a == old_b)
+
+
 @st.composite
 def transcript_parts(draw):
     """(graph, theta, L, requests, plan) that assemble_transcript accepts.

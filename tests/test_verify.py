@@ -338,6 +338,53 @@ CROSS_VALIDATION = (
 )
 
 
+@st.composite
+def pattern_dists(draw):
+    """{theta: (one Counter per server, runs)} over two to four thetas:
+    copies, some scaled, of one distribution, then one server's entry
+    redrawn at up to two thetas, so a differing pair may come late in
+    the scan."""
+    servers = draw(st.integers(1, 3))
+    counts = st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any)
+    base = [draw(counts) for _ in range(servers)]
+    thetas = [FileId(e, 1) for e in range(1, draw(st.integers(2, 4)) + 1)]
+    redrawn = draw(st.sets(st.sampled_from(thetas), max_size=2))
+    dists = {}
+    for theta in thetas:
+        scale = draw(st.integers(1, 2))
+        rows = [[scale * c for c in row] for row in base]
+        if theta in redrawn:
+            rows[draw(st.integers(0, servers - 1))] = draw(counts)
+        dists[theta] = ([Counter(dict(zip("abc", row))) for row in rows],
+                        sum(rows[0]))
+    return dists
+
+
+def _all_pairs(dists):
+    """(differs, largest TV, witness) of a scan of every theta pair,
+    servers innermost: the first pair whose counts differ, and the
+    largest TV distance of any pair."""
+    thetas, worst, diff = list(dists), 0.0, None
+    for i, ta in enumerate(thetas):
+        for tb in thetas[i + 1:]:
+            (cas, na), (cbs, nb) = dists[ta], dists[tb]
+            for s, (ca, cb) in enumerate(zip(cas, cbs), start=1):
+                worst = max(worst, tv_distance(ca, cb, na, nb))
+                if diff is None and any(ca[k] * nb != cb[k] * na for k in ca | cb):
+                    diff = {"server": s, "theta_a": ta, "theta_b": tb}
+    return diff is not None, worst, diff or {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern_dists())
+def test_comparing_against_the_first_theta_finds_the_all_pairs_witness(dists):
+    differs, worst, at = _all_pairs(dists)
+    got = _compare(dists)
+    assert (got[0], got[2]) == (differs, at)
+    # at a numeric tolerance, 0 included, the TV is still over all pairs
+    assert _compare(dists, 0) == (differs, worst, at)
+
+
 def _per_theta(run, g, view, points, **run_kw):
     """{theta: _tally of `view` over the draw points `points(theta, shape)`},
     each run as run(g, theta, source, **run_kw)."""
