@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graphs import GraphSpec
@@ -53,19 +54,14 @@ def xor_forms(forms: Iterable[LinearForm]) -> LinearForm:
 
 
 def wire_sort_key(form: LinearForm):
-    """The key of a form in a server's canonical wire order: its pattern,
-    each file's bit indices renamed 1, 2, ... in sorted order (invariant
-    under per-file index permutations), then its sorted coordinates.
-    FileId is a tuple, so sorting (FileId, bit) pairs orders them as
-    (edge, copy, bit) triples."""
+    """The key of a form in a server's canonical wire order: the file of
+    each sorted coordinate (invariant under per-file index permutations),
+    then the sorted coordinates. It orders and ties forms as renaming each
+    file's bit indices 1, 2, ... would: a coordinate's rank among its
+    file's depends only on the files before it. FileId is a tuple, so
+    sorting (FileId, bit) pairs orders them as (edge, copy, bit) triples."""
     raw = tuple(sorted(form))
-    pattern = []
-    prev, k = None, 0
-    for f, _bit in raw:
-        k = k + 1 if f == prev else 1
-        prev = f
-        pattern.append((f.edge, f.copy, k))
-    return (tuple(pattern), raw)
+    return tuple(map(itemgetter(0), raw)), raw
 
 
 @dataclass(frozen=True)

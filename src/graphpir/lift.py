@@ -108,8 +108,9 @@ class _Stage(dict):
     form the kernel hands every run (a draw-free template request) is
     looked up at the cost of one equality, and every build of theta is
     handed the same lifted form object. A form is lifted coordinate by
-    coordinate: the desired symbol's position m, read as tau(m), over
-    the desired blocks, every other symbol over the stage's copies."""
+    coordinate, in plain loops (a generator per coordinate cost more
+    than its work): the desired symbol's position m, read as tau(m),
+    over the desired blocks, every other symbol over the stage's copies."""
 
     def __init__(self, subset, tau, edge, desired, shared, file_id):
         super().__init__()
@@ -123,12 +124,16 @@ class _Stage(dict):
 
     def __missing__(self, form):
         file_id, out = self.file_id, []
+        add = out.append
         for sym, m in form:
             if sym.edge == self.edge:
                 m = self.tau[m - 1]
-                out.extend((file_id(sym.edge, t), off + m) for t, off in self.desired)
+                for t, off in self.desired:
+                    add((file_id(sym.edge, t), off + m))
             else:
-                out.extend((file_id(sym.edge, t), self.shared + m) for t in self.copies)
+                m += self.shared
+                for t in self.copies:
+                    add((file_id(sym.edge, t), m))
         lifted = self[form] = frozenset(out)
         return lifted
 

@@ -20,13 +20,14 @@ tier: _tally counts one view of each server's request sequence, its
 pattern (core.server_pattern), over the runs of a per-theta stream of
 points of the scheme's own draws, and _verdict turns the counts into a
 verdict at a tolerance on the total-variation (TV) distance; tolerance
-0 means exact equality, tested in integers. The tiers differ only in
-their stream and tolerance:
+0 means exact equality, tested in integers, and None the same equality
+against the first theta only, with no TV (_compare). The tiers differ
+only in their stream and tolerance:
 
 * exact: every point of the scheme's own draws (rng.enumerate_sources),
   at most EXACT_BUDGET points per theta (BudgetExceeded past it);
-  tolerance 0;
-* structural: one point of a fresh seeded source per seed; tolerance 0;
+  tolerance None;
+* structural: one point of a fresh seeded source per seed; tolerance None;
 * statistical: `samples` successive points of one seeded source
   (SeededSource.points); the given tolerance.
 
@@ -263,7 +264,7 @@ def _privacy_check(tier: str, name: str, dists, seeds: int, samples: int,
                    tolerance: float) -> CheckResult:
     """The CheckResult of privacy tier `tier` on the pattern
     distributions `dists` of scheme `name`."""
-    passed, tv, at = _verdict(dists, tolerance if tier == "statistical" else 0)
+    passed, tv, at = _verdict(dists, tolerance if tier == "statistical" else None)
     witness = {} if passed else {"scheme": name, **at}
     if tier == "statistical":
         detail = "max TV %.5f (tolerance %g, %d samples)" % (tv, tolerance, samples)
@@ -283,27 +284,29 @@ def verify_reliability(scheme, g: GraphSpec, seeds: Sequence = range(10)) -> Che
     return _walk(scheme, g, ["reliability"], seeds=seeds)[1]["reliability"]
 
 
-def _compare(dists, tolerance: float = 0):
+def _compare(dists, tolerance: float | None = None):
     """(differs, largest TV distance, witness) of `dists` over the theta
     pairs in order, servers innermost. The distributions differ when
     their TV passes `tolerance` (the witness is the pair of the largest
-    TV) or, at tolerance 0, when their counts differ in integers (the
-    witness is the first such pair); a witness is {"server", "theta_a",
-    "theta_b"}, or {} when none differ. Equality is transitive, so a
-    differing pair is first found against the first theta."""
+    TV) or, at tolerance 0 or None, when their counts differ in integers
+    (the witness is the first such pair); a witness is {"server",
+    "theta_a", "theta_b"}, or {} when none differ. Equality is
+    transitive, so a differing pair is first found against the first
+    theta: at None only those pairs are scanned, and the TV is None."""
+    first_only = tolerance is None
     thetas, worst, worst_at, diff = list(dists), 0.0, {}, None
-    for i, ta in enumerate(thetas):
+    for i, ta in enumerate(thetas[:1] if first_only else thetas):
         for tb in thetas[i + 1:]:
             (cas, na), (cbs, nb) = dists[ta], dists[tb]
             for s, (ca, cb) in enumerate(zip(cas, cbs), start=1):
                 at = {"server": s, "theta_a": ta, "theta_b": tb}
-                if (d := tv_distance(ca, cb, na, nb)) > worst:
+                if not first_only and (d := tv_distance(ca, cb, na, nb)) > worst:
                     worst, worst_at = d, at
                 if diff is None and any(ca[k] * nb != cb[k] * na for k in ca | cb):
                     diff = at
     if tolerance:
         return worst > tolerance, worst, worst_at
-    return diff is not None, worst, diff or {}
+    return diff is not None, None if first_only else worst, diff or {}
 
 
 def _colour_classes(patterns) -> dict:
@@ -344,11 +347,11 @@ def _colour_classes(patterns) -> dict:
         classes = len(palette)
 
 
-def _verdict(dists, tolerance: float = 0) -> tuple[bool, float, dict]:
+def _verdict(dists, tolerance: float | None = None) -> tuple[bool, float | None, dict]:
     """(passed, TV, witness) of pattern distributions `dists`: a pass when
-    they are within `tolerance`; a confirmed fail, with the TV and
-    witness of the colour classes, when their colour classes are not;
-    TranscriptError (inconclusive) otherwise."""
+    they are within `tolerance` (as _compare reads it); a confirmed
+    fail, with the TV and witness of the colour classes, when their
+    colour classes are not; TranscriptError (inconclusive) otherwise."""
     differs, tv, at = _compare(dists, tolerance)
     if not differs:
         return True, tv, at

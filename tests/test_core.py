@@ -168,9 +168,9 @@ def test_srp_attribution_path_and_star():
 
 def test_request_pattern_examples():
     form = frozenset({(A, 5), (A, 2), (B, 7)})
-    # the pattern part of the wire key: two indices of file A become
-    # 1, 2; one index of B becomes 1
-    assert wire_sort_key(form)[0] == ((1, 1, 1), (1, 1, 2), (2, 1, 1))
+    # the file part of the wire key: one file per sorted coordinate,
+    # whatever its bit index
+    assert wire_sort_key(form)[0] == (A, A, B)
 
 
 @st.composite
