@@ -13,7 +13,7 @@ from .core import (
 )
 from .graphs import GraphSpec, build_family, parse_graph
 from .lift import build_block_plan, lift_scheme
-from .schemes import complete_scheme, compose, compose_stars, path_scheme, star_scheme
+from .schemes import compose, compose_stars
 from .bounds import bound_report, tightness_check
 from .verify import verify_scheme
 
@@ -25,7 +25,6 @@ __all__ = [
     "bound_report",
     "build_block_plan",
     "build_family",
-    "complete_scheme",
     "compose",
     "compose_stars",
     "decode",
@@ -33,9 +32,7 @@ __all__ = [
     "lift_scheme",
     "measured_rate",
     "parse_graph",
-    "path_scheme",
     "srp_attribution",
-    "star_scheme",
     "symbolic_decode_check",
     "tightness_check",
     "verify_scheme",

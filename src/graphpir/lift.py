@@ -47,7 +47,7 @@ from .core import FileId, Transcript
 from .graphs import GraphSpec
 from .kernels import KernelRun
 from .rng import CanonicalSource, RandomSource
-from .schemes import BASE_KINDS, KernelFactory, SchemeError, bind, build
+from .schemes import KernelFactory, SchemeError, bind, build
 
 
 @dataclass(frozen=True)
@@ -196,14 +196,12 @@ def _stage_table(r: int, j: int, e: int, factory: KernelFactory) -> tuple[tuple,
     return tuple(stages), merge
 
 
-def lift_factory(base_kind: str, g: GraphSpec) -> KernelFactory:
-    """The factory of the named base scheme (path, star, or complete) of
-    g's base graph lifted to g's multiplicity, if it fits
-    MAX_LIFT_LENGTH; at r = 1, the base factory itself."""
-    if base_kind not in BASE_KINDS:
-        raise SchemeError("no SRP base scheme of kind %r" % base_kind)
-    base = bind(base_kind, g.base())
-    r, Lp = g.multiplicity, base.length
+def lift_factory(base: KernelFactory, r: int) -> KernelFactory:
+    """`base`, any bound factory, lifted to multiplicity r if it fits
+    MAX_LIFT_LENGTH; at r = 1, `base` itself. The first build of a
+    desired edge refuses a factory whose runs do not split that file's
+    fresh bits evenly between two servers (_half_swap)."""
+    Lp = base.length
     L = Lp << (r - 1)
     if L > MAX_LIFT_LENGTH:
         raise SchemeError("lift too large to build: file length 2^%d * %d is above %d"
@@ -237,6 +235,7 @@ def lift_factory(base_kind: str, g: GraphSpec) -> KernelFactory:
 
 def lift_scheme(base_kind: str, g: GraphSpec, theta, rng: RandomSource,
                 **assemble_kw) -> Transcript:
-    """Lift the named base scheme (path, star, or complete) of g's base
-    graph to g's multiplicity."""
-    return build(lift_factory(base_kind, g), g, theta, rng, **assemble_kw)
+    """The scheme `base_kind` of g's base graph, lifted to g's
+    multiplicity: the `lift:<base_kind>` scheme."""
+    factory = lift_factory(bind(base_kind, g.base()), g.multiplicity)
+    return build(factory, g, theta, rng, **assemble_kw)

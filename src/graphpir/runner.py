@@ -9,7 +9,7 @@ from .lift import lift_factory
 from .schemes import BASE_KINDS, SchemeError, bind, build
 
 # Scheme names that `bind` runs on a multiplicity-1 graph, then one
-# "lift:" name per base kind for its r-multigraph extension.
+# "lift:<kind>" name per base kind, bound as resolve_scheme says.
 SCHEME_NAMES = BASE_KINDS + ("compose-stars",) + tuple("lift:" + k for k in BASE_KINDS)
 
 
@@ -39,14 +39,16 @@ def resolve_scheme(scheme, g: GraphSpec):
     """(name, run) from a scheme name, 'auto', or a callable, where
     run(g, theta, rng, **assemble_kw) returns a Transcript. A named
     scheme is bound to g here, to its one factory, so one that does not
-    fit g is refused before it runs, and run builds from that factory."""
+    fit g is refused before it runs, and run builds from that factory.
+    This is where a "lift:<kind>" name is bound: <kind> on g's base,
+    lifted to g's multiplicity."""
     if callable(scheme):
         return getattr(scheme, "__name__", "custom"), scheme
     name = auto_scheme_name(g) if scheme == "auto" else scheme
     if name not in SCHEME_NAMES:
         raise SchemeError("unknown scheme %r" % name)
     if name.startswith("lift:"):
-        factory = lift_factory(name.removeprefix("lift:"), g)
+        factory = lift_factory(bind(name.removeprefix("lift:"), g.base()), g.multiplicity)
     else:
         factory = bind(name, g)
     return name, functools.partial(build, factory)

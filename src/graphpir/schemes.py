@@ -3,9 +3,10 @@
 A kernel factory binds a scheme to a set of a graph's base edges and
 runs it for any desired file on them. `bind` is the one place where a
 scheme kind meets a graph: it validates the pair once and returns the
-scheme's one factory, which the lift (`lift.lift_factory`) wraps.
-`build` turns any factory's run into a transcript; every scheme below
-is `build` on its binding.
+scheme's one factory, which the lift (`lift.lift_factory`) wraps
+whatever its kind. `build` turns any factory's run into a transcript,
+so a scheme named `kind` runs as `build(bind(kind, g), g, theta, rng)`;
+`compose` and `compose_stars` below are that call on their binding.
 """
 from __future__ import annotations
 
@@ -197,21 +198,6 @@ def build(factory: KernelFactory, g: GraphSpec, theta, rng, **assemble_kw) -> Tr
     kr = factory.run(f, rng)
     return assemble_transcript(g, factory.length, f, kr.requests, kr.plan, rng,
                                **assemble_kw)
-
-
-def path_scheme(g, theta, rng, **assemble_kw) -> Transcript:
-    """Path scheme on the path graph g."""
-    return build(bind("path", g), g, theta, rng, **assemble_kw)
-
-
-def star_scheme(g, theta, rng, **assemble_kw) -> Transcript:
-    """Trivial star scheme on the star graph g."""
-    return build(bind("star", g), g, theta, rng, **assemble_kw)
-
-
-def complete_scheme(g, theta, rng, **assemble_kw) -> Transcript:
-    """Complete-graph scheme on the complete graph g, N >= 3."""
-    return build(bind("complete", g), g, theta, rng, **assemble_kw)
 
 
 def compose(g: GraphSpec, parts: Sequence[tuple[Sequence[int], str]], theta, rng,

@@ -17,7 +17,7 @@ from .core import FileId, Transcript
 from .graphs import build_family, parse_graph
 from .lift import lift_scheme
 from .rng import CanonicalSource
-from .schemes import complete_scheme
+from .schemes import bind, build
 
 _PRIMES = ("", "'", "''", "'''")
 
@@ -63,8 +63,8 @@ def table_three() -> dict:
     letters = {1: "a", 2: "b", 3: "c"}
     out = {}
     for e, (i, ip) in enumerate(g.edges, start=1):
-        t = complete_scheme(
-            g, e, CanonicalSource(),
+        t = build(
+            bind("complete", g), g, e, CanonicalSource(),
             identity_perms=True, wire_key=None,
         )
         out["theta=(%d,%d)" % (i, ip)] = answer_grid(t, letters)

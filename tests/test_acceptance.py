@@ -32,7 +32,7 @@ from graphpir.mutants import (
 )
 from graphpir.rng import SeededSource, enumerate_sources, record_shape
 from graphpir.runner import all_thetas, resolve_scheme
-from graphpir.schemes import compose_stars, path_scheme
+from graphpir.schemes import bind, build, compose_stars
 from graphpir.tables import table_four, table_three
 from graphpir.verify import (
     verify_privacy_exact,
@@ -77,7 +77,8 @@ def test_criterion_01_path_capacity_tight():
             g = build_family("path", [n])
             for theta in range(1, n):
                 for seed in range(10):
-                    t = path_scheme(g, theta, SeededSource("c1/%d/%d/%d" % (n, theta, seed)))
+                    t = build(bind("path", g), g, theta,
+                              SeededSource("c1/%d/%d/%d" % (n, theta, seed)))
                     assert symbolic_decode_check(t)
                     assert measured_rate(t) == Fraction(2, n)
             tight = tightness_check(g)
@@ -91,7 +92,7 @@ def test_criterion_02_exact_privacy_paths():
             g = build_family("path", [n])
             # the randomness space is exactly the 2^(N-1) per-file
             # permutation tuples
-            shape = record_shape(lambda s: path_scheme(g, 1, s))
+            shape = record_shape(lambda s: build(bind("path", g), g, 1, s))
             pts = sum(1 for _ in enumerate_sources(shape, 1 << 20))
             assert pts == 2 ** (n - 1)
             c = verify_privacy_exact("path", g)
@@ -116,8 +117,7 @@ def test_criterion_03_complete_graph_scheme():
 
 
 def complete_scheme_run(g, theta, seed):
-    from graphpir.schemes import complete_scheme
-    return complete_scheme(g, theta, SeededSource("c3/%s/%d" % (theta, seed)))
+    return build(bind("complete", g), g, theta, SeededSource("c3/%s/%d" % (theta, seed)))
 
 
 def test_criterion_04_three_server_answer_grid():
@@ -221,7 +221,7 @@ def test_criterion_09_statistical_privacy_and_mutants():
             assert c.passed, (name, c.detail)
 
         def broken(g, theta, rng, **kw):
-            return drop_planned_request(path_scheme(g, theta, rng, **kw))
+            return drop_planned_request(build(bind("path", g), g, theta, rng, **kw))
 
         assert not verify_reliability(broken, build_family("path", [4]),
                                       seeds=range(2)).passed

@@ -31,7 +31,7 @@ from graphpir.mutants import MUTANTS
 from graphpir.rng import CanonicalSource, SeededSource
 from graphpir.lift import _half_swap
 from graphpir.runner import all_thetas, resolve_scheme
-from graphpir.schemes import KernelFactory, complete_scheme
+from graphpir.schemes import KernelFactory, bind, build
 from graphpir.verify import _seed_for
 from test_core import _outcome
 from test_verify import compose_stars_drop_request
@@ -111,7 +111,7 @@ def test_complete_scheme_rate_reliability_srp(n, rate):
     half = complete_length(n) // 2
     for e in range(1, g.n_base_edges + 1):
         for seed in range(3):
-            t = complete_scheme(g, e, SeededSource("k%d-%d-%d" % (n, e, seed)))
+            t = build(bind("complete", g), g, e, SeededSource("k%d-%d-%d" % (n, e, seed)))
             assert symbolic_decode_check(t)
             assert measured_rate(t) == rate
             assert srp_attribution(t) == (half, half)
@@ -123,7 +123,7 @@ def test_complete_scheme_end_to_end():
     g = build_family("complete", [4])
     data = random.Random(4)
     for e in (1, 3, 6):
-        t = complete_scheme(g, e, SeededSource(e))
+        t = build(bind("complete", g), g, e, SeededSource(e))
         store = random_store(g, t.file_length, data)
         assert decode(t, answer_all(store, t)) == store[FileId(e, 1)]
 
@@ -132,7 +132,7 @@ def test_complete_scheme_reads_a_tuple_theta_as_edge_and_copy():
     # (3, 1) is FileId(3, 1), as for every scheme, not the endpoint pair
     # (1, 3), which is edge 2
     g = build_family("complete", [4])
-    t = complete_scheme(g, (3, 1), SeededSource(0))
+    t = build(bind("complete", g), g, (3, 1), SeededSource(0))
     assert t.theta == FileId(3, 1)
     assert symbolic_decode_check(t)
 

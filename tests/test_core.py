@@ -24,7 +24,7 @@ from graphpir.core import (
 from graphpir.graphs import build_family, parse_graph
 from graphpir.rng import CanonicalSource, SeededSource
 from graphpir.runner import all_thetas
-from graphpir.schemes import path_scheme, star_scheme
+from graphpir.schemes import bind, build
 
 A = FileId(1, 1)
 B = FileId(2, 1)
@@ -115,7 +115,7 @@ def test_decode_end_to_end_random_stores():
     g = build_family("path", [5])
     data = random.Random(11)
     for theta in range(1, 5):
-        t = path_scheme(g, theta, SeededSource("store-%d" % theta))
+        t = build(bind("path", g), g, theta, SeededSource("store-%d" % theta))
         store = random_store(g, t.file_length, data)
         got = decode(t, answer_all(store, t))
         assert got == store[FileId(theta, 1)]
@@ -154,15 +154,17 @@ def test_symbolic_check_detects_corruption():
 
 def test_measured_rate():
     g = build_family("path", [4])
-    t = path_scheme(g, 2, SeededSource(0))
+    t = build(bind("path", g), g, 2, SeededSource(0))
     assert measured_rate(t) == measured_rate(t).__class__(1, 2)
     assert t.total_requests == 4
 
 
 def test_srp_attribution_path_and_star():
-    t = path_scheme(build_family("path", [4]), 2, SeededSource(5))
+    g = build_family("path", [4])
+    t = build(bind("path", g), g, 2, SeededSource(5))
     assert srp_attribution(t) == (1, 1)
-    t = star_scheme(build_family("star", [5]), 3, SeededSource(5))
+    g = build_family("star", [5])
+    t = build(bind("star", g), g, 3, SeededSource(5))
     assert srp_attribution(t) == (1, 1)
 
 
@@ -321,7 +323,7 @@ def test_server_patterns_theta_invariant_on_path():
     pats = {
         theta: tuple(
             server_pattern(server)
-            for server in path_scheme(g, theta, SeededSource(9)).requests
+            for server in build(bind("path", g), g, theta, SeededSource(9)).requests
         )
         for theta in range(1, 5)
     }
@@ -331,7 +333,7 @@ def test_server_patterns_theta_invariant_on_path():
 
 def test_wire_is_sorted_canonically():
     g = build_family("path", [4])
-    t = path_scheme(g, 2, SeededSource(1))
+    t = build(bind("path", g), g, 2, SeededSource(1))
     for server in t.requests:
         keys = [wire_sort_key(form) for form in server]
         assert keys == sorted(keys)
@@ -339,7 +341,7 @@ def test_wire_is_sorted_canonically():
 
 def test_dump_transcript_format():
     g = build_family("path", [3])
-    t = path_scheme(g, 1, CanonicalSource(), identity_perms=True)
+    t = build(bind("path", g), g, 1, CanonicalSource(), identity_perms=True)
     text = dump_transcript(t)
     assert "theta 1.1" in text
     assert "1.1@1" in text

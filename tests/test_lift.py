@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 from fractions import Fraction
@@ -16,13 +17,14 @@ from graphpir.core import (
     symbolic_decode_check,
 )
 import graphpir.lift as lift
-from graphpir.bounds import discount
+from graphpir.bounds import compose_stars_rate, discount
 from graphpir.graphs import build_family, parse_graph
 from graphpir.lift import build_block_plan, lift_scheme
 from graphpir.kernels import KernelRun
 from graphpir.rng import SeededSource
-from graphpir.runner import all_thetas, resolve_scheme
-from graphpir.schemes import KernelFactory, SchemeError, bind
+from graphpir.runner import SCHEME_NAMES, all_thetas, resolve_scheme
+from graphpir.schemes import KernelFactory, SchemeError, bind, build, composite, kernel_factory
+from graphpir.verify import verify_scheme
 
 
 def fs(*xs):
@@ -122,7 +124,7 @@ def test_lift_at_multiplicity_one_is_the_base_scheme(text, identity_perms):
     # byte, and it builds from the base factory, not through a stage
     g = parse_graph(text)
     kind = text.split(":")[0]
-    assert lift.lift_factory(kind, g) is bind(kind, g)
+    assert lift.lift_factory(bind(kind, g), 1) is bind(kind, g)
     _, base = resolve_scheme(kind, g)
     _, lifted = resolve_scheme("lift:" + kind, g)
     for theta in all_thetas(g):
@@ -130,6 +132,18 @@ def test_lift_at_multiplicity_one_is_the_base_scheme(text, identity_perms):
             a, b = (run(g, theta, SeededSource(seed), identity_perms=identity_perms)
                     for run in (base, lifted))
             assert dump_transcript(a) == dump_transcript(b)
+
+
+# a graph that each scheme name without the "lift:" prefix binds
+BINDS = {"path": "path:6", "star": "star:6", "complete": "complete:5",
+         "compose-stars": "complete_bipartite:2,3"}
+
+
+def test_the_lift_at_multiplicity_one_is_any_bound_factory_itself():
+    assert set(BINDS) == {name for name in SCHEME_NAMES if not name.startswith("lift:")}
+    for kind, text in BINDS.items():
+        f = bind(kind, parse_graph(text))
+        assert lift.lift_factory(f, 1) is f
 
 
 @pytest.mark.parametrize("text", ["complete:3^2", "path:3^2"])
@@ -184,11 +198,39 @@ def test_stage_tables_are_reused_per_theta_and_bounded():
     (((1, fs((FileId(1, 1), 1))), (2, fs((FileId(1, 1), 1), (FileId(1, 1), 2)))),
      "target 1 has 2 fresh-bit requests"),
 ])
-def test_a_base_run_without_an_even_split_is_refused(monkeypatch, requests, message):
+def test_a_base_run_without_an_even_split_is_refused(requests, message):
     # a test-only base run of path:2 has no half-swapping involution, so
     # the lift refuses it instead of building a broken transcript
     run = KernelRun(requests, (fs(0, 1), fs(1)))
     factory = KernelFactory(2, (1,), lambda f, rng: run)
-    monkeypatch.setattr(lift, "bind", lambda kind, g: factory)
     with pytest.raises(SchemeError, match=re.escape(message)):
-        lift_scheme("path", parse_graph("path:2^2"), FileId(1, 1), SeededSource(0))
+        build(lift.lift_factory(factory, 2), parse_graph("path:2^2"), FileId(1, 1),
+              SeededSource(0))
+
+
+def test_the_even_split_is_the_lifts_only_check_of_a_factory():
+    # the lift takes a composition as it takes a base scheme; one whose
+    # desired part keeps every fresh bit at server 1 is refused at its
+    # first build, and a desired file on the star part still lifts
+    g = parse_graph("path:3^2")
+    run = KernelRun(((1, fs((FileId(1, 1), 1))), (1, fs((FileId(1, 1), 2)))), (fs(0), fs(1)))
+    uneven = KernelFactory(2, (1,), lambda f, rng: run)
+    lifted = lift.lift_factory(composite([uneven, kernel_factory("star", g, (2,))]), 2)
+    with pytest.raises(SchemeError, match="not evenly between two servers"):
+        build(lifted, g, FileId(1, 1), SeededSource(0))
+    assert symbolic_decode_check(build(lifted, g, FileId(2, 2), SeededSource(0)))
+
+
+def test_the_star_composition_lifts():
+    # the lift of the K(2,3) star composition passes every check; no
+    # scheme name binds it yet, so auto still refuses the graph
+    g = parse_graph("complete_bipartite:2,3^2")
+    scheme = functools.partial(build, lift.lift_factory(bind("compose-stars", g.base()), 2))
+    report = verify_scheme(scheme, g, seeds=range(3))
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ("reliability", True), ("privacy-exact", True), ("srp", True), ("rate", True)]
+    assert report.checks[1].detail.endswith("(324 quotient points)")
+    assert Fraction(1, 6) == compose_stars_rate(2, 3) / discount(2)
+    assert report.checks[3].detail == "measured rate 1/6 within all exact bounds"
+    with pytest.raises(SchemeError, match="no scheme for family"):
+        resolve_scheme("auto", g)

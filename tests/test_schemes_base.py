@@ -12,12 +12,10 @@ from graphpir.rng import CanonicalSource, SeededSource
 from graphpir.schemes import (
     SchemeError,
     bind,
-    complete_scheme,
+    build,
     compose,
     compose_stars,
     kernel_factory,
-    path_scheme,
-    star_scheme,
 )
 from graphpir.tables import answer_grid
 from graphpir.verify import verify_scheme
@@ -78,13 +76,14 @@ def test_star_kernel_shape():
 def test_path_scheme_rate_and_reliability(n):
     g = build_family("path", [n])
     for theta in range(1, n):
-        t = path_scheme(g, theta, SeededSource(theta))
+        t = build(bind("path", g), g, theta, SeededSource(theta))
         assert symbolic_decode_check(t)
         assert measured_rate(t) == Fraction(2, n)
 
 
 def test_path_two_servers_rate_one():
-    t = path_scheme(build_family("path", [2]), 1, SeededSource(0))
+    g = build_family("path", [2])
+    t = build(bind("path", g), g, 1, SeededSource(0))
     assert measured_rate(t) == 1
 
 
@@ -93,8 +92,8 @@ def test_path_answer_grid_reference():
     g = build_family("path", [3])
     grids = {}
     for theta in (1, 2):
-        t = path_scheme(g, theta, CanonicalSource(), identity_perms=True,
-                        wire_key=None)
+        t = build(bind("path", g), g, theta, CanonicalSource(), identity_perms=True,
+                  wire_key=None)
         grids[theta] = answer_grid(t, {1: "a", 2: "b"})
     assert grids[1] == [["a_1", "a_2+b_2", "b_2"]]
     assert grids[2] == [["a_1", "a_1+b_1", "b_2"]]
@@ -103,20 +102,22 @@ def test_path_answer_grid_reference():
 def test_star_scheme_all_thetas():
     g = build_family("star", [6])
     for theta in range(1, 6):
-        t = star_scheme(g, theta, SeededSource(theta))
+        t = build(bind("star", g), g, theta, SeededSource(theta))
         assert symbolic_decode_check(t)
         assert measured_rate(t) == Fraction(2, 6)
 
 
 def test_scheme_family_mismatch():
+    star, path, multi, short = (build_family("star", [4]), build_family("path", [4]),
+                                build_family("path", [3], 2), build_family("path", [3]))
     with pytest.raises(SchemeError):
-        path_scheme(build_family("star", [4]), 1, SeededSource(0))
+        build(bind("path", star), star, 1, SeededSource(0))
     with pytest.raises(SchemeError):
-        star_scheme(build_family("path", [4]), 1, SeededSource(0))
+        build(bind("star", path), path, 1, SeededSource(0))
     with pytest.raises(SchemeError):
-        path_scheme(build_family("path", [3], 2), 1, SeededSource(0))
+        build(bind("path", multi), multi, 1, SeededSource(0))
     with pytest.raises(SchemeError):
-        path_scheme(build_family("path", [3]), 5, SeededSource(0))
+        build(bind("path", short), short, 5, SeededSource(0))
 
 
 def test_kernel_factory_rejects_wrong_edge():
@@ -204,7 +205,8 @@ def test_a_complete_part_binds_by_its_shape_not_its_labels():
     assert all(passed for _, passed, _ in verdicts[0])
     for theta in range(1, 7):
         for seed in range(3):
-            a, b = (complete_scheme(g, theta, SeededSource(seed)) for g in (low, high))
+            a, b = (build(bind("complete", g), g, theta, SeededSource(seed))
+                    for g in (low, high))
             assert b.requests == a.requests[-1:] + a.requests[:-1]
             assert b.decoding_plan == tuple(
                 frozenset((s % 5 + 1, p) for s, p in entry) for entry in a.decoding_plan)

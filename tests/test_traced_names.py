@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps a fixed list of graphpir functions by
-(module, name); a rename or deletion there would crash every traced
-run, so each listed name must exist and be callable, and the generator
-whose items it counts must stay one."""
+(module, name), and its jobs import graphpir names; a rename or
+deletion there would crash every traced run or every run, so each
+listed name must exist and be callable, the jobs module must import,
+and the generator whose items the tracer counts must stay one."""
 import importlib
 import importlib.util
 import inspect
@@ -9,14 +10,19 @@ from pathlib import Path
 
 from graphpir import rng
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name,
+                                                  PERFBENCH / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _traced():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans.TRACED
+    return _load("spans").TRACED
 
 
 def test_every_traced_name_is_a_graphpir_callable():
@@ -28,6 +34,14 @@ def test_every_traced_name_is_a_graphpir_callable():
         if not callable(getattr(importlib.import_module("graphpir." + module), func, None))
     ]
     assert missing == []
+
+
+def test_the_benchmark_jobs_import():
+    # loading the jobs module imports every graphpir name it uses
+    # (compose_stars, all_thetas, resolve_scheme, MUTANTS and its keys)
+    jobs = _load("jobs")
+    assert all(callable(getattr(jobs, name))
+               for name in ("compose_stars", "all_thetas", "resolve_scheme"))
 
 
 def test_enumerate_sources_is_a_generator_function():

@@ -25,7 +25,7 @@ from graphpir.rng import (
     record_shape,
 )
 from graphpir.runner import all_thetas, resolve_scheme
-from graphpir.schemes import compose_stars, path_scheme
+from graphpir.schemes import bind, build, compose_stars
 from graphpir.verify import (
     EXACT_BUDGET,
     _colour_classes,
@@ -117,7 +117,7 @@ def test_mutant_registry_documents_expected_failures():
 
 def test_mutant_drop_request_fails_reliability():
     def broken(g, theta, rng, **kw):
-        return drop_planned_request(path_scheme(g, theta, rng, **kw))
+        return drop_planned_request(build(bind("path", g), g, theta, rng, **kw))
 
     g = build_family("path", [4])
     c = verify_reliability(broken, g, seeds=range(2))
@@ -501,7 +501,7 @@ def test_verify_rate_checks_every_theta():
     first, second = all_thetas(g)
 
     def inflated(g, theta, rng, **kw):
-        t = path_scheme(g, theta, rng, **kw)
+        t = build(bind("path", g), g, theta, rng, **kw)
         return t if theta == first else drop_planned_request(t)
 
     c, rate = verify_rate(inflated, g)
@@ -756,13 +756,13 @@ def test_statistical_scheme_runs_do_not_grow_with_samples():
 def _more_draws_after_one(g, theta, rng, **kw):
     if rng.choice_index(2):
         rng.choice_index(3)
-    return path_scheme(g, theta, rng, **kw)
+    return build(bind("path", g), g, theta, rng, **kw)
 
 
 def _fewer_draws_after_one(g, theta, rng, **kw):
     if not rng.choice_index(2):
         rng.choice_index(3)
-    return path_scheme(g, theta, rng, **kw)
+    return build(bind("path", g), g, theta, rng, **kw)
 
 
 @pytest.mark.parametrize("scheme", [_more_draws_after_one, _fewer_draws_after_one])
@@ -850,7 +850,7 @@ def _budget_passed_at_theta_2(g, theta, rng, **kw):
     its own draws fit EXACT_BUDGET at theta 1 and pass it at theta 2."""
     for _ in range(11 * (theta.edge - 1)):
         rng.choice_index(2)
-    return path_scheme(g, theta, rng, **kw)
+    return build(bind("path", g), g, theta, rng, **kw)
 
 
 def test_auto_falls_back_to_structural_at_a_later_theta():
