@@ -2,16 +2,22 @@
 
 One walk over the desired files theta (_walk), on one resolution of
 the scheme, proves every check a call asks for, reading only builds of
-theta with identity file permutations. For each theta it learns the
-draw shape once (record_shape); tallies theta's privacy stream
-(_tally), whose exact stream checks the shape against EXACT_BUDGET
-before it builds a point, so a refusal costs one build; then builds
-the seeded transcripts that reliability, SRP and rate all read, one
-per seed (the CLI's --seeds), until every named check has failed, each
-wire in construction order (wire_key=None). Decoding, SRP attribution
-and the rate resolve the plan to positions in the order the wire has,
-and a permutation relabels every form and the decoding target alike,
-so neither changes them. A runner, a callable one included, passes
+theta with identity file permutations, each wire sorted by
+wire_sort_key. For each theta it learns the draw shape once
+(record_shape) and draws the check points, one point of a fresh seeded
+source per seed (the CLI's --seeds). It tallies theta's privacy stream
+first (_tally), whose exact stream checks the shape against
+EXACT_BUDGET before it builds a point, so a refusal costs one build;
+the tally keeps the transcripts it builds at theta's check points.
+Reliability, SRP and rate then all read each seed's check transcript,
+seed by seed until every named check has failed. A check point the
+stream did not draw (every one, when no privacy tier runs) is built
+once, by the replay the tally uses (_replay). The kept transcripts are
+theta's alone, at most one per distinct check point, and are dropped
+when the walk moves to the next theta. Decoding, SRP attribution and
+the rate resolve the plan to positions in the order the wire has, and
+a permutation relabels every form and the decoding target alike, so
+neither changes them. A runner, a callable one included, passes
 identity_perms and wire_key on to assemble_transcript.
 
 A scheme is private when each server's query distribution is the same
@@ -27,13 +33,13 @@ only in their stream and tolerance:
 * exact: every point of the scheme's own draws (rng.enumerate_sources),
   at most EXACT_BUDGET points per theta (BudgetExceeded past it);
   tolerance None;
-* structural: one point of a fresh seeded source per seed; tolerance None;
+* structural: the check points, one per seed; tolerance None;
 * statistical: `samples` successive points of one seeded source
   (SeededSource.points); the given tolerance.
 
 auto stays exact unless some theta passes EXACT_BUDGET; then it turns
 structural and re-tallies the thetas already walked from their kept
-shapes.
+shapes, keeping transcripts at the current theta's check points only.
 
 Every tier runs the scheme with identity file permutations. Every
 scheme draws its per-file index permutations in assemble_transcript,
@@ -68,8 +74,9 @@ K_{2,3} star composition), so each distinct point is built once per
 theta, and each distinct server wire viewed once (_tally); a wire's
 forms repeat across points too, so each distinct form's wire key is
 computed once. These memos last for one theta's tally, no longer.
-Every tier refuses a scheme whose draw shape depends on its drawn
-values (TranscriptError).
+Every build replays a point of the recorded draw shape, so every walk,
+a check-only one included, refuses a scheme whose draw shape depends
+on its drawn values (TranscriptError).
 """
 from __future__ import annotations
 
@@ -129,39 +136,49 @@ def _seed_for(base_seed, theta, tag: str) -> str:
     return "%s/%d.%d/%s" % (base_seed, theta.edge, theta.copy, tag)
 
 
-def _tally(build, shape, points, view, servers: int):
-    """(one Counter of `view` per server, runs): the counts of running
-    `build`, whose draw shape is `shape` (record_shape), once per point
-    of `points`, over `servers` servers. A point holds one value per
-    draw of the shape, in the order the run draws them
-    (SeededSource.points or enumerate_sources). Callers name the view
-    (say server_pattern) at call time, never in a default or a table, so
-    a rebinding of the module attribute, as a tracer does, sees every
-    call.
+def _replay(build, shape, point, **kw):
+    """The transcript of `build` run on a replay of `point`, a point of
+    draw shape `shape`; a run that draws past its values or leaves some
+    undrawn is refused (TranscriptError)."""
+    replay = ReplaySource(shape, point)
+    t = build(replay, **kw)
+    replay.finish()
+    return t
+
+
+def _tally(build, shape, points, view, servers: int, keep=()):
+    """((one Counter of `view` per server, runs), built): the counts of
+    running `build`, whose draw shape is `shape` (record_shape), once
+    per point of `points`, over `servers` servers, and the transcript
+    built at each point of `keep` that `points` drew, by point. A point
+    holds one value per draw of the shape, in the order the run draws
+    them (SeededSource.points or enumerate_sources). Callers name the
+    view (say server_pattern) at call time, never in a default or a
+    table, so a rebinding of the module attribute, as a tracer does,
+    sees every call.
 
     Each distinct point is built, and each distinct server wire viewed,
-    once: the points are tallied, then each runs the scheme on a replay
-    of its values, which must draw exactly that shape (a run that draws
-    past them or leaves some undrawn is refused), and its views count as
-    often as it was drawn. A view is a function of the wire, so a wire
-    already seen, at any server of any point, reuses its view. The
-    builds share one memoised wire_sort_key (build's wire_key), so each
-    distinct form's wire key is computed once too. Neither memo outlives
-    the call.
+    once: the points are tallied, then each is built by _replay, and its
+    views count as often as it was drawn. A view is a function of the
+    wire, so a wire already seen, at any server of any point, reuses its
+    view. The builds share one memoised wire_sort_key (build's
+    wire_key), so each distinct form's wire key is computed once too.
+    Neither memo outlives the call.
     """
     tally = Counter(points)
     counters = [Counter() for _ in range(servers)]
     views: dict = {}  # wire -> view
+    built = {}  # point of keep -> its transcript
     wire_key = functools.cache(wire_sort_key)
     for point, k in tally.items():
-        replay = ReplaySource(shape, point)
-        t = build(replay, wire_key=wire_key)
-        replay.finish()
+        t = _replay(build, shape, point, wire_key=wire_key)
+        if point in keep:
+            built[point] = t
         for c, wire in zip(counters, t.requests):
             if (seen := views.get(wire)) is None:
                 seen = views[wire] = view(wire)
             c[seen] += k
-    return counters, sum(tally.values())
+    return (counters, sum(tally.values())), built
 
 
 def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None = None,
@@ -215,35 +232,43 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
                 return ("measured rate %s exceeds bound %s (%s)"
                         % (rates[-1], e.value, e.source), {})
 
-    def tally(theta):
+    def check_point(theta, seed):
+        return next(SeededSource(_seed_for(seed, theta, "rel")).points(kept[theta][1], 1))
+
+    def tally(theta, keep=()):
         build, shape = kept[theta]
         if tier == "exact":
             points = enumerate_sources(shape, EXACT_BUDGET)
         elif tier == "structural":
-            points = (next(SeededSource(_seed_for(seed, theta, "struct")).points(shape, 1))
-                      for seed in seeds)
+            points = (check_point(theta, seed) for seed in seeds)
         else:
             points = SeededSource(_seed_for(0, theta, "stat")).points(shape, samples)
-        return _tally(build, shape, points, server_pattern, g.n_vertices)
+        return _tally(build, shape, points, server_pattern, g.n_vertices, keep)
 
     faults = {"reliability": reliability, "srp": srp, "rate": rate}
     tier = "exact" if privacy == "auto" else privacy
     kept, dists, failed = {}, {}, {}  # kept: (build, draw shape) per theta
     for theta in all_thetas(g):
         build = functools.partial(run, g, theta, identity_perms=True)
+        shape = record_shape(build)
+        kept[theta] = build, shape
+        built = {}  # check point -> its transcript, at this theta only
         if tier:
-            kept[theta] = build, record_shape(build)
+            keep = {check_point(theta, seed) for seed in seeds} if checks else ()
             try:
-                dists[theta] = tally(theta)
+                dists[theta], built = tally(theta, keep)
             except BudgetExceeded:
                 if privacy == "exact":
                     raise
                 tier = "structural"
-                dists = {walked: tally(walked) for walked in kept}
+                dists = {walked: tally(walked)[0] for walked in kept if walked != theta}
+                dists[theta], built = tally(theta, keep)
         for seed in seeds:
             if len(failed) == len(checks):
                 break
-            t = build(SeededSource(_seed_for(seed, theta, "rel")), wire_key=None)
+            point = check_point(theta, seed)
+            if (t := built.get(point)) is None:
+                t = built[point] = _replay(build, shape, point)
             for check in checks:
                 if check not in failed and (fault := faults[check](t, theta, seed)):
                     failed[check] = CheckResult(

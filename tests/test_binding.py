@@ -122,11 +122,20 @@ def test_verify_scheme_builds_each_seeded_transcript_once(monkeypatch):
     monkeypatch.setattr(schemes, "assemble_transcript", counted)
     g = parse_graph("path:4")
     assert verify_scheme("auto", g, seeds=range(3)).passed
-    # verify never draws a file permutation
-    assert built[False, False] == built[False, True] == 0
-    # one check transcript per theta and seed, in construction order,
-    # read by the reliability, SRP and rate checks alike
-    assert built[True, True] == len(all_thetas(g)) * 3 == 9
+    # verify never draws a file permutation, nor keeps a wire in
+    # construction order; per theta, one run learns the draw shape and
+    # the exact tier builds its one point, the check point of every seed,
+    # which the reliability, SRP and rate checks read
+    assert built == Counter({(True, False): len(all_thetas(g)) * 2}) == Counter(
+        {(True, False): 6})
+    # on complete:5 the structural tier's stream is the check points:
+    # per theta, the shape's run and one build per seed
+    built.clear()
+    g = parse_graph("complete:5")
+    report = verify_scheme("auto", g, seeds=range(3))
+    assert report.passed and report.checks[1].name == "privacy-structural"
+    assert built == Counter({(True, False): len(all_thetas(g)) * (1 + 3)}) == Counter(
+        {(True, False): 40})
 
 
 @pytest.mark.parametrize("seeds", (range(1), range(3)))

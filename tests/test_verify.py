@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphpir.core import (
-    FileId, TranscriptError, server_pattern, wire_sort_key,
+    FileId, TranscriptError, measured_rate, server_pattern, wire_sort_key,
 )
 from graphpir.graphs import build_family, parse_graph
 from graphpir.mutants import (
@@ -273,6 +273,19 @@ def _canonical(scheme, g):
     return wrapped
 
 
+def _construction_order(scheme, g):
+    """The runner of `scheme` on g, under the same name, with every
+    server's wire in construction order whatever its caller asks for."""
+    name, run = resolve_scheme(scheme, g)
+
+    def wrapped(g, theta, rng, **kw):
+        kw["wire_key"] = None
+        return run(g, theta, rng, **kw)
+
+    wrapped.__name__ = name
+    return wrapped
+
+
 WIRE_ORDER_CASES = (
     [("auto", text) for text in ("path:4", "complete:4", "complete_bipartite:2,3", "path:3^2")]
     + [(run, "complete_bipartite:2,3") for run in (
@@ -285,11 +298,14 @@ WIRE_ORDER_CASES = (
     ids=["%s-%s" % (getattr(s, "__name__", s), g) for s, g in WIRE_ORDER_CASES],
 )
 def test_check_transcripts_do_not_read_the_wire_order(scheme, graph):
-    # the checks build their transcripts in construction order; sorting
-    # every wire first changes no result, no witness and no rate
+    # the checks read builds whose wires are sorted (a mutant may keep
+    # its own order); keeping every wire in construction order, or
+    # sorting every wire the mutant's included, changes no result, no
+    # witness and no rate
     g = parse_graph(graph)
     names = ["reliability", "srp", "rate"]
-    unsorted = _walk(scheme, g, names, seeds=range(3))
+    unsorted = _walk(_construction_order(scheme, g), g, names, seeds=range(3))
+    assert _walk(scheme, g, names, seeds=range(3)) == unsorted
     assert _walk(_canonical(scheme, g), g, names, seeds=range(3)) == unsorted
     if scheme is compose_stars_drop_request:
         # its victim, min(plan[0]), moves with the wire order, and
@@ -308,9 +324,9 @@ REORDER_CASES = (("auto", "complete:4"), ("auto", "path:3^2"),
     ids=[g if s == "auto" else "%s-%s" % (s.__name__, g) for s, g in REORDER_CASES],
 )
 def test_canonical_runner_reorders_the_same_wire(scheme, graph):
-    # the comparison above is not vacuous: here the canonical runner
-    # sends each server the same forms in another order, the mutant's
-    # own construction order included
+    # the comparisons above are not vacuous: here the construction-order
+    # wire and the canonical runner's send each server the same forms in
+    # another order, the mutant's own construction order included
     g = parse_graph(graph)
     _, run = resolve_scheme(scheme, g)
     theta = all_thetas(g)[-1]  # in the mutant's wire, its part comes first
@@ -386,13 +402,13 @@ def test_comparing_against_the_first_theta_finds_the_all_pairs_witness(dists):
 
 
 def _per_theta(run, g, view, points, **run_kw):
-    """{theta: _tally of `view` over the draw points `points(theta, shape)`},
-    each run as run(g, theta, source, **run_kw)."""
+    """{theta: the counts _tally makes of `view` over the draw points
+    `points(theta, shape)`}, each run as run(g, theta, source, **run_kw)."""
     dists = {}
     for theta in all_thetas(g):
         build = functools.partial(run, g, theta, **run_kw)
         shape = record_shape(build)
-        dists[theta] = _tally(build, shape, points(theta, shape), view, g.n_vertices)
+        dists[theta], _ = _tally(build, shape, points(theta, shape), view, g.n_vertices)
     return dists
 
 
@@ -674,11 +690,12 @@ def test_memoised_counts_equal_a_run_per_source(scheme, graph):
     ("path:4^3", False), ("complete:3^2", False), ("complete:4", True),
 ])
 def test_tally_views_each_distinct_server_wire_once_per_call(graph, repeats):
-    # at the structural tier's ten seeded points per theta, each distinct
-    # (server, wire) pair is viewed once, however many points repeat it;
-    # the memo lives for one call, so a second call views every wire
-    # again. The first two graphs draw nothing (one point per theta), so
-    # only on complete:4 do distinct points repeat a server's wire
+    # at the structural tier's ten seeded points per theta, the check
+    # points of ten seeds, each distinct (server, wire) pair is viewed
+    # once, however many points repeat it; the memo lives for one call,
+    # so a second call views every wire again. The first two graphs draw
+    # nothing (one point per theta), so only on complete:4 do distinct
+    # points repeat a server's wire
     g = parse_graph(graph)
     _, run = resolve_scheme("auto", g)
     calls = 0
@@ -691,20 +708,26 @@ def test_tally_views_each_distinct_server_wire_once_per_call(graph, repeats):
     for theta in all_thetas(g):
         build = functools.partial(run, g, theta, identity_perms=True)
         shape = record_shape(build)
-        seeds = [SeededSource(_seed_for(seed, theta, "struct")) for seed in range(10)]
+        seeds = [SeededSource(_seed_for(seed, theta, "rel")) for seed in range(10)]
         points = [next(src.points(shape, 1)) for src in seeds]
         wires = {
             (s, wire)
             for seed in range(10)
             for s, wire in enumerate(
-                build(SeededSource(_seed_for(seed, theta, "struct"))).requests)
+                build(SeededSource(_seed_for(seed, theta, "rel"))).requests)
         }
         assert (len(wires) < g.n_vertices * len(set(points))) == repeats
         for _ in range(2):
             calls = 0
-            counts = _tally(build, shape, points, counted, g.n_vertices)
+            counts, _ = _tally(build, shape, points, counted, g.n_vertices)
             assert calls == len(wires)
-        assert counts == _tally(build, shape, points, server_pattern, g.n_vertices)
+        # the transcripts kept at the points asked for are the builds on
+        # the seeded sources those points were drawn from
+        _, kept = _tally(build, shape, points, server_pattern, g.n_vertices, set(points[:5]))
+        assert {p: t.requests for p, t in kept.items()} == {
+            p: build(SeededSource(_seed_for(seed, theta, "rel"))).requests
+            for seed, p in enumerate(points[:5])}
+        assert counts == _tally(build, shape, points, server_pattern, g.n_vertices)[0]
 
 
 def test_theta_ordered_mutant_keeps_its_wire_order_under_a_wire_key():
@@ -774,6 +797,19 @@ def _fewer_draws_after_one(g, theta, rng, **kw):
 def test_value_dependent_draw_shape_is_refused(tier, scheme):
     with pytest.raises(TranscriptError, match="draw shape depends on drawn values"):
         tier(scheme, parse_graph("path:3"))
+
+
+@pytest.mark.parametrize("scheme,message", [
+    (_more_draws_after_one, "draw shape depends on drawn values: draw 1 is (choice, 3)"),
+    (_fewer_draws_after_one, "draw shape depends on drawn values: 1 of 2 draws made"),
+], ids=["more", "fewer"])
+@pytest.mark.parametrize("walk", [verify_reliability, verify_srp, verify_rate])
+def test_a_check_only_walk_refuses_a_value_dependent_draw_shape(walk, scheme, message):
+    # the checks replay their points on the recorded draw shape, as the
+    # privacy tiers do; seed 0's check point at theta 1 draws a 1 first
+    with pytest.raises(TranscriptError) as exc:
+        walk(scheme, parse_graph("path:3"))
+    assert str(exc.value) == message
 
 
 def test_seed_iterators_are_read_once():
@@ -870,3 +906,40 @@ def test_auto_falls_back_to_structural_at_a_later_theta():
         "detail": "patterns theta-invariant over 4 seeds", "witness": {},
     }
     assert verify_privacy(_budget_passed_at_theta_2, g, seeds=range(4)) == rep.checks[1]
+
+
+def _budget_passed_by_one_at_theta_2(g, theta, rng, **kw):
+    """The path scheme after one draw from EXACT_BUDGET values at theta 1
+    and from one more past it: one value per point at every theta, in a
+    space that fits EXACT_BUDGET at theta 1 only."""
+    rng.choice_index(EXACT_BUDGET + (theta.edge > 1))
+    return build(bind("path", g), g, theta, rng, **kw)
+
+
+@pytest.mark.parametrize("privacy", ["auto", "structural", None])
+def test_the_checks_read_transcripts_of_the_theta_they_check(monkeypatch, privacy):
+    # over seeds 0-18, theta 1's check point at seed 18 is theta 2's at
+    # seed 4: a memo of check transcripts that outlived one theta, or
+    # that auto's fallback at theta 2 filled by re-tallying theta 1,
+    # would hand theta 2's checks a transcript of theta 1
+    import graphpir.verify as verify
+
+    g = parse_graph("path:4")
+    seeds = range(19)
+    points = [{next(SeededSource(_seed_for(seed, theta, "rel")).points([("choice", n)], 1))
+               for seed in seeds}
+              for theta, n in zip(all_thetas(g), (EXACT_BUDGET, EXACT_BUDGET + 1))]
+    assert points[0] & points[1]
+    read = []
+
+    def rate(t):
+        read.append(t.theta)
+        return measured_rate(t)
+
+    monkeypatch.setattr(verify, "measured_rate", rate)
+    _, results, _ = _walk(_budget_passed_by_one_at_theta_2, g,
+                          ["reliability", "srp", "rate"], privacy, seeds)
+    assert all(c.passed for c in results.values()), [c.to_dict() for c in results.values()]
+    assert read == [theta for theta in all_thetas(g) for _ in seeds]
+    if privacy == "auto":
+        assert results["privacy"].name == "privacy-structural"
