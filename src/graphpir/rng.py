@@ -165,12 +165,21 @@ def domain_size(shape: Sequence[tuple[str, int]], budget: int) -> int:
     return total
 
 
-def record_shape(builder) -> list[tuple[str, int]]:
-    """The draw shape of `builder`, learned from one run against a
-    CanonicalSource."""
+def record_shape(builder) -> tuple[list[tuple[str, int]], object]:
+    """(shape, result): the draw shape of `builder`, learned from one run
+    against a CanonicalSource, and what that run returned, the run of
+    the shape's canonical_point."""
     rec = CanonicalSource()
-    builder(rec)
-    return rec.shape
+    result = builder(rec)
+    return rec.shape, result
+
+
+def canonical_point(shape: Sequence[tuple[str, int]]) -> tuple:
+    """The point a CanonicalSource draws on draw shape `shape`: the
+    identity for every permutation, index 0 for every choice. It is the
+    first point enumerate_sources yields, and the one point of an empty
+    shape."""
+    return tuple(tuple(range(1, n + 1)) if kind == "perm" else 0 for kind, n in shape)
 
 
 def enumerate_sources(shape: Sequence[tuple[str, int]],

@@ -11,6 +11,7 @@ so a scheme named `kind` runs as `build(bind(kind, g), g, theta, rng)`;
 from __future__ import annotations
 
 import functools
+import gc
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -193,11 +194,24 @@ def _theta_file(g: GraphSpec, theta) -> FileId:
 
 def build(factory: KernelFactory, g: GraphSpec, theta, rng, **assemble_kw) -> Transcript:
     """One transcript of the scheme `factory` runs on g: theta is a
-    FileId, an (edge, copy) pair or an edge index, as for every scheme."""
+    FileId, an (edge, copy) pair or an edge index, as for every scheme.
+
+    The cyclic garbage collector is paused for the run and the assembly
+    and then restored to the caller's setting, an exception included. A
+    transcript's tuples and frozensets of (FileId, bit) coordinates hold
+    no reference cycles, so reference counting frees all a build drops,
+    and graphpir is single-threaded; the pause only spares the
+    collector's scans of a large build's many tracked tuples."""
     f = _theta_file(g, theta)
-    kr = factory.run(f, rng)
-    return assemble_transcript(g, factory.length, f, kr.requests, kr.plan, rng,
-                               **assemble_kw)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kr = factory.run(f, rng)
+        return assemble_transcript(g, factory.length, f, kr.requests, kr.plan, rng,
+                                   **assemble_kw)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def compose(g: GraphSpec, parts: Sequence[tuple[Sequence[int], str]], theta, rng,

@@ -4,21 +4,26 @@ One walk over the desired files theta (_walk), on one resolution of
 the scheme, proves every check a call asks for, reading only builds of
 theta with identity file permutations, each wire sorted by
 wire_sort_key. For each theta it learns the draw shape once
-(record_shape) and draws the check points, one point of a fresh seeded
-source per seed (the CLI's --seeds). It tallies theta's privacy stream
-first (_tally), whose exact stream checks the shape against
-EXACT_BUDGET before it builds a point, so a refusal costs one build;
-the tally keeps the transcripts it builds at theta's check points.
-Reliability, SRP and rate then all read each seed's check transcript,
-seed by seed until every named check has failed. A check point the
-stream did not draw (every one, when no privacy tier runs) is built
-once, by the replay the tally uses (_replay). The kept transcripts are
-theta's alone, at most one per distinct check point, and are dropped
-when the walk moves to the next theta. Decoding, SRP attribution and
-the rate resolve the plan to positions in the order the wire has, and
-a permutation relabels every form and the decoding target alike, so
-neither changes them. A runner, a callable one included, passes
-identity_perms and wire_key on to assemble_transcript.
+(record_shape), keeping that run's transcript, the build of the
+shape's canonical_point, and draws the check points, one point of a
+fresh seeded source per seed (the CLI's --seeds). It tallies theta's
+privacy stream first (_tally), whose exact stream checks the shape
+against EXACT_BUDGET before it builds a point, so a refusal costs one
+build; the tally reads the shape run's transcript where its stream
+draws the canonical point (the exact stream's first point, and every
+point of an empty shape), and keeps the transcripts it builds at
+theta's check points. Reliability, SRP and rate then all read each
+seed's check transcript, seed by seed until every named check has
+failed. A check point that is neither the canonical point nor drawn by
+the stream (every other one, when no privacy tier runs) is built once,
+by the replay the tally uses (_replay). The kept transcripts are
+theta's alone, at most one per distinct check point and the shape
+run's, and are dropped when the walk moves to the next theta.
+Decoding, SRP attribution and the rate resolve the plan to positions
+in the order the wire has, and a permutation relabels every form and
+the decoding target alike, so neither changes them. A runner, a
+callable one included, passes identity_perms and wire_key on to
+assemble_transcript.
 
 A scheme is private when each server's query distribution is the same
 for every desired file theta. One engine checks this for every privacy
@@ -105,6 +110,7 @@ from .rng import (
     BudgetExceeded,
     ReplaySource,
     SeededSource,
+    canonical_point,
     enumerate_sources,
     record_shape,
 )
@@ -146,34 +152,36 @@ def _replay(build, shape, point, **kw):
     return t
 
 
-def _tally(build, shape, points, view, servers: int, keep=()):
+def _tally(build, shape, points, view, servers: int, keep=(), built=None):
     """((one Counter of `view` per server, runs), built): the counts of
     running `build`, whose draw shape is `shape` (record_shape), once
-    per point of `points`, over `servers` servers, and the transcript
-    built at each point of `keep` that `points` drew, by point. A point
-    holds one value per draw of the shape, in the order the run draws
-    them (SeededSource.points or enumerate_sources). Callers name the
-    view (say server_pattern) at call time, never in a default or a
-    table, so a rebinding of the module attribute, as a tracer does,
-    sees every call.
+    per point of `points`, over `servers` servers, and `built`, the
+    transcripts already built, by point (none by default), with the one
+    built at each point of `keep` that `points` drew added. A point of
+    `built` is read, never built again. A point holds one value per draw
+    of the shape, in the order the run draws them (SeededSource.points
+    or enumerate_sources). Callers name the view (say server_pattern) at
+    call time, never in a default or a table, so a rebinding of the
+    module attribute, as a tracer does, sees every call.
 
     Each distinct point is built, and each distinct server wire viewed,
-    once: the points are tallied, then each is built by _replay, and its
-    views count as often as it was drawn. A view is a function of the
-    wire, so a wire already seen, at any server of any point, reuses its
-    view. The builds share one memoised wire_sort_key (build's
-    wire_key), so each distinct form's wire key is computed once too.
-    Neither memo outlives the call.
+    once: the points are tallied, then each not in `built` is built by
+    _replay, and its views count as often as it was drawn. A view is a
+    function of the wire, so a wire already seen, at any server of any
+    point, reuses its view. The builds share one memoised wire_sort_key
+    (build's wire_key), so each distinct form's wire key is computed
+    once too. Neither memo outlives the call.
     """
     tally = Counter(points)
     counters = [Counter() for _ in range(servers)]
     views: dict = {}  # wire -> view
-    built = {}  # point of keep -> its transcript
+    built = {} if built is None else built  # point -> its transcript
     wire_key = functools.cache(wire_sort_key)
     for point, k in tally.items():
-        t = _replay(build, shape, point, wire_key=wire_key)
-        if point in keep:
-            built[point] = t
+        if (t := built.get(point)) is None:
+            t = _replay(build, shape, point, wire_key=wire_key)
+            if point in keep:
+                built[point] = t
         for c, wire in zip(counters, t.requests):
             if (seen := views.get(wire)) is None:
                 seen = views[wire] = view(wire)
@@ -235,7 +243,7 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
     def check_point(theta, seed):
         return next(SeededSource(_seed_for(seed, theta, "rel")).points(kept[theta][1], 1))
 
-    def tally(theta, keep=()):
+    def tally(theta, keep=(), built=None):
         build, shape = kept[theta]
         if tier == "exact":
             points = enumerate_sources(shape, EXACT_BUDGET)
@@ -243,26 +251,26 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
             points = (check_point(theta, seed) for seed in seeds)
         else:
             points = SeededSource(_seed_for(0, theta, "stat")).points(shape, samples)
-        return _tally(build, shape, points, server_pattern, g.n_vertices, keep)
+        return _tally(build, shape, points, server_pattern, g.n_vertices, keep, built)
 
     faults = {"reliability": reliability, "srp": srp, "rate": rate}
     tier = "exact" if privacy == "auto" else privacy
     kept, dists, failed = {}, {}, {}  # kept: (build, draw shape) per theta
     for theta in all_thetas(g):
         build = functools.partial(run, g, theta, identity_perms=True)
-        shape = record_shape(build)
+        shape, t = record_shape(build)
         kept[theta] = build, shape
-        built = {}  # check point -> its transcript, at this theta only
+        built = {canonical_point(shape): t}  # point -> its transcript, this theta only
         if tier:
             keep = {check_point(theta, seed) for seed in seeds} if checks else ()
             try:
-                dists[theta], built = tally(theta, keep)
+                dists[theta], built = tally(theta, keep, built)
             except BudgetExceeded:
                 if privacy == "exact":
                     raise
                 tier = "structural"
                 dists = {walked: tally(walked)[0] for walked in kept if walked != theta}
-                dists[theta], built = tally(theta, keep)
+                dists[theta], built = tally(theta, keep, built)
         for seed in seeds:
             if len(failed) == len(checks):
                 break

@@ -92,7 +92,7 @@ def test_criterion_02_exact_privacy_paths():
             g = build_family("path", [n])
             # the randomness space is exactly the 2^(N-1) per-file
             # permutation tuples
-            shape = record_shape(lambda s: build(bind("path", g), g, 1, s))
+            shape, _ = record_shape(lambda s: build(bind("path", g), g, 1, s))
             pts = sum(1 for _ in enumerate_sources(shape, 1 << 20))
             assert pts == 2 ** (n - 1)
             c = verify_privacy_exact("path", g)

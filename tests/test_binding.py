@@ -1,7 +1,11 @@
 """Binding a scheme to a graph: factories are built once per (scheme,
 graph) rather than once per transcript, and the cached binding carries
 no state from one run to the next. Likewise the draw-free part of a
-complete-graph run is built once per desired pair."""
+complete-graph run is built once per desired pair. Every run becomes a
+transcript in the one build, which pauses the cyclic collector."""
+import ast
+import gc
+import pathlib
 import sys
 from collections import Counter
 
@@ -12,12 +16,13 @@ import graphpir.core as core
 import graphpir.graphs as graphs
 import graphpir.lift as lift
 import graphpir.schemes as schemes
-from graphpir.core import FileId, dump_transcript
+from graphpir.core import FileId, TranscriptError, dump_transcript
 from graphpir.graphs import parse_graph
+from graphpir.kernels import KernelRun
 from graphpir.mutants import MUTANTS
 from graphpir.rng import SeededSource
 from graphpir.runner import SCHEME_NAMES, all_thetas, resolve_scheme
-from graphpir.schemes import compose_stars
+from graphpir.schemes import KernelFactory, compose_stars
 from graphpir.verify import verify_privacy_statistical, verify_scheme
 from test_verify import compose_stars_drop_request
 
@@ -123,13 +128,15 @@ def test_verify_scheme_builds_each_seeded_transcript_once(monkeypatch):
     g = parse_graph("path:4")
     assert verify_scheme("auto", g, seeds=range(3)).passed
     # verify never draws a file permutation, nor keeps a wire in
-    # construction order; per theta, one run learns the draw shape and
-    # the exact tier builds its one point, the check point of every seed,
-    # which the reliability, SRP and rate checks read
-    assert built == Counter({(True, False): len(all_thetas(g)) * 2}) == Counter(
-        {(True, False): 6})
+    # construction order; per theta, one run learns the draw shape, and
+    # its transcript is the one point of that empty shape: the exact
+    # tier's stream and the check point of every seed, which the
+    # reliability, SRP and rate checks read
+    assert built == Counter({(True, False): len(all_thetas(g))}) == Counter(
+        {(True, False): 3})
     # on complete:5 the structural tier's stream is the check points:
-    # per theta, the shape's run and one build per seed
+    # per theta, the shape's run and one build per seed, as no check
+    # point of seeds 0-2 is the shape run's point
     built.clear()
     g = parse_graph("complete:5")
     report = verify_scheme("auto", g, seeds=range(3))
@@ -181,3 +188,89 @@ def test_verify_scheme_resolves_the_scheme_once(monkeypatch):
         assert verify_scheme("auto", parse_graph("complete:5"), privacy=privacy,
                              seeds=range(1)).passed
         assert calls == 1
+
+
+def _references(node, name):
+    """The Name and Attribute nodes under `node` that read `name`, and
+    the imports of it."""
+    return [n for n in ast.walk(node)
+            if (n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)) == name
+            or isinstance(n, ast.alias) and n.name == name]
+
+
+def test_build_is_the_only_caller_of_assemble_transcript():
+    # schemes.build pauses the collector around the one assembly; any
+    # other call, or an alias to call later, would assemble without it
+    refs, trees = {}, {}
+    for path in sorted(pathlib.Path(schemes.__file__).parent.glob("*.py")):
+        trees[path.stem] = ast.parse(path.read_text(), filename=str(path))
+        if found := _references(trees[path.stem], "assemble_transcript"):
+            refs[path.stem] = found
+    build = next(fn for fn in trees["schemes"].body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "build")
+    calls = [n.func for n in ast.walk(build) if isinstance(n, ast.Call)]
+    imported, *used = refs.pop("schemes")
+    assert refs == {}
+    assert isinstance(imported, ast.alias) and imported.asname is None
+    assert used == _references(build, "assemble_transcript")
+    assert len(used) == 1 and used[0] in calls
+
+
+def _set_collector(enabled):
+    (gc.enable if enabled else gc.disable)()
+
+
+def _out_of_range(f, rng):
+    """A run whose one request asks for bit 3 of a file of length 2."""
+    return KernelRun(((1, frozenset({(f, 3)})),), (frozenset({0}), frozenset({0})))
+
+
+@pytest.mark.parametrize("enabled", (True, False))
+def test_build_restores_the_collector_setting(enabled):
+    g = parse_graph("path:3")
+    base = schemes.bind("path", g)
+    during = []
+
+    def watched(f, rng):
+        during.append(gc.isenabled())
+        return base.run(f, rng)
+
+    factories = {
+        "ok": KernelFactory(base.length, base.edge_indices, watched),
+        "bad": KernelFactory(2, base.edge_indices, _out_of_range),
+    }
+    before = gc.isenabled()
+    try:
+        _set_collector(enabled)
+        schemes.build(factories["ok"], g, 1, SeededSource(0))
+        assert during == [False] and gc.isenabled() is enabled
+        with pytest.raises(TranscriptError, match="index 3 out of range"):
+            schemes.build(factories["bad"], g, 1, SeededSource(0))
+        assert gc.isenabled() is enabled
+        with pytest.raises(schemes.SchemeError, match="not in this part"):
+            schemes.build(KernelFactory(2, (2,), watched), g, 1, SeededSource(0))
+        assert gc.isenabled() is enabled
+    finally:
+        _set_collector(before)
+
+
+@pytest.mark.parametrize("name,graph", [
+    ("lift:complete", "complete:4^3"),
+    ("complete", "complete:6"),
+    ("compose-stars", "complete_bipartite:2,3"),
+] + [(name, "complete_bipartite:2,3") for name in MUTANTS])
+def test_builds_leave_no_garbage(name, graph):
+    # a transcript holds no reference cycle, so the collector, paused
+    # for every build, has nothing to free after one
+    g = parse_graph(graph)
+    run = runner(name, g)
+    before = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for theta in all_thetas(g):
+            run(g, theta, SeededSource(5))
+            run(g, theta, SeededSource(5), identity_perms=True)
+        assert gc.collect() == 0
+    finally:
+        _set_collector(before)

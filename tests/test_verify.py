@@ -7,8 +7,10 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphpir.verify as verify
 from graphpir.core import (
-    FileId, TranscriptError, measured_rate, server_pattern, wire_sort_key,
+    FileId, TranscriptError, dump_transcript, measured_rate, server_pattern,
+    wire_sort_key,
 )
 from graphpir.graphs import build_family, parse_graph
 from graphpir.mutants import (
@@ -20,6 +22,7 @@ from graphpir.mutants import (
 from graphpir.rng import (
     BudgetExceeded,
     SeededSource,
+    canonical_point,
     domain_size,
     enumerate_sources,
     record_shape,
@@ -30,6 +33,7 @@ from graphpir.verify import (
     EXACT_BUDGET,
     _colour_classes,
     _compare,
+    _replay,
     _seed_for,
     _tally,
     _verdict,
@@ -407,7 +411,7 @@ def _per_theta(run, g, view, points, **run_kw):
     dists = {}
     for theta in all_thetas(g):
         build = functools.partial(run, g, theta, **run_kw)
-        shape = record_shape(build)
+        shape, _ = record_shape(build)
         dists[theta], _ = _tally(build, shape, points(theta, shape), view, g.n_vertices)
     return dists
 
@@ -707,7 +711,7 @@ def test_tally_views_each_distinct_server_wire_once_per_call(graph, repeats):
 
     for theta in all_thetas(g):
         build = functools.partial(run, g, theta, identity_perms=True)
-        shape = record_shape(build)
+        shape, _ = record_shape(build)
         seeds = [SeededSource(_seed_for(seed, theta, "rel")) for seed in range(10)]
         points = [next(src.points(shape, 1)) for src in seeds]
         wires = {
@@ -893,7 +897,7 @@ def test_auto_falls_back_to_structural_at_a_later_theta():
     g = parse_graph("path:4")
     first, second = all_thetas(g)[:2]
     shapes = [record_shape(functools.partial(_budget_passed_at_theta_2, g, theta,
-                                             identity_perms=True))
+                                             identity_perms=True))[0]
               for theta in (first, second)]
     assert domain_size(shapes[0], EXACT_BUDGET) <= EXACT_BUDGET
     with pytest.raises(BudgetExceeded):
@@ -943,3 +947,47 @@ def test_the_checks_read_transcripts_of_the_theta_they_check(monkeypatch, privac
     assert read == [theta for theta in all_thetas(g) for _ in seeds]
     if privacy == "auto":
         assert results["privacy"].name == "privacy-structural"
+
+
+@pytest.mark.parametrize("scheme,graph", [
+    ("path", "path:3"),
+    ("complete", "complete:4"),
+    ("lift:complete", "complete:3^2"),
+    ("compose-stars", "complete_bipartite:2,3"),
+    (compose_stars_theta_ordered, "complete_bipartite:2,3"),
+])
+def test_the_shape_run_is_the_build_of_the_first_exact_point(scheme, graph):
+    # _walk reads the shape run's transcript where a stream draws the
+    # canonical point, so it must be that point's replay, byte for byte
+    g = parse_graph(graph)
+    _, run = resolve_scheme(scheme, g)
+    for theta in all_thetas(g):
+        build = functools.partial(run, g, theta, identity_perms=True)
+        shape, t = record_shape(build)
+        point = canonical_point(shape)
+        assert point == next(enumerate_sources(shape, 1 << 60))
+        assert dump_transcript(t) == dump_transcript(_replay(build, shape, point))
+
+
+def test_a_tally_reads_the_transcripts_it_is_given(monkeypatch):
+    g = parse_graph("complete:4")
+    _, run = resolve_scheme("complete", g)
+    build = functools.partial(run, g, all_thetas(g)[0], identity_perms=True)
+    shape, t = record_shape(build)
+    points = list(enumerate_sources(shape, EXACT_BUDGET))
+    keep = set(points[1:3])
+    expected = _tally(build, shape, points, server_pattern, g.n_vertices)[0]
+    replays = Counter()
+
+    def counted(build, shape, point, **kw):
+        replays[point] += 1
+        return _replay(build, shape, point, **kw)
+
+    monkeypatch.setattr(verify, "_replay", counted)
+    known = {points[0]: t}
+    dists, built = _tally(build, shape, points, server_pattern, g.n_vertices, keep, known)
+    # the given point is read, not built; every other point is built once
+    assert dists == expected
+    assert replays == Counter(points[1:])
+    assert built is known and built.keys() == {points[0]} | keep
+    assert built[points[0]] is t
