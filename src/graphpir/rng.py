@@ -8,6 +8,7 @@ single point of it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -65,14 +66,27 @@ class SeededSource(RandomSource):
     def points(self, shape: Sequence[tuple[str, int]], count: int) -> Iterator[tuple]:
         """`count` successive draw points of `shape`: each holds one value
         per draw, drawn in order, as a run of that shape would draw them
-        (see ReplaySource). A choice's bit length is computed once per
-        shape; an empty shape yields () without drawing."""
-        getrandbits = self._rng.getrandbits
+        (see ReplaySource), leaving the generator in the state those
+        draws leave it in. An empty choice is refused (ValueError) here,
+        at the call, not at the first next(). An empty shape yields ()
+        without drawing; `count` > 1 points of d choices of one domain
+        of at most 255 are drawn as count * d values by _choices; any
+        other stream is drawn point by point, a choice's bit length
+        computed once per shape."""
         plan = []  # (is a permutation, domain size, bit length)
         for kind, n in shape:
             if kind != "perm" and n <= 0:
                 raise ValueError("empty choice")
             plan.append((kind == "perm", n, n.bit_length()))
+        if not shape:
+            return itertools.repeat((), count)
+        d, (kind, n) = len(shape), shape[0]
+        if count > 1 and kind == "choice" and n <= 255 and shape.count(shape[0]) == d:
+            return zip(*[iter(self._choices(n, count * d))] * d)
+        return self._points(plan, count)
+
+    def _points(self, plan, count: int) -> Iterator[tuple]:
+        getrandbits = self._rng.getrandbits
         for _ in range(count):
             point = []
             for perm, n, k in plan:
@@ -84,6 +98,32 @@ class SeededSource(RandomSource):
                         r = getrandbits(k)
                     point.append(r)
             yield tuple(point)
+
+    def _choices(self, n: int, m: int) -> bytes:
+        """m successive choice_index(n) values, 1 <= n <= 255, one per
+        byte. In CPython getrandbits(k), k <= 32, is the next 32-bit word
+        shifted right by 32 - k, and getrandbits(32 * m) is the next m
+        words, least significant first; so each round takes one word per
+        value still needed, keeps each word's top byte, and maps it
+        through _choice_table(n) to the value choice_index would take from
+        that word, dropping rejected ones. Only a round whose every word
+        is accepted ends the draw, so no word past the last value is
+        drawn."""
+        table = _choice_table(n)
+        out = b""
+        while need := m - len(out):
+            words = self._rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            out += words[3::4].translate(table).replace(b"\xff", b"")
+        return out
+
+
+@functools.cache
+def _choice_table(n: int) -> bytes:
+    """The value of a choice of n, 1 <= n <= 255, at each top byte of its
+    word: the byte's top n.bit_length() bits, or 255 where they are >= n
+    and the draw is rejected."""
+    shift = 8 - n.bit_length()
+    return bytes(b >> shift if b >> shift < n else 255 for b in range(256))
 
 
 class CanonicalSource(RandomSource):

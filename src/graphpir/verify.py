@@ -5,8 +5,9 @@ the scheme, proves every check a call asks for, reading only builds of
 theta with identity file permutations, each wire sorted by
 wire_sort_key. For each theta it learns the draw shape once
 (record_shape), keeping that run's transcript, the build of the
-shape's canonical_point, and draws the check points, one point of a
-fresh seeded source per seed (the CLI's --seeds). It tallies theta's
+shape's canonical_point, and, when it has checks to run, draws the
+check points once, one point of a fresh seeded source per seed (the
+CLI's --seeds), kept for theta's walk alone. It tallies theta's
 privacy stream first (_tally), whose exact stream checks the shape
 against EXACT_BUDGET before it builds a point, so a refusal costs one
 build; the tally reads the shape run's transcript where its stream
@@ -240,17 +241,23 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
                 return ("measured rate %s exceeds bound %s (%s)"
                         % (rates[-1], e.value, e.source), {})
 
-    def check_point(theta, seed):
-        return next(SeededSource(_seed_for(seed, theta, "rel")).points(kept[theta][1], 1))
+    def check_points(theta):
+        """theta's check points, one per seed, drawn lazily."""
+        shape = kept[theta][1]
+        return (next(SeededSource(_seed_for(seed, theta, "rel")).points(shape, 1))
+                for seed in seeds)
 
-    def tally(theta, keep=(), built=None):
+    def tally(theta, drawn=None, built=None):
+        """theta's tally, keeping the transcripts at `drawn`, theta's
+        check points when the walk has checks to run."""
         build, shape = kept[theta]
         if tier == "exact":
             points = enumerate_sources(shape, EXACT_BUDGET)
         elif tier == "structural":
-            points = (check_point(theta, seed) for seed in seeds)
+            points = check_points(theta) if drawn is None else drawn
         else:
             points = SeededSource(_seed_for(0, theta, "stat")).points(shape, samples)
+        keep = () if drawn is None else set(drawn)
         return _tally(build, shape, points, server_pattern, g.n_vertices, keep, built)
 
     faults = {"reliability": reliability, "srp": srp, "rate": rate}
@@ -261,20 +268,19 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
         shape, t = record_shape(build)
         kept[theta] = build, shape
         built = {canonical_point(shape): t}  # point -> its transcript, this theta only
+        drawn = list(check_points(theta)) if checks else None  # by seed, this theta only
         if tier:
-            keep = {check_point(theta, seed) for seed in seeds} if checks else ()
             try:
-                dists[theta], built = tally(theta, keep, built)
+                dists[theta], built = tally(theta, drawn, built)
             except BudgetExceeded:
                 if privacy == "exact":
                     raise
                 tier = "structural"
                 dists = {walked: tally(walked)[0] for walked in kept if walked != theta}
-                dists[theta], built = tally(theta, keep, built)
-        for seed in seeds:
+                dists[theta], built = tally(theta, drawn, built)
+        for seed, point in zip(seeds, drawn or ()):
             if len(failed) == len(checks):
                 break
-            point = check_point(theta, seed)
             if (t := built.get(point)) is None:
                 t = built[point] = _replay(build, shape, point)
             for check in checks:

@@ -2,7 +2,9 @@
 randrange's values and its permutations are shuffle's, draw for draw, so
 every seeded transcript, tally and verdict keeps its value. A Python
 whose randrange or shuffle draws differently fails here by name.
-SeededSource.points draws a stream of whole draw points from it."""
+SeededSource.points draws a stream of whole draw points from it, in
+batches where it can, on a premise about how CPython packs the words of
+getrandbits that is tested here by name too."""
 import random
 
 import pytest
@@ -79,3 +81,31 @@ def test_points_of_an_empty_shape_draw_nothing(count, seed):
 def test_points_of_an_empty_choice_are_refused(shape):
     with pytest.raises(ValueError, match="empty choice"):
         next(SeededSource(0).points(shape, 1))
+
+
+def test_getrandbits_packs_32_bit_words():
+    """The premise of SeededSource._choices: getrandbits(k), k <= 32, is
+    the next 32-bit word shifted right by 32 - k, and getrandbits(32 * m)
+    is the next m words, least significant first."""
+    for seed in SEEDS[:20] + SEEDS[-20:]:
+        words = [random.Random(seed).getrandbits(32 * m) for m in (1, 7)]
+        stream = random.Random(seed)
+        assert words[1] == sum(stream.getrandbits(32) << 32 * i for i in range(7)), seed
+        assert words[1] & 0xFFFFFFFF == words[0], seed
+        for k in range(1, 33):
+            assert random.Random(seed).getrandbits(k) == words[0] >> (32 - k), (seed, k)
+
+
+# choices of at most 255 are drawn in batches, at the edges of a bit
+# length; 256 is not
+BATCH_SIZES = (1, 2, 3, 127, 128, 254, 255, 256)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 1000, 20000])
+@pytest.mark.parametrize("n", BATCH_SIZES)
+def test_batched_points_are_successive_draw_points(n, count):
+    for d in range(1, 7):
+        shape = [("choice", n)] * d
+        src, ref = SeededSource("%d/1.1/stat" % d), SeededSource("%d/1.1/stat" % d)
+        assert list(src.points(shape, count)) == [draw_point(ref, shape) for _ in range(count)]
+        assert src._rng.getstate() == ref._rng.getstate(), d
