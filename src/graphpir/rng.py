@@ -71,33 +71,17 @@ class SeededSource(RandomSource):
         at the call, not at the first next(). An empty shape yields ()
         without drawing; `count` > 1 points of d choices of one domain
         of at most 255 are drawn as count * d values by _choices; any
-        other stream is drawn point by point, a choice's bit length
-        computed once per shape."""
-        plan = []  # (is a permutation, domain size, bit length)
-        for kind, n in shape:
-            if kind != "perm" and n <= 0:
-                raise ValueError("empty choice")
-            plan.append((kind == "perm", n, n.bit_length()))
+        other stream is drawn point by point, each value by permutation
+        or choice_index."""
+        if any(kind != "perm" and n <= 0 for kind, n in shape):
+            raise ValueError("empty choice")
         if not shape:
             return itertools.repeat((), count)
         d, (kind, n) = len(shape), shape[0]
         if count > 1 and kind == "choice" and n <= 255 and shape.count(shape[0]) == d:
             return zip(*[iter(self._choices(n, count * d))] * d)
-        return self._points(plan, count)
-
-    def _points(self, plan, count: int) -> Iterator[tuple]:
-        getrandbits = self._rng.getrandbits
-        for _ in range(count):
-            point = []
-            for perm, n, k in plan:
-                if perm:
-                    point.append(self.permutation(n))
-                else:
-                    r = getrandbits(k)
-                    while r >= n:
-                        r = getrandbits(k)
-                    point.append(r)
-            yield tuple(point)
+        return (tuple(self.permutation(n) if kind == "perm" else self.choice_index(n)
+                      for kind, n in shape) for _ in range(count))
 
     def _choices(self, n: int, m: int) -> bytes:
         """m successive choice_index(n) values, 1 <= n <= 255, one per

@@ -27,8 +27,7 @@ def _sym(letter_by_edge, f: FileId, idx: int) -> str:
 
 
 def form_symbols(form, letter_by_edge) -> str:
-    coords = sorted(form, key=lambda c: (c[0].edge, c[0].copy, c[1]))
-    return "+".join(_sym(letter_by_edge, f, b) for f, b in coords)
+    return "+".join(_sym(letter_by_edge, f, b) for f, b in sorted(form))
 
 
 def answer_grid(t: Transcript, letter_by_edge) -> list[list[str]]:

@@ -3,23 +3,21 @@
 One walk over the desired files theta (_walk), on one resolution of
 the scheme, proves every check a call asks for, reading only builds of
 theta with identity file permutations, each wire sorted by
-wire_sort_key. For each theta it learns the draw shape once
-(record_shape), keeping that run's transcript, the build of the
-shape's canonical_point, and, when it has checks to run, draws the
-check points once, one point of a fresh seeded source per seed (the
-CLI's --seeds), kept for theta's walk alone. It tallies theta's
-privacy stream first (_tally), whose exact stream checks the shape
-against EXACT_BUDGET before it builds a point, so a refusal costs one
-build; the tally reads the shape run's transcript where its stream
-draws the canonical point (the exact stream's first point, and every
-point of an empty shape), and keeps the transcripts it builds at
-theta's check points. Reliability, SRP and rate then all read each
-seed's check transcript, seed by seed until every named check has
-failed. A check point that is neither the canonical point nor drawn by
-the stream (every other one, when no privacy tier runs) is built once,
-by the replay the tally uses (_replay). The kept transcripts are
-theta's alone, at most one per distinct check point and the shape
-run's, and are dropped when the walk moves to the next theta.
+wire_sort_key. All of theta's builds share one memoised wire_sort_key.
+For each theta it learns the draw shape once (record_shape); that
+run's transcript, the build of the shape's canonical_point, starts
+theta's one map from point to transcript. The exact tier checks the
+shape against EXACT_BUDGET next, so a refusal costs that one build.
+The checks come first: seed by seed (the CLI's --seeds), theta's check
+point, one point of a fresh seeded source, is drawn, built by _replay
+unless the map holds it, and added to the map; reliability, SRP and
+rate all read that transcript, and once every named check has failed
+no further point is drawn. The privacy tally (_tally) comes second: it
+reads the map wherever its stream draws one of its points (the exact
+stream's first point, every point of an empty shape, every check
+point) and builds each other point by the same replay, writing
+nothing. The map and the wire key memo are theta's alone, and are
+dropped when the walk moves to the next theta.
 Decoding, SRP attribution and the rate resolve the plan to positions
 in the order the wire has, and a permutation relabels every form and
 the decoding target alike, so neither changes them. A runner, a
@@ -43,9 +41,9 @@ only in their stream and tolerance:
 * statistical: `samples` successive points of one seeded source
   (SeededSource.points); the given tolerance.
 
-auto stays exact unless some theta passes EXACT_BUDGET; then it turns
-structural and re-tallies the thetas already walked from their kept
-shapes, keeping transcripts at the current theta's check points only.
+auto stays exact unless some theta passes EXACT_BUDGET; then, before
+that theta's checks, it turns structural and re-tallies the thetas
+already walked from their kept shapes.
 
 Every tier runs the scheme with identity file permutations. Every
 scheme draws its per-file index permutations in assemble_transcript,
@@ -77,9 +75,9 @@ brackets that TV between two views:
 With identity permutations a run's views are a function of the
 scheme's own draws, which take few values (3 points per theta for the
 K_{2,3} star composition), so each distinct point is built once per
-theta, and each distinct server wire viewed once (_tally); a wire's
-forms repeat across points too, so each distinct form's wire key is
-computed once. These memos last for one theta's tally, no longer.
+theta, and each distinct server wire viewed once per tally (_tally); a
+wire's forms repeat across points too, so each distinct form's wire
+key is computed once per theta.
 Every build replays a point of the recorded draw shape, so every walk,
 a check-only one included, refuses a scheme whose draw shape depends
 on its drawn values (TranscriptError).
@@ -112,6 +110,7 @@ from .rng import (
     ReplaySource,
     SeededSource,
     canonical_point,
+    domain_size,
     enumerate_sources,
     record_shape,
 )
@@ -143,51 +142,45 @@ def _seed_for(base_seed, theta, tag: str) -> str:
     return "%s/%d.%d/%s" % (base_seed, theta.edge, theta.copy, tag)
 
 
-def _replay(build, shape, point, **kw):
+def _replay(build, shape, point):
     """The transcript of `build` run on a replay of `point`, a point of
     draw shape `shape`; a run that draws past its values or leaves some
     undrawn is refused (TranscriptError)."""
     replay = ReplaySource(shape, point)
-    t = build(replay, **kw)
+    t = build(replay)
     replay.finish()
     return t
 
 
-def _tally(build, shape, points, view, servers: int, keep=(), built=None):
-    """((one Counter of `view` per server, runs), built): the counts of
-    running `build`, whose draw shape is `shape` (record_shape), once
-    per point of `points`, over `servers` servers, and `built`, the
-    transcripts already built, by point (none by default), with the one
-    built at each point of `keep` that `points` drew added. A point of
-    `built` is read, never built again. A point holds one value per draw
+def _tally(build, shape, points, view, servers: int, built=None):
+    """(one Counter of `view` per server, runs): the counts of running
+    `build`, whose draw shape is `shape` (record_shape), once per point
+    of `points`, over `servers` servers. A point holds one value per draw
     of the shape, in the order the run draws them (SeededSource.points
-    or enumerate_sources). Callers name the view (say server_pattern) at
-    call time, never in a default or a table, so a rebinding of the
-    module attribute, as a tracer does, sees every call.
+    or enumerate_sources). `built` maps points to their transcripts (none
+    by default); a point of it is read, never built, and the map is
+    never written. Callers name the view (say server_pattern) at call
+    time, never in a default or a table, so a rebinding of the module
+    attribute, as a tracer does, sees every call.
 
     Each distinct point is built, and each distinct server wire viewed,
     once: the points are tallied, then each not in `built` is built by
     _replay, and its views count as often as it was drawn. A view is a
     function of the wire, so a wire already seen, at any server of any
-    point, reuses its view. The builds share one memoised wire_sort_key
-    (build's wire_key), so each distinct form's wire key is computed
-    once too. Neither memo outlives the call.
+    point, reuses its view; that memo does not outlive the call.
     """
     tally = Counter(points)
     counters = [Counter() for _ in range(servers)]
     views: dict = {}  # wire -> view
-    built = {} if built is None else built  # point -> its transcript
-    wire_key = functools.cache(wire_sort_key)
+    built = built or {}  # point -> its transcript, read only
     for point, k in tally.items():
         if (t := built.get(point)) is None:
-            t = _replay(build, shape, point, wire_key=wire_key)
-            if point in keep:
-                built[point] = t
+            t = _replay(build, shape, point)
         for c, wire in zip(counters, t.requests):
             if (seen := views.get(wire)) is None:
                 seen = views[wire] = view(wire)
             c[seen] += k
-    return (counters, sum(tally.values())), built
+    return counters, sum(tally.values())
 
 
 def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None = None,
@@ -241,52 +234,52 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
                 return ("measured rate %s exceeds bound %s (%s)"
                         % (rates[-1], e.value, e.source), {})
 
-    def check_points(theta):
-        """theta's check points, one per seed, drawn lazily."""
-        shape = kept[theta][1]
-        return (next(SeededSource(_seed_for(seed, theta, "rel")).points(shape, 1))
-                for seed in seeds)
+    def builder(theta):
+        """theta's build, whose runs share one memoised wire_sort_key."""
+        return functools.partial(run, g, theta, identity_perms=True,
+                                 wire_key=functools.cache(wire_sort_key))
 
-    def tally(theta, drawn=None, built=None):
-        """theta's tally, keeping the transcripts at `drawn`, theta's
-        check points when the walk has checks to run."""
-        build, shape = kept[theta]
+    def check_point(theta, seed):
+        return next(SeededSource(_seed_for(seed, theta, "rel")).points(shapes[theta], 1))
+
+    def tally(theta, build, built=None):
+        shape = shapes[theta]
         if tier == "exact":
             points = enumerate_sources(shape, EXACT_BUDGET)
         elif tier == "structural":
-            points = check_points(theta) if drawn is None else drawn
+            points = (check_point(theta, seed) for seed in seeds)
         else:
             points = SeededSource(_seed_for(0, theta, "stat")).points(shape, samples)
-        keep = () if drawn is None else set(drawn)
-        return _tally(build, shape, points, server_pattern, g.n_vertices, keep, built)
+        return _tally(build, shape, points, server_pattern, g.n_vertices, built)
 
     faults = {"reliability": reliability, "srp": srp, "rate": rate}
     tier = "exact" if privacy == "auto" else privacy
-    kept, dists, failed = {}, {}, {}  # kept: (build, draw shape) per theta
+    shapes, dists, failed = {}, {}, {}
     for theta in all_thetas(g):
-        build = functools.partial(run, g, theta, identity_perms=True)
+        build = builder(theta)
         shape, t = record_shape(build)
-        kept[theta] = build, shape
+        shapes[theta] = shape
         built = {canonical_point(shape): t}  # point -> its transcript, this theta only
-        drawn = list(check_points(theta)) if checks else None  # by seed, this theta only
-        if tier:
+        if tier == "exact":
             try:
-                dists[theta], built = tally(theta, drawn, built)
+                domain_size(shape, EXACT_BUDGET)
             except BudgetExceeded:
                 if privacy == "exact":
                     raise
                 tier = "structural"
-                dists = {walked: tally(walked)[0] for walked in kept if walked != theta}
-                dists[theta], built = tally(theta, drawn, built)
-        for seed, point in zip(seeds, drawn or ()):
+                dists = {walked: tally(walked, builder(walked)) for walked in dists}
+        for seed in seeds:
             if len(failed) == len(checks):
                 break
+            point = check_point(theta, seed)
             if (t := built.get(point)) is None:
                 t = built[point] = _replay(build, shape, point)
             for check in checks:
                 if check not in failed and (fault := faults[check](t, theta, seed)):
                     failed[check] = CheckResult(
                         check, False, fault[0], {"scheme": name, "theta": theta, **fault[1]})
+        if tier:
+            dists[theta] = tally(theta, build, built)
     top = rates[-1] if "rate" in failed else max(rates, default=None)
     passes = {
         "reliability": "all theta and seeds decode",

@@ -412,7 +412,7 @@ def _per_theta(run, g, view, points, **run_kw):
     for theta in all_thetas(g):
         build = functools.partial(run, g, theta, **run_kw)
         shape, _ = record_shape(build)
-        dists[theta], _ = _tally(build, shape, points(theta, shape), view, g.n_vertices)
+        dists[theta] = _tally(build, shape, points(theta, shape), view, g.n_vertices)
     return dists
 
 
@@ -723,15 +723,9 @@ def test_tally_views_each_distinct_server_wire_once_per_call(graph, repeats):
         assert (len(wires) < g.n_vertices * len(set(points))) == repeats
         for _ in range(2):
             calls = 0
-            counts, _ = _tally(build, shape, points, counted, g.n_vertices)
+            counts = _tally(build, shape, points, counted, g.n_vertices)
             assert calls == len(wires)
-        # the transcripts kept at the points asked for are the builds on
-        # the seeded sources those points were drawn from
-        _, kept = _tally(build, shape, points, server_pattern, g.n_vertices, set(points[:5]))
-        assert {p: t.requests for p, t in kept.items()} == {
-            p: build(SeededSource(_seed_for(seed, theta, "rel"))).requests
-            for seed, p in enumerate(points[:5])}
-        assert counts == _tally(build, shape, points, server_pattern, g.n_vertices)[0]
+        assert counts == _tally(build, shape, points, server_pattern, g.n_vertices)
 
 
 def test_theta_ordered_mutant_keeps_its_wire_order_under_a_wire_key():
@@ -975,19 +969,60 @@ def test_a_tally_reads_the_transcripts_it_is_given(monkeypatch):
     build = functools.partial(run, g, all_thetas(g)[0], identity_perms=True)
     shape, t = record_shape(build)
     points = list(enumerate_sources(shape, EXACT_BUDGET))
-    keep = set(points[1:3])
-    expected = _tally(build, shape, points, server_pattern, g.n_vertices)[0]
+    expected = _tally(build, shape, points, server_pattern, g.n_vertices)
     replays = Counter()
 
-    def counted(build, shape, point, **kw):
+    def counted(build, shape, point):
         replays[point] += 1
-        return _replay(build, shape, point, **kw)
+        return _replay(build, shape, point)
 
     monkeypatch.setattr(verify, "_replay", counted)
     known = {points[0]: t}
-    dists, built = _tally(build, shape, points, server_pattern, g.n_vertices, keep, known)
-    # the given point is read, not built; every other point is built once
+    dists = _tally(build, shape, points, server_pattern, g.n_vertices, known)
+    # the given point is read, not built; every other point is built
+    # once; the given map is not written
     assert dists == expected
     assert replays == Counter(points[1:])
-    assert built is known and built.keys() == {points[0]} | keep
-    assert built[points[0]] is t
+    assert known.keys() == {points[0]} and known[points[0]] is t
+
+
+@pytest.mark.parametrize("privacy", [None, "exact", "structural", "statistical"])
+@pytest.mark.parametrize("graph", ["path:4^3", "complete:3^2", "complete:4"])
+def test_the_checks_read_the_builds_on_their_seeded_sources(monkeypatch, graph, privacy):
+    # each seed's checks read the build at its check point, whichever of
+    # the shape run, the checks' own builds or a tier's stream drew it
+    # first: the same transcript a run on that seed's source builds
+    g = parse_graph(graph)
+    _, run = resolve_scheme("auto", g)
+    read = []
+
+    def rate(t):
+        read.append(t.requests)
+        return measured_rate(t)
+
+    monkeypatch.setattr(verify, "measured_rate", rate)
+    _, results, _ = _walk(run, g, ["rate"], privacy, range(5), samples=10_000)
+    assert all(c.passed for c in results.values()), [c.to_dict() for c in results.values()]
+    assert read == [
+        run(g, theta, SeededSource(_seed_for(seed, theta, "rel")), identity_perms=True).requests
+        for theta in all_thetas(g) for seed in range(5)]
+
+
+def test_a_walk_stops_drawing_check_points_once_every_check_has_failed(monkeypatch):
+    # the drop-request mutant fails reliability and SRP at theta 1, seed
+    # 0, so no later seed or theta needs a check point drawn; seeds is a
+    # long lazy range, walked only as far as the checks need
+    draws = 0
+
+    class Counted(SeededSource):
+        def points(self, shape, count):
+            nonlocal draws
+            draws += 1
+            return super().points(shape, count)
+
+    monkeypatch.setattr(verify, "SeededSource", Counted)
+    g = parse_graph("complete_bipartite:2,3")
+    _, results, _ = _walk(compose_stars_drop_request, g, ["reliability", "srp"], None,
+                          range(10**4))
+    assert not results["reliability"].passed and not results["srp"].passed
+    assert draws == 1
