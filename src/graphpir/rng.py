@@ -12,9 +12,14 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from typing import Iterator, Sequence
 
 from .core import TranscriptError
+
+# the most values SeededSource.counts holds at once, so its memory does not
+# grow with the sample count
+CHOICE_ROUND = 1 << 16
 
 
 class RandomSource:
@@ -65,40 +70,62 @@ class SeededSource(RandomSource):
 
     def points(self, shape: Sequence[tuple[str, int]], count: int) -> Iterator[tuple]:
         """`count` successive draw points of `shape`: each holds one value
-        per draw, drawn in order, as a run of that shape would draw them
-        (see ReplaySource), leaving the generator in the state those
-        draws leave it in. An empty choice is refused (ValueError) here,
-        at the call, not at the first next(). An empty shape yields ()
-        without drawing; `count` > 1 points of d choices of one domain
-        of at most 255 are drawn as count * d values by _choices; any
-        other stream is drawn point by point, each value by permutation
-        or choice_index."""
+        per draw, drawn in order by permutation or choice_index, as a run
+        of that shape would draw them (see ReplaySource), leaving the
+        generator in the state those draws leave it in. An empty choice is
+        refused (ValueError) here, at the call, not at the first next().
+        An empty shape yields () without drawing."""
         if any(kind != "perm" and n <= 0 for kind, n in shape):
             raise ValueError("empty choice")
         if not shape:
             return itertools.repeat((), count)
-        d, (kind, n) = len(shape), shape[0]
-        if count > 1 and kind == "choice" and n <= 255 and shape.count(shape[0]) == d:
-            return zip(*[iter(self._choices(n, count * d))] * d)
         return (tuple(self.permutation(n) if kind == "perm" else self.choice_index(n)
                       for kind, n in shape) for _ in range(count))
 
-    def _choices(self, n: int, m: int) -> bytes:
+    def counts(self, shape: Sequence[tuple[str, int]], count: int) -> Counter:
+        """Counter(self.points(shape, count)), item for item: each point
+        of the stream with the times it was drawn, in first-drawn order,
+        leaving the generator in the same state. An empty shape counts ()
+        `count` times without drawing. d choices of one domain of at most
+        255 per point are drawn by _choices and counted round by round
+        from their bytes, no round kept: d-tuples zipped from a round's
+        bytes when d > 1, and no tuple per sample when d = 1, where each
+        value's bytes.count is added in the order bytes.find first meets
+        it. Any other stream is counted from points, which refuses an
+        empty choice."""
+        if not shape:
+            return Counter({(): count} if count > 0 else ())
+        d, (kind, n) = len(shape), shape[0]
+        if kind != "choice" or not 0 < n <= 255 or shape.count(shape[0]) != d:
+            return Counter(self.points(shape, count))
+        counts = Counter()
+        for values in self._choices(n, count * d, d * max(1, CHOICE_ROUND // d)):
+            if d > 1:
+                counts.update(zip(*[iter(values)] * d))
+                continue
+            for _, v, k in sorted((values.find(v), v, k) for v in range(n)
+                                  if (k := values.count(v))):
+                counts[v,] += k
+        return counts
+
+    def _choices(self, n: int, m: int, size: int) -> Iterator[bytes]:
         """m successive choice_index(n) values, 1 <= n <= 255, one per
-        byte. In CPython getrandbits(k), k <= 32, is the next 32-bit word
-        shifted right by 32 - k, and getrandbits(32 * m) is the next m
-        words, least significant first; so each round takes one word per
-        value still needed, keeps each word's top byte, and maps it
-        through _choice_table(n) to the value choice_index would take from
-        that word, dropping rejected ones. Only a round whose every word
-        is accepted ends the draw, so no word past the last value is
-        drawn."""
+        byte, in rounds of `size` values, the last one shorter when `size`
+        does not divide m. In CPython getrandbits(k), k <= 32, is the next
+        32-bit word shifted right by 32 - k, and getrandbits(32 * m) is the
+        next m words, least significant first; so each draw takes one word
+        per value its round still needs, keeps each word's top byte, and
+        maps it through _choice_table(n) to the value choice_index would
+        take from that word, dropping rejected ones. No draw takes more
+        words than values still needed, so no word past the last value is
+        drawn, and the rounds draw the words one draw per value would."""
         table = _choice_table(n)
-        out = b""
-        while need := m - len(out):
-            words = self._rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-            out += words[3::4].translate(table).replace(b"\xff", b"")
-        return out
+        for start in range(0, m, size):
+            out, want = b"", min(size, m - start)
+            while need := want - len(out):
+                words = self._rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+                out += words[3::4].translate(table).replace(b"\xff", b"")
+            yield out
 
 
 @functools.cache

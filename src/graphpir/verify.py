@@ -9,15 +9,16 @@ run's transcript, the build of the shape's canonical_point, starts
 theta's one map from point to transcript. The exact tier checks the
 shape against EXACT_BUDGET next, so a refusal costs that one build.
 The checks come first: seed by seed (the CLI's --seeds), theta's check
-point, one point of a fresh seeded source, is drawn, built by _replay
-unless the map holds it, and added to the map; reliability, SRP and
-rate all read that transcript, and once every named check has failed
-no further point is drawn. The privacy tally (_tally) comes second: it
-reads the map wherever its stream draws one of its points (the exact
-stream's first point, every point of an empty shape, every check
-point) and builds each other point by the same replay, writing
-nothing. The map and the wire key memo are theta's alone, and are
-dropped when the walk moves to the next theta.
+point, one point of a fresh seeded source, is drawn, counted, built by
+_replay unless the map holds it, and added to the map; reliability, SRP
+and rate all read that transcript, and once every named check has
+failed no further point is drawn. The privacy tally (_tally) comes
+second: it takes theta's stream as counts, a map from each point drawn
+to the times it was drawn, reads the transcript map at each point it
+holds (the exact stream's first point, the one point of an empty shape,
+every check point) and builds each other point by the same replay,
+writing nothing. The map and the wire key memo are theta's alone, and
+are dropped when the walk moves to the next theta.
 Decoding, SRP attribution and the rate resolve the plan to positions
 in the order the wire has, and a permutation relabels every form and
 the decoding target alike, so neither changes them. A runner, a
@@ -28,18 +29,21 @@ A scheme is private when each server's query distribution is the same
 for every desired file theta. One engine checks this for every privacy
 tier: _tally counts one view of each server's request sequence, its
 pattern (core.server_pattern), over the runs of a per-theta stream of
-points of the scheme's own draws, and _verdict turns the counts into a
-verdict at a tolerance on the total-variation (TV) distance; tolerance
-0 means exact equality, tested in integers, and None the same equality
-against the first theta only, with no TV (_compare). The tiers differ
+points of the scheme's own draws, given as the count of each point,
+and _verdict turns the counts into a verdict at a tolerance on the
+total-variation (TV) distance; tolerance 0 means exact equality, tested
+in integers, and None the same equality against the first theta only,
+with no TV (_compare). The tiers differ
 only in their stream and tolerance:
 
 * exact: every point of the scheme's own draws (rng.enumerate_sources),
   at most EXACT_BUDGET points per theta (BudgetExceeded past it);
   tolerance None;
-* structural: the check points, one per seed; tolerance None;
-* statistical: `samples` successive points of one seeded source
-  (SeededSource.points); the given tolerance.
+* structural: the check points, one per seed, each drawn once: the
+  checks count the ones they draw and the tier draws the seeds after
+  them; tolerance None;
+* statistical: `samples` successive points of one seeded source, counted
+  as they are drawn (SeededSource.counts); the given tolerance.
 
 auto stays exact unless some theta passes EXACT_BUDGET; then, before
 that theta's checks, it turns structural and re-tallies the thetas
@@ -152,35 +156,35 @@ def _replay(build, shape, point):
     return t
 
 
-def _tally(build, shape, points, view, servers: int, built=None):
+def _tally(build, shape, counts, view, servers: int, built=None):
     """(one Counter of `view` per server, runs): the counts of running
-    `build`, whose draw shape is `shape` (record_shape), once per point
-    of `points`, over `servers` servers. A point holds one value per draw
-    of the shape, in the order the run draws them (SeededSource.points
-    or enumerate_sources). `built` maps points to their transcripts (none
-    by default); a point of it is read, never built, and the map is
-    never written. Callers name the view (say server_pattern) at call
-    time, never in a default or a table, so a rebinding of the module
+    `build`, whose draw shape is `shape` (record_shape), once per draw of
+    each point of `counts`, a mapping from point to the times it was
+    drawn, over `servers` servers. A point holds one value per draw of
+    the shape, in the order the run draws them (SeededSource.counts or
+    enumerate_sources). `built` maps points to their transcripts (none by
+    default); a point of it is read, never built, and the map is never
+    written. Callers name the view (say server_pattern) at call time,
+    never in a default or a table, so a rebinding of the module
     attribute, as a tracer does, sees every call.
 
-    Each distinct point is built, and each distinct server wire viewed,
-    once: the points are tallied, then each not in `built` is built by
-    _replay, and its views count as often as it was drawn. A view is a
-    function of the wire, so a wire already seen, at any server of any
-    point, reuses its view; that memo does not outlive the call.
+    Each point of `counts` not in `built` is built once, by _replay, and
+    each distinct server wire viewed once; a point's views count as
+    often as it was drawn. A view is a function of the wire, so a wire
+    already seen, at any server of any point, reuses its view; that memo
+    does not outlive the call.
     """
-    tally = Counter(points)
     counters = [Counter() for _ in range(servers)]
     views: dict = {}  # wire -> view
     built = built or {}  # point -> its transcript, read only
-    for point, k in tally.items():
+    for point, k in counts.items():
         if (t := built.get(point)) is None:
             t = _replay(build, shape, point)
         for c, wire in zip(counters, t.requests):
             if (seen := views.get(wire)) is None:
                 seen = views[wire] = view(wire)
             c[seen] += k
-    return counters, sum(tally.values())
+    return counters, sum(counts.values())
 
 
 def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None = None,
@@ -242,15 +246,20 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
     def check_point(theta, seed):
         return next(SeededSource(_seed_for(seed, theta, "rel")).points(shapes[theta], 1))
 
-    def tally(theta, build, built=None):
+    def tally(theta, build, built=None, checked=()):
+        """theta's counts; `checked` counts the check points the checks
+        drew, seed by seed from the first, so the structural stream draws
+        only the seeds after them."""
         shape = shapes[theta]
         if tier == "exact":
-            points = enumerate_sources(shape, EXACT_BUDGET)
+            counts = Counter(enumerate_sources(shape, EXACT_BUDGET))
         elif tier == "structural":
-            points = (check_point(theta, seed) for seed in seeds)
+            counts = Counter(checked)
+            counts.update(check_point(theta, seed)
+                          for seed in seeds[sum(counts.values()):])
         else:
-            points = SeededSource(_seed_for(0, theta, "stat")).points(shape, samples)
-        return _tally(build, shape, points, server_pattern, g.n_vertices, built)
+            counts = SeededSource(_seed_for(0, theta, "stat")).counts(shape, samples)
+        return _tally(build, shape, counts, server_pattern, g.n_vertices, built)
 
     faults = {"reliability": reliability, "srp": srp, "rate": rate}
     tier = "exact" if privacy == "auto" else privacy
@@ -268,10 +277,12 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
                     raise
                 tier = "structural"
                 dists = {walked: tally(walked, builder(walked)) for walked in dists}
+        checked = Counter()  # check point -> how many seeds drew it
         for seed in seeds:
             if len(failed) == len(checks):
                 break
             point = check_point(theta, seed)
+            checked[point] += 1
             if (t := built.get(point)) is None:
                 t = built[point] = _replay(build, shape, point)
             for check in checks:
@@ -279,7 +290,7 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
                     failed[check] = CheckResult(
                         check, False, fault[0], {"scheme": name, "theta": theta, **fault[1]})
         if tier:
-            dists[theta] = tally(theta, build, built)
+            dists[theta] = tally(theta, build, built, checked)
     top = rates[-1] if "rate" in failed else max(rates, default=None)
     passes = {
         "reliability": "all theta and seeds decode",

@@ -93,10 +93,13 @@ STREAM_PINS = {
 def test_statistical_stream_is_pinned(graph):
     g = parse_graph(graph)
     _, run = resolve_scheme("compose-stars", g)
-    digests = {}
+    digests, counted = {}, {}
     for theta in all_thetas(g):
         shape, _ = record_shape(functools.partial(run, g, theta, identity_perms=True))
         tally = Counter(SeededSource(_seed_for(0, theta, "stat")).points(shape, DEFAULT_SAMPLES))
-        digests["%d.%d" % (theta.edge, theta.copy)] = hashlib.sha256(
-            repr(sorted(tally.items())).encode()).hexdigest()
+        counts = SeededSource(_seed_for(0, theta, "stat")).counts(shape, DEFAULT_SAMPLES)
+        for out, c in ((digests, tally), (counted, counts)):
+            out["%d.%d" % (theta.edge, theta.copy)] = hashlib.sha256(
+                repr(sorted(c.items())).encode()).hexdigest()
     assert digests == STREAM_PINS[graph]
+    assert counted == STREAM_PINS[graph]

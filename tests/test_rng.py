@@ -2,15 +2,18 @@
 randrange's values and its permutations are shuffle's, draw for draw, so
 every seeded transcript, tally and verdict keeps its value. A Python
 whose randrange or shuffle draws differently fails here by name.
-SeededSource.points draws a stream of whole draw points from it, in
+SeededSource.points draws a stream of whole draw points from it, point
+by point, and SeededSource.counts counts the same stream, drawn in
 batches where it can, on a premise about how CPython packs the words of
 getrandbits that is tested here by name too."""
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphpir.rng import SeededSource
+from graphpir.rng import CHOICE_ROUND, SeededSource
 
 # the verifier seeds its streams with strings such as "0/1.1/stat"
 SEEDS = list(range(300)) + ["%d/1.1/stat" % s for s in range(20)]
@@ -96,7 +99,7 @@ def test_getrandbits_packs_32_bit_words():
             assert random.Random(seed).getrandbits(k) == words[0] >> (32 - k), (seed, k)
 
 
-# choices of at most 255 are drawn in batches, at the edges of a bit
+# counts draws choices of at most 255 in batches, at the edges of a bit
 # length; 256 is not
 BATCH_SIZES = (1, 2, 3, 127, 128, 254, 255, 256)
 
@@ -109,3 +112,44 @@ def test_batched_points_are_successive_draw_points(n, count):
         src, ref = SeededSource("%d/1.1/stat" % d), SeededSource("%d/1.1/stat" % d)
         assert list(src.points(shape, count)) == [draw_point(ref, shape) for _ in range(count)]
         assert src._rng.getstate() == ref._rng.getstate(), d
+
+
+def _same_counts(shape, count, seed):
+    """counts equals a Counter of points item for item, in first-drawn
+    order, and leaves the generator where points leaves it."""
+    src, ref = SeededSource(seed), SeededSource(seed)
+    assert list(src.counts(shape, count).items()) == list(Counter(ref.points(shape, count)).items())
+    assert src._rng.getstate() == ref._rng.getstate()
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 1000, 20000])
+@pytest.mark.parametrize("n", BATCH_SIZES)
+def test_counts_equal_a_counter_of_points(n, count):
+    for d in range(4):
+        _same_counts([("choice", n)] * d, count, "%d/1.1/stat" % d)
+    _same_counts([("choice", n), ("perm", 3)], count, "perm/1.1/stat")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_counts_past_one_round_equal_a_counter_of_points(d):
+    _same_counts([("choice", 3)] * d, CHOICE_ROUND + 7, "%d/1.1/stat" % d)
+
+
+@pytest.mark.parametrize("shape", [[("choice", 0)], [("perm", 3), ("choice", -1)]])
+def test_counts_of_an_empty_choice_are_refused(shape):
+    with pytest.raises(ValueError, match="empty choice"):
+        SeededSource(0).counts(shape, 1)
+
+
+def test_counts_hold_one_round_at_a_time():
+    # the stream's bytes are counted round by round and dropped, so the
+    # peak does not grow with the sample count
+    src = SeededSource("0/1.1/stat")
+    tracemalloc.start()
+    try:
+        counts = src.counts([("choice", 3)], 2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == 2 * 10**6
+    assert peak < 4 * 10**6, peak

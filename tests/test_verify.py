@@ -412,7 +412,7 @@ def _per_theta(run, g, view, points, **run_kw):
     for theta in all_thetas(g):
         build = functools.partial(run, g, theta, **run_kw)
         shape, _ = record_shape(build)
-        dists[theta] = _tally(build, shape, points(theta, shape), view, g.n_vertices)
+        dists[theta] = _tally(build, shape, Counter(points(theta, shape)), view, g.n_vertices)
     return dists
 
 
@@ -723,9 +723,9 @@ def test_tally_views_each_distinct_server_wire_once_per_call(graph, repeats):
         assert (len(wires) < g.n_vertices * len(set(points))) == repeats
         for _ in range(2):
             calls = 0
-            counts = _tally(build, shape, points, counted, g.n_vertices)
+            counts = _tally(build, shape, Counter(points), counted, g.n_vertices)
             assert calls == len(wires)
-        assert counts == _tally(build, shape, points, server_pattern, g.n_vertices)
+        assert counts == _tally(build, shape, Counter(points), server_pattern, g.n_vertices)
 
 
 def test_theta_ordered_mutant_keeps_its_wire_order_under_a_wire_key():
@@ -969,7 +969,7 @@ def test_a_tally_reads_the_transcripts_it_is_given(monkeypatch):
     build = functools.partial(run, g, all_thetas(g)[0], identity_perms=True)
     shape, t = record_shape(build)
     points = list(enumerate_sources(shape, EXACT_BUDGET))
-    expected = _tally(build, shape, points, server_pattern, g.n_vertices)
+    expected = _tally(build, shape, Counter(points), server_pattern, g.n_vertices)
     replays = Counter()
 
     def counted(build, shape, point):
@@ -978,7 +978,7 @@ def test_a_tally_reads_the_transcripts_it_is_given(monkeypatch):
 
     monkeypatch.setattr(verify, "_replay", counted)
     known = {points[0]: t}
-    dists = _tally(build, shape, points, server_pattern, g.n_vertices, known)
+    dists = _tally(build, shape, Counter(points), server_pattern, g.n_vertices, known)
     # the given point is read, not built; every other point is built
     # once; the given map is not written
     assert dists == expected
@@ -1026,3 +1026,58 @@ def test_a_walk_stops_drawing_check_points_once_every_check_has_failed(monkeypat
                           range(10**4))
     assert not results["reliability"].passed and not results["srp"].passed
     assert draws == 1
+
+
+def test_a_statistical_walk_counts_its_stream_without_drawing_it_point_by_point(monkeypatch):
+    # on complete_bipartite:2,3 each point is one choice of 3, so the
+    # statistical stream is counted from its bytes; only the check
+    # points, one per seed, are drawn by points
+    counts = []
+
+    class Counted(SeededSource):
+        def points(self, shape, count):
+            counts.append(count)
+            return super().points(shape, count)
+
+    monkeypatch.setattr(verify, "SeededSource", Counted)
+    g = parse_graph("complete_bipartite:2,3")
+    _, results, _ = _walk("compose-stars", g, ["reliability"], "statistical", range(3))
+    assert all(c.passed for c in results.values())
+    assert counts == [1] * 3 * len(all_thetas(g))
+
+
+@pytest.mark.parametrize("scheme,checks", [
+    ("compose-stars", ["reliability", "srp"]),
+    (compose_stars_drop_request, ["reliability", "srp"]),
+    ("compose-stars", []),
+], ids=["checks-pass", "checks-fail-at-once", "no-checks"])
+def test_a_structural_tally_counts_each_seeds_check_point_once(monkeypatch, scheme, checks):
+    # the checks count the check points they draw and the tally draws the
+    # seeds after them, so each seed's point is drawn once and counted
+    # once, whether the checks pass, all fail at the first seed or are none
+    g = parse_graph("complete_bipartite:2,3")
+    _, run = resolve_scheme(scheme, g)
+    seeds = range(6)
+    tallied, draws = [], 0
+
+    class Counted(SeededSource):
+        def points(self, shape, count):
+            nonlocal draws
+            draws += 1
+            return super().points(shape, count)
+
+    def tally(build, shape, counts, *args):
+        tallied.append(list(counts.items()))
+        return _tally(build, shape, counts, *args)
+
+    monkeypatch.setattr(verify, "SeededSource", Counted)
+    monkeypatch.setattr(verify, "_tally", tally)
+    _walk(run, g, checks, "structural", seeds)
+    expected = []
+    for theta in all_thetas(g):
+        shape, _ = record_shape(functools.partial(run, g, theta, identity_perms=True))
+        expected.append(list(Counter(
+            next(SeededSource(_seed_for(seed, theta, "rel")).points(shape, 1))
+            for seed in seeds).items()))
+    assert tallied == expected
+    assert draws == len(seeds) * len(all_thetas(g))
