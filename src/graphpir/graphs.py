@@ -5,12 +5,14 @@ endpoint servers, and a uniform multiplicity r turns each base edge into
 r parallel files.
 
 classify_family names the paper's graph families (build_family) from
-one degree count (GraphSpec.degree) and one path walk (path_vertex_order).
+the edges alone: the edge count, one path walk (path_vertex_order) and
+one neighbourhood (bipartition), never a scan of every vertex.
 """
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -191,7 +193,7 @@ def graph_from_dict(obj: dict) -> GraphSpec:
 
 def max_degree(g: GraphSpec) -> int:
     """Maximum vertex degree of the base simple graph."""
-    return max((g.degree(v) for v in range(1, g.n_vertices + 1)), default=0)
+    return max(Counter(v for e in g.edges for v in e).values(), default=0)
 
 
 def _matching_search(edges, idx: int, used: int, size: int, best: int) -> int:
@@ -234,34 +236,19 @@ def star_decomposition(g: GraphSpec) -> list[GraphSpec]:
 
 def bipartition(g: GraphSpec) -> tuple[list[int], list[int]] | None:
     """(left, right) parts of a complete bipartite graph with |left| <=
-    |right|, or None if g is not one."""
+    |right|, the side of g.edges[0][0] left on a tie, or None if g is not
+    one. The neighbours N of u = g.edges[0][0] are then one part and every
+    other vertex the other, so g is one exactly when its edges number
+    (n - |N|)|N| and each has one end in N."""
     if not g.edges:
         return None
-    adj: dict[int, set[int]] = {v: set() for v in range(1, g.n_vertices + 1)}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    color: dict[int, int] = {}
-    for start in adj:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return None
-    side0 = sorted(v for v in color if color[v] == 0)
-    side1 = sorted(v for v in color if color[v] == 1)
-    if len(side0) * len(side1) != g.n_base_edges:
+    u = g.edges[0][0]
+    near = {v for e in g.edges if u in e for v in e if v != u}
+    n, k = g.n_vertices, len(near)
+    if (n - k) * k != g.n_base_edges or any((a in near) == (b in near) for a, b in g.edges):
         return None
-    if len(side0) > len(side1):
-        side0, side1 = side1, side0
-    return side0, side1
+    far = [v for v in range(1, n + 1) if v not in near]
+    return (far, sorted(near)) if n - k <= k else (sorted(near), far)
 
 
 def classify_family(g: GraphSpec) -> dict[str, tuple[int, ...]]:
@@ -269,22 +256,22 @@ def classify_family(g: GraphSpec) -> dict[str, tuple[int, ...]]:
 
     A graph can match several (star:2 is also path:2, complete:3 is also
     cycle:3); callers pick what they need. g is a path when its n - 1
-    edges form one, and a cycle when it is 2-regular with n edges and
-    dropping its first edge leaves a path.
+    edges form one, a cycle when dropping the first of its n edges leaves
+    a path whose two ends that edge joins, and complete when it has all
+    n(n - 1)/2 edges (GraphSpec allows no loop or duplicate).
     """
     out: dict[str, tuple[int, ...]] = {}
     n, k = g.n_vertices, g.n_base_edges
     if k == 0:
         return out
-    degs = sorted(g.degree(v) for v in range(1, n + 1))
     if k == n - 1 and path_vertex_order(g) is not None:
         out["path"] = (n,)
-    if k == n and degs == [2] * n and (
-            path_vertex_order(GraphSpec(n, g.edges[1:])) is not None):
+    if k == n and (order := path_vertex_order(GraphSpec(n, g.edges[1:]))) and (
+            {order[0], order[-1]} == set(g.edges[0])):
         out["cycle"] = (n,)
     if star_center(g) is not None and k == n - 1:
         out["star"] = (n,)
-    if n >= 2 and k == n * (n - 1) // 2 and degs == [n - 1] * n:
+    if k == n * (n - 1) // 2:
         out["complete"] = (n,)
     parts = bipartition(g)
     if parts is not None:

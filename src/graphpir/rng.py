@@ -68,36 +68,30 @@ class SeededSource(RandomSource):
             r = self._rng.getrandbits(k)
         return r
 
-    def points(self, shape: Sequence[tuple[str, int]], count: int) -> Iterator[tuple]:
-        """`count` successive draw points of `shape`: each holds one value
-        per draw, drawn in order by permutation or choice_index, as a run
-        of that shape would draw them (see ReplaySource), leaving the
-        generator in the state those draws leave it in. An empty choice is
-        refused (ValueError) here, at the call, not at the first next().
-        An empty shape yields () without drawing."""
-        if any(kind != "perm" and n <= 0 for kind, n in shape):
-            raise ValueError("empty choice")
-        if not shape:
-            return itertools.repeat((), count)
-        return (tuple(self.permutation(n) if kind == "perm" else self.choice_index(n)
-                      for kind, n in shape) for _ in range(count))
+    def point(self, shape: Sequence[tuple[str, int]]) -> tuple:
+        """The next draw point of `shape`: one value per draw, drawn in
+        order by permutation or choice_index, as a run of that shape would
+        draw them (see ReplaySource), leaving the generator in the state
+        those draws leave it in. An empty shape gives () without drawing."""
+        return tuple([self.permutation(n) if kind == "perm" else self.choice_index(n)
+                      for kind, n in shape])
 
     def counts(self, shape: Sequence[tuple[str, int]], count: int) -> Counter:
-        """Counter(self.points(shape, count)), item for item: each point
-        of the stream with the times it was drawn, in first-drawn order,
-        leaving the generator in the same state. An empty shape counts ()
-        `count` times without drawing. d choices of one domain of at most
-        255 per point are drawn by _choices and counted round by round
-        from their bytes, no round kept: d-tuples zipped from a round's
-        bytes when d > 1, and no tuple per sample when d = 1, where each
-        value's bytes.count is added in the order bytes.find first meets
-        it. Any other stream is counted from points, which refuses an
-        empty choice."""
+        """Counter(self.point(shape) for _ in range(count)), item for item:
+        each point of the stream with the times it was drawn, in first-drawn
+        order, leaving the generator in the same state. An empty shape
+        counts () `count` times without drawing. d choices of one domain of
+        at most 255 per point are drawn by _choices and counted round by
+        round from their bytes, no round kept: d-tuples zipped from a
+        round's bytes when d > 1, and no tuple per sample when d = 1, where
+        each value's bytes.count is added in the order bytes.find first
+        meets it. Any other stream is counted point by point, so an empty
+        choice is refused when it is drawn, not at all when count is 0."""
         if not shape:
             return Counter({(): count} if count > 0 else ())
         d, (kind, n) = len(shape), shape[0]
         if kind != "choice" or not 0 < n <= 255 or shape.count(shape[0]) != d:
-            return Counter(self.points(shape, count))
+            return Counter(self.point(shape) for _ in range(count))
         counts = Counter()
         for values in self._choices(n, count * d, d * max(1, CHOICE_ROUND // d)):
             if d > 1:
@@ -236,7 +230,7 @@ def canonical_point(shape: Sequence[tuple[str, int]]) -> tuple:
 def enumerate_sources(shape: Sequence[tuple[str, int]],
                       budget: int) -> Iterator[tuple]:
     """Yield every draw point of the randomness space of draw shape
-    `shape` (as SeededSource.points does, one value per draw), in
+    `shape` (as SeededSource.point does, one value per draw), in
     lexicographic order: permutations of [1..n] in lexicographic order,
     indices ascending, the last draw varying fastest. Raises
     BudgetExceeded, before yielding, when the space has more than

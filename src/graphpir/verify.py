@@ -244,7 +244,7 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
                                  wire_key=functools.cache(wire_sort_key))
 
     def check_point(theta, seed):
-        return next(SeededSource(_seed_for(seed, theta, "rel")).points(shapes[theta], 1))
+        return SeededSource(_seed_for(seed, theta, "rel")).point(shapes[theta])
 
     def tally(theta, build, built=None, checked=()):
         """theta's counts; `checked` counts the check points the checks

@@ -1,10 +1,12 @@
 import gc
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphpir.bounds import bound_report
 from graphpir.graphs import (
     GraphSpec,
     GraphSpecError,
@@ -227,6 +229,80 @@ def test_classify_family_matches_brute_force_isomorphism():
     two_triangles = GraphSpec(6, ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)))
     assert max_degree(two_triangles) == 2
     assert "cycle" not in classify_family(two_triangles)
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """A graph on 1-9 vertices with 0-12 edges; vertices no edge touches
+    are left in."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True)
+                 if pairs else st.just([]))
+    return GraphSpec(n, tuple(edges))
+
+
+def _bipartition_oracle(g):
+    """Over every vertex set L whose cross pairs with the rest V - L are
+    exactly g's edges, (L, V - L) with |L| < |V - L|, or |L| = |V - L|
+    and g.edges[0][0] in L; None if there is none."""
+    vertices = range(1, g.n_vertices + 1)
+    found = []
+    for size in range(1, g.n_vertices):
+        for left in itertools.combinations(vertices, size):
+            right = [v for v in vertices if v not in left]
+            if {tuple(sorted(p)) for p in itertools.product(left, right)} != set(g.edges):
+                continue
+            if len(left) < len(right) or (len(left) == len(right) and g.edges[0][0] in left):
+                found.append((list(left), right))
+    assert len(found) <= 1, found
+    return found[0] if found else None
+
+
+def _degree_list_families(g):
+    """The cycle, complete and complete_bipartite entries by degree lists:
+    a cycle is 2-regular with n edges and leaves a path when its first
+    edge is dropped, a complete graph is (n - 1)-regular with n(n - 1)/2
+    edges, and a complete bipartite graph's parts are the oracle's."""
+    n, k = g.n_vertices, g.n_base_edges
+    degs = sorted(g.degree(v) for v in range(1, n + 1))
+    out = {}
+    if k == 0:
+        return out
+    if k == n and degs == [2] * n and (
+            path_vertex_order(GraphSpec(n, g.edges[1:])) is not None):
+        out["cycle"] = (n,)
+    if n >= 2 and k == n * (n - 1) // 2 and degs == [n - 1] * n:
+        out["complete"] = (n,)
+    parts = _bipartition_oracle(g)
+    if parts is not None:
+        out["complete_bipartite"] = (len(parts[0]), len(parts[1]))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_isolated_vertices())
+def test_families_read_off_the_edges_match_the_degree_list_rules(g):
+    assert bipartition(g) == _bipartition_oracle(g)
+    fam = classify_family(g)
+    assert {name: fam[name] for name in ("cycle", "complete", "complete_bipartite")
+            if name in fam} == _degree_list_families(g)
+
+
+def test_families_and_bounds_of_a_sparse_graph_scan_no_vertex():
+    # two edges among 2 * 10^5 vertices: families and bounds are read off
+    # the edges, so neither time nor memory grows with the vertex count
+    g = GraphSpec(2 * 10**5, ((1, 2), (2, 3)))
+    tracemalloc.start()
+    try:
+        fam = classify_family(g)
+        entries = bound_report(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fam == {}
+    assert ("lower", "path scheme") in [(e.kind, e.source) for e in entries]
+    assert peak < 5 * 10**6, peak
 
 
 def test_path_vertex_order():

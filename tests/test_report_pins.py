@@ -96,7 +96,8 @@ def test_statistical_stream_is_pinned(graph):
     digests, counted = {}, {}
     for theta in all_thetas(g):
         shape, _ = record_shape(functools.partial(run, g, theta, identity_perms=True))
-        tally = Counter(SeededSource(_seed_for(0, theta, "stat")).points(shape, DEFAULT_SAMPLES))
+        src = SeededSource(_seed_for(0, theta, "stat"))
+        tally = Counter(src.point(shape) for _ in range(DEFAULT_SAMPLES))
         counts = SeededSource(_seed_for(0, theta, "stat")).counts(shape, DEFAULT_SAMPLES)
         for out, c in ((digests, tally), (counted, counts)):
             out["%d.%d" % (theta.edge, theta.copy)] = hashlib.sha256(

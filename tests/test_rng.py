@@ -2,8 +2,8 @@
 randrange's values and its permutations are shuffle's, draw for draw, so
 every seeded transcript, tally and verdict keeps its value. A Python
 whose randrange or shuffle draws differently fails here by name.
-SeededSource.points draws a stream of whole draw points from it, point
-by point, and SeededSource.counts counts the same stream, drawn in
+SeededSource.point draws one whole draw point from it, and
+SeededSource.counts counts a stream of successive points, drawn in
 batches where it can, on a premise about how CPython packs the words of
 getrandbits that is tested here by name too."""
 import random
@@ -51,7 +51,7 @@ def test_seeded_choice_of_an_empty_domain_is_refused():
 
 def draw_point(src, shape):
     """One value per draw of `shape`, drawn from `src` in order, one
-    primitive call per draw: the reference for SeededSource.points."""
+    primitive call per draw: the reference for SeededSource.point."""
     return tuple([
         src.permutation(n) if kind == "perm" else src.choice_index(n)
         for kind, n in shape
@@ -66,7 +66,7 @@ SHAPES = st.lists(st.tuples(st.sampled_from(["perm", "choice"]), st.integers(1, 
 @given(SHAPES, st.integers(0, 20), st.integers(0, 1 << 32))
 def test_points_are_successive_draw_points(shape, count, seed):
     src, ref = SeededSource(seed), SeededSource(seed)
-    assert list(src.points(shape, count)) == [draw_point(ref, shape) for _ in range(count)]
+    assert [src.point(shape) for _ in range(count)] == [draw_point(ref, shape) for _ in range(count)]
     # both left the generator in the same state
     assert src.choice_index(1 << 40) == ref.choice_index(1 << 40)
 
@@ -76,14 +76,14 @@ def test_points_are_successive_draw_points(shape, count, seed):
 def test_points_of_an_empty_shape_draw_nothing(count, seed):
     src = SeededSource(seed)
     state = src._rng.getstate()
-    assert list(src.points([], count)) == [()] * count
+    assert [src.point([]) for _ in range(count)] == [()] * count
     assert src._rng.getstate() == state
 
 
 @pytest.mark.parametrize("shape", [[("choice", 0)], [("perm", 3), ("choice", -1)]])
 def test_points_of_an_empty_choice_are_refused(shape):
     with pytest.raises(ValueError, match="empty choice"):
-        next(SeededSource(0).points(shape, 1))
+        SeededSource(0).point(shape)
 
 
 def test_getrandbits_packs_32_bit_words():
@@ -110,15 +110,16 @@ def test_batched_points_are_successive_draw_points(n, count):
     for d in range(1, 7):
         shape = [("choice", n)] * d
         src, ref = SeededSource("%d/1.1/stat" % d), SeededSource("%d/1.1/stat" % d)
-        assert list(src.points(shape, count)) == [draw_point(ref, shape) for _ in range(count)]
+        assert [src.point(shape) for _ in range(count)] == [draw_point(ref, shape) for _ in range(count)]
         assert src._rng.getstate() == ref._rng.getstate(), d
 
 
 def _same_counts(shape, count, seed):
-    """counts equals a Counter of points item for item, in first-drawn
-    order, and leaves the generator where points leaves it."""
+    """counts equals a Counter of successive points item for item, in
+    first-drawn order, and leaves the generator where they leave it."""
     src, ref = SeededSource(seed), SeededSource(seed)
-    assert list(src.counts(shape, count).items()) == list(Counter(ref.points(shape, count)).items())
+    points = Counter(ref.point(shape) for _ in range(count))
+    assert list(src.counts(shape, count).items()) == list(points.items())
     assert src._rng.getstate() == ref._rng.getstate()
 
 
@@ -139,6 +140,16 @@ def test_counts_past_one_round_equal_a_counter_of_points(d):
 def test_counts_of_an_empty_choice_are_refused(shape):
     with pytest.raises(ValueError, match="empty choice"):
         SeededSource(0).counts(shape, 1)
+
+
+@pytest.mark.parametrize("shape", [[("choice", 0)], [("perm", 3), ("choice", -1)]])
+def test_counts_of_no_points_of_an_empty_choice_draw_nothing(shape):
+    # an empty choice is refused when it is drawn, so none is when no
+    # point is
+    src = SeededSource(0)
+    state = src._rng.getstate()
+    assert src.counts(shape, 0) == Counter()
+    assert src._rng.getstate() == state
 
 
 def test_counts_hold_one_round_at_a_time():

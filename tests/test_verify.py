@@ -633,11 +633,10 @@ def _sources(theta):
 
 def _points(theta, shape):
     """The draw points of _sources(theta), made as _walk makes them: one
-    points(shape, 1) per fresh source, then points(shape, 200) of the
-    repeated one."""
+    point(shape) per fresh source, then 200 successive point(shape) of
+    the repeated one."""
     sources = _sources(theta)
-    return ([next(src.points(shape, 1)) for src in sources[:10]]
-            + list(sources[10].points(shape, 200)))
+    return [src.point(shape) for src in sources]
 
 
 def _direct_counts(run, g):
@@ -713,7 +712,7 @@ def test_tally_views_each_distinct_server_wire_once_per_call(graph, repeats):
         build = functools.partial(run, g, theta, identity_perms=True)
         shape, _ = record_shape(build)
         seeds = [SeededSource(_seed_for(seed, theta, "rel")) for seed in range(10)]
-        points = [next(src.points(shape, 1)) for src in seeds]
+        points = [src.point(shape) for src in seeds]
         wires = {
             (s, wire)
             for seed in range(10)
@@ -924,7 +923,7 @@ def test_the_checks_read_transcripts_of_the_theta_they_check(monkeypatch, privac
 
     g = parse_graph("path:4")
     seeds = range(19)
-    points = [{next(SeededSource(_seed_for(seed, theta, "rel")).points([("choice", n)], 1))
+    points = [{SeededSource(_seed_for(seed, theta, "rel")).point([("choice", n)])
                for seed in seeds}
               for theta, n in zip(all_thetas(g), (EXACT_BUDGET, EXACT_BUDGET + 1))]
     assert points[0] & points[1]
@@ -1015,10 +1014,10 @@ def test_a_walk_stops_drawing_check_points_once_every_check_has_failed(monkeypat
     draws = 0
 
     class Counted(SeededSource):
-        def points(self, shape, count):
+        def point(self, shape):
             nonlocal draws
             draws += 1
-            return super().points(shape, count)
+            return super().point(shape)
 
     monkeypatch.setattr(verify, "SeededSource", Counted)
     g = parse_graph("complete_bipartite:2,3")
@@ -1031,19 +1030,20 @@ def test_a_walk_stops_drawing_check_points_once_every_check_has_failed(monkeypat
 def test_a_statistical_walk_counts_its_stream_without_drawing_it_point_by_point(monkeypatch):
     # on complete_bipartite:2,3 each point is one choice of 3, so the
     # statistical stream is counted from its bytes; only the check
-    # points, one per seed, are drawn by points
-    counts = []
+    # points, one per seed, are drawn by point
+    draws = 0
 
     class Counted(SeededSource):
-        def points(self, shape, count):
-            counts.append(count)
-            return super().points(shape, count)
+        def point(self, shape):
+            nonlocal draws
+            draws += 1
+            return super().point(shape)
 
     monkeypatch.setattr(verify, "SeededSource", Counted)
     g = parse_graph("complete_bipartite:2,3")
     _, results, _ = _walk("compose-stars", g, ["reliability"], "statistical", range(3))
     assert all(c.passed for c in results.values())
-    assert counts == [1] * 3 * len(all_thetas(g))
+    assert draws == 3 * len(all_thetas(g))
 
 
 @pytest.mark.parametrize("scheme,checks", [
@@ -1061,10 +1061,10 @@ def test_a_structural_tally_counts_each_seeds_check_point_once(monkeypatch, sche
     tallied, draws = [], 0
 
     class Counted(SeededSource):
-        def points(self, shape, count):
+        def point(self, shape):
             nonlocal draws
             draws += 1
-            return super().points(shape, count)
+            return super().point(shape)
 
     def tally(build, shape, counts, *args):
         tallied.append(list(counts.items()))
@@ -1077,7 +1077,7 @@ def test_a_structural_tally_counts_each_seeds_check_point_once(monkeypatch, sche
     for theta in all_thetas(g):
         shape, _ = record_shape(functools.partial(run, g, theta, identity_perms=True))
         expected.append(list(Counter(
-            next(SeededSource(_seed_for(seed, theta, "rel")).points(shape, 1))
+            SeededSource(_seed_for(seed, theta, "rel")).point(shape)
             for seed in seeds).items()))
     assert tallied == expected
     assert draws == len(seeds) * len(all_thetas(g))
