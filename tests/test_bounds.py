@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -155,3 +157,61 @@ def test_path_or_star_beside_isolated_vertices_has_its_scheme_bound(n, edges, r,
     entries = bound_report(GraphSpec(n, edges, r))
     assert [e.value for e in entries if e.kind == "lower" and e.source == source] == [value]
     assert [e.value for e in entries if e.asymptotic] == [Fraction(1, n)]
+
+
+# SHA-256 of the JSON of each whole report's to_dict list: every entry's
+# kind, value, precision, source, applicability, reason and order
+REPORT_PINS = [
+    ('path:4',
+     '14440e634e7f780a266c800ee2b9e768685c30f5be958d1854a38d85d61ff1f8'),
+    ('path:5^2',
+     '759a7fceb583426a075f8985f5d01474577724faa9991b667d2982b2833a755f'),
+    ('path:4^3',
+     '18f6d68917e38459cb9360cfd529607a51a6b4eb54d6eba3510dce1360f36526'),
+    ('cycle:5',
+     'daa66c9e7836b4913c0409aee5896d1701af2d330494fbc6ee5ba21f6e7b1223'),
+    ('cycle:4^2',
+     'b23abcae6f37a0948036b2e0f930318fc91a2adccb084aa49102ff7035d69599'),
+    ('star:6',
+     '707ffc121ba3c48472a258d5b4c007648343194d9c44c8cb256e733d3c676717'),
+    ('star:5^2',
+     'e4a14991d95b61c5c2627351a52475fb7147fd3189e25fb962af62e93afc25e6'),
+    ('complete:5',
+     '2b8bad1dca279ef8fa692bfd9e2bf310cdb33e301cbabd5098048dbf995449a1'),
+    ('complete:4^2',
+     '2e1fb4c4aa7caa5f66dc3511a80b50e80f896d04ce19c085c3d93be00443d645'),
+    ('complete:8',
+     'e42634727739ca2dac8ccf79d5761543420dfe7610c7d38634b2cccf68a2a40a'),
+    ('complete:9^2',
+     '57a5ce5ab41ceb82bc70cf40c2dde3fd9c9cf291ae6d873b5b09011db114c62e'),
+    ('complete_bipartite:2,3',
+     'e56233d3ec84e31696fae2328776d483a5b19d780bab978b49f05993bbbf6041'),
+    ('complete_bipartite:3,4',
+     '30f6fe045a9ae856b28217ef8469a8bee4258b2d440fb4c1281d94abc1228a9e'),
+    ('complete_bipartite:2,3^2',
+     'ae95513957650d2cbfb702ab56ea5139ee146cdc8b1b8da58ab7f8e51dd7d1fd'),
+    ('complete_bipartite:1,3^2',
+     '8b6851181752b13d1972729931395ee22272d2acd4363f1ea8b1df8a42fa66b4'),
+    ('{"n": 6, "edges": [[2, 3], [3, 4]]}',
+     '25351752360747b5a643c0a7cc4d9d771a5f482dbd055939bb7990e872756727'),
+    ('{"n": 6, "edges": [[2, 3], [3, 4]], "multiplicity": 2}',
+     '0eefa9efcf3bd7deae9eb5bba2c65bc87bd4512a5510407b4e84bfe0b32e5c82'),
+    ('{"n": 6, "edges": [[1, 2], [1, 3], [1, 4]]}',
+     '52238e72ca3819c58e8ccfa97a95531cad4f2fa60b8d7a33891baa14e001a06e'),
+    ('{"n": 6, "edges": [[1, 2], [1, 3], [1, 4]], "multiplicity": 2}',
+     '45dd02bf1fecc0cf800b9a65848d72dc5d6724ef6b859d1b31fcff97ac536939'),
+    ('{"n": 4, "edges": [[1, 2], [3, 4]]}',
+     '3961e1d786ab1cb9e3b64d33cc20d288c5409d91230ab254a35e76060f6e927b'),
+    ('{"n": 3, "edges": []}',
+     '0dcaae739f8fe864233bd0e40ea5c5a7e11c217805055f18f954d987288a31c4'),
+    ('{"n": 3, "edges": [], "multiplicity": 2}',
+     '2617f821e5358a4fc8c7f0827645d97dd5e452b679768661f449c9013b864f5d'),
+    ('{"n": 4, "edges": [[1, 2], [2, 3], [3, 4]], "flags": ["hamiltonian_vertex_transitive"]}',
+     'a98aa613af13a44c37b90aa0f42662d75c91f7e96347b3258f92acc14d60c336'),
+]
+
+
+@pytest.mark.parametrize("graph,digest", REPORT_PINS, ids=[g for g, _ in REPORT_PINS])
+def test_bound_report_is_pinned(graph, digest):
+    text = json.dumps([e.to_dict() for e in bound_report(parse_graph(graph))], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
