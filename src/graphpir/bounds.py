@@ -1,8 +1,9 @@
 """Capacity bound formulas and per-graph bound reports.
 
 Rates and bounds are exact rationals wherever the formula is rational;
-square-root formulas are evaluated in floating point, flagged inexact,
-and kept out of exact tightness claims.
+square-root formulas are evaluated in floating point, which makes them
+inexact (an entry is exact when its value is a Fraction), and kept out
+of exact tightness claims.
 """
 from __future__ import annotations
 
@@ -24,12 +25,18 @@ from .graphs import (
 @dataclass(frozen=True)
 class BoundEntry:
     kind: str  # "lower" or "upper"
-    value: object  # Fraction, or float for square-root formulas
-    exact: bool
+    value: object  # Fraction, float for square-root formulas, or None
     source: str
-    applicable: bool = True
-    reason: str = ""
+    reason: str = ""  # why the entry does not apply; empty when it does
     asymptotic: bool = False
+
+    @property
+    def exact(self) -> bool:
+        return isinstance(self.value, Fraction)
+
+    @property
+    def applicable(self) -> bool:
+        return not self.reason
 
     def to_dict(self) -> dict:
         v = self.value
@@ -100,105 +107,95 @@ def general_upper(g: GraphSpec) -> Fraction:
 
 
 def bound_report(g: GraphSpec) -> list[BoundEntry]:
+    """Every known bound on g's capacity, in one pass over its base graph.
+
+    Each scheme's rate is written once for every multiplicity r: as
+    itself under the scheme's name at r = 1, or divided by the lift's
+    2 - 2^(1-r) under its lifted name at r >= 2. The multigraph
+    candidate is the best of those base rates over r.
+    """
     r = g.multiplicity
     base = g.base()
-    n = g.n_vertices
+    n, k = g.n_vertices, g.n_base_edges
     fam = classify_family(base)
     disc = discount(r)
     entries: list[BoundEntry] = []
+    rates: list[Fraction] = []  # the base schemes' rates, for the candidate
 
     def lb(value, source, **kw):
-        entries.append(BoundEntry("lower", value, isinstance(value, Fraction), source, **kw))
+        entries.append(BoundEntry("lower", value, source, **kw))
 
     def ub(value, source, **kw):
-        entries.append(BoundEntry("upper", value, isinstance(value, Fraction), source, **kw))
+        entries.append(BoundEntry("upper", value, source, **kw))
 
+    def scheme(rate: Fraction, source: str, lifted: str | None) -> None:
+        # no entry at r >= 2 for a scheme the lift does not take yet
+        rates.append(rate)
+        if r == 1:
+            lb(rate, source)
+        elif lifted:
+            lb(rate / disc, lifted)
+
+    # A path or star scheme runs on the k + 1 vertices its edges touch,
+    # beside isolated vertices too; auto binds the path before the star,
+    # so such edges that are both get the star entry only when they span.
+    order, center = path_vertex_order(base), star_center(base)
+    if order is not None:
+        scheme(path_rate(k + 1), "path scheme", "multi-path lift")
     if "path" in fam:
         if r == 1:
-            lb(path_rate(n), "path scheme")
             ub(path_rate(n), "path capacity")
+        elif n % 2 == 0:
+            ub(path_rate(n) / disc, "multi-path capacity (N even)")
         else:
-            lb(path_rate(n) / disc, "multi-path lift")
-            if n % 2 == 0:
-                ub(path_rate(n) / disc, "multi-path capacity (N even)")
-            else:
-                ub(Fraction(2, n - 1) / disc, "multi-path upper bound (N odd)")
+            ub(Fraction(2, n - 1) / disc, "multi-path upper bound (N odd)")
 
-    if "cycle" in fam:
-        if r == 1:
-            lb(cycle_rate(n), "cycle scheme (external, formula only)")
-            ub(cycle_rate(n), "cycle capacity")
-        else:
-            lb(cycle_rate(n) / disc, "multi-cycle lift (external base, formula only)")
-            ub(Fraction(2, n) / disc, "multi-cycle upper bound")
-
+    if center is not None and (order is None or "star" in fam):
+        scheme(star_trivial_rate(k + 1), "trivial star scheme", "trivial star lift")
     if "star" in fam:
-        leaves = n - 1
         if r == 1:
-            lb(star_trivial_rate(n), "trivial star scheme")
-            lb(kmn_lower(1, leaves), "star scheme (external, formula only)")
-            ub(kmn_upper(1, leaves), "star upper bound")
+            lb(kmn_lower(1, k), "star scheme (external, formula only)")
+            ub(kmn_upper(1, k), "star upper bound")
         else:
-            lb(star_trivial_rate(n) / disc, "trivial star lift")
             ub(1 / disc, "multi-star upper bound")
 
-    if "path" not in fam and "star" not in fam:
-        # edges that form a path or star beside isolated vertices, which
-        # auto binds as it binds a spanning one
-        span = g.n_base_edges + 1  # the vertices the edges touch
-        if path_vertex_order(base) is not None:
-            lb(path_rate(span) / disc, "path scheme" if r == 1 else "multi-path lift")
-        elif star_center(base) is not None:
-            lb(star_trivial_rate(span) / disc,
-               "trivial star scheme" if r == 1 else "trivial star lift")
+    if "cycle" in fam:
+        scheme(cycle_rate(n), "cycle scheme (external, formula only)",
+               "multi-cycle lift (external base, formula only)")
+        if r == 1:
+            ub(cycle_rate(n), "cycle capacity")
+        else:
+            ub(Fraction(2, n) / disc, "multi-cycle upper bound")
 
-    if "complete_bipartite" in fam and "star" not in fam and r == 1:
+    if "complete_bipartite" in fam and "star" not in fam:
         m, nl = fam["complete_bipartite"]
-        lb(compose_stars_rate(m, nl), "star composition")
-        lb(kmn_lower(m, nl), "complete bipartite lower bound")
-        ub(kmn_upper(m, nl), "complete bipartite upper bound")
+        scheme(compose_stars_rate(m, nl), "star composition", None)
+        if r == 1:
+            lb(kmn_lower(m, nl), "complete bipartite lower bound")
+            ub(kmn_upper(m, nl), "complete bipartite upper bound")
 
     if "complete" in fam and n >= 3:
+        scheme(complete_scheme_rate(n), "complete-graph scheme", "complete-graph lift")
         if r == 1:
-            lb(complete_scheme_rate(n), "complete-graph scheme")
             ub(cycle_rate(n), "complete-graph capacity upper bound")
         else:
-            lb(complete_scheme_rate(n) / disc, "complete-graph lift")
             ub(hamiltonian_vt_upper(n, r), "complete multigraph upper bound")
 
+    general = "general graph upper bound" if r == 1 else "multigraph upper bound"
     try:
-        gub = general_upper(base)
+        ub(general_upper(base) / disc, general)
     except GraphSpecError as exc:
-        entries.append(
-            BoundEntry("upper", None, False, "general graph upper bound",
-                       applicable=False, reason=str(exc))
-        )
-    else:
-        if r == 1:
-            ub(gub, "general graph upper bound")
-        else:
-            ub(gub / disc, "multigraph upper bound")
+        ub(None, general, reason=str(exc))
 
-    ham = hamiltonian_vt_upper(n, r)
-    if "hamiltonian_vertex_transitive" in g.flags:
-        ub(ham, "Hamiltonian vertex-transitive upper bound")
-    else:
-        entries.append(
-            BoundEntry("upper", ham, True, "Hamiltonian vertex-transitive upper bound",
-                       applicable=False,
-                       reason="graph not flagged hamiltonian_vertex_transitive")
-        )
+    flagged = "hamiltonian_vertex_transitive" in g.flags
+    ub(hamiltonian_vt_upper(n, r), "Hamiltonian vertex-transitive upper bound",
+       reason="" if flagged else "graph not flagged hamiltonian_vertex_transitive")
 
-    if r >= 2:
-        base_lbs = [e.value for e in exact_entries(bound_report(base), "lower")]
-        if base_lbs:
-            lb(max(base_lbs) / r, "base capacity candidate / r")
+    if r >= 2 and rates:
+        lb(max(rates) / r, "base capacity candidate / r")
 
-    if g.edges:
-        lb(Fraction(1, n), "asymptotic capacity", asymptotic=True)
-    else:
-        entries.append(BoundEntry("lower", None, False, "asymptotic capacity", applicable=False,
-                                  reason="graph has no edges", asymptotic=True))
+    lb(Fraction(1, n) if g.edges else None, "asymptotic capacity", asymptotic=True,
+       reason="" if g.edges else "graph has no edges")
 
     return entries
 

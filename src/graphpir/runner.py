@@ -16,7 +16,8 @@ SCHEME_NAMES = BASE_KINDS + ("compose-stars",) + tuple("lift:" + k for k in BASE
 def auto_scheme_name(g: GraphSpec) -> str:
     """The scheme `auto` binds to g. A path or star scheme runs on any
     graph whose edges form one, vertices no edge touches included, so
-    those are asked of the edges, not of the spanning families."""
+    those are asked of the edges, not of the spanning families. At
+    r >= 2 every base is lifted, and refused if that name is unknown."""
     fam = classify_family(g.base())
     base = None
     if path_vertex_order(g) is not None:
@@ -25,14 +26,15 @@ def auto_scheme_name(g: GraphSpec) -> str:
         base = "star"
     elif "complete" in fam:
         base = "complete"
-    elif "complete_bipartite" in fam and g.multiplicity == 1:
-        return "compose-stars"
-    if base is None:
+    elif "complete_bipartite" in fam:
+        base = "compose-stars"
+    name = base if g.multiplicity == 1 or base is None else "lift:" + base
+    if name not in SCHEME_NAMES:
         family = ", ".join(sorted(fam)) or "unknown"
         if g.multiplicity > 1:
             family += " at multiplicity %d" % g.multiplicity
         raise SchemeError("no scheme for family %s" % family)
-    return base if g.multiplicity == 1 else "lift:" + base
+    return name
 
 
 def resolve_scheme(scheme, g: GraphSpec):

@@ -17,6 +17,7 @@ from graphpir.core import (
     symbolic_decode_check,
 )
 import graphpir.lift as lift
+import graphpir.runner as runner
 from graphpir.bounds import compose_stars_rate, discount
 from graphpir.graphs import build_family, parse_graph
 from graphpir.lift import build_block_plan, lift_scheme
@@ -234,3 +235,20 @@ def test_the_star_composition_lifts():
     assert report.checks[3].detail == "measured rate 1/6 within all exact bounds"
     with pytest.raises(SchemeError, match="no scheme for family"):
         resolve_scheme("auto", g)
+
+
+def test_auto_lifts_every_base_it_binds(monkeypatch):
+    # auto names the lift of whatever base it picks at r >= 2, compose-stars
+    # included, and refuses while that name is not a scheme name
+    g = parse_graph("complete_bipartite:2,3^2")
+    with pytest.raises(SchemeError) as refused:
+        resolve_scheme("auto", g)
+    assert str(refused.value) == "no scheme for family complete_bipartite at multiplicity 2"
+    monkeypatch.setattr(runner, "SCHEME_NAMES", SCHEME_NAMES + ("lift:compose-stars",))
+    assert runner.auto_scheme_name(g) == "lift:compose-stars"
+    report = verify_scheme("auto", g, seeds=range(3))
+    assert report.scheme == "lift:compose-stars"
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ("reliability", True), ("privacy-exact", True), ("srp", True), ("rate", True)]
+    assert report.checks[1].detail.endswith("(324 quotient points)")
+    assert report.checks[3].detail == "measured rate 1/6 within all exact bounds"
