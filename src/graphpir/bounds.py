@@ -218,9 +218,13 @@ class TightnessResult:
 
 
 def tightness_check(g: GraphSpec) -> TightnessResult:
-    """Compare best exact lower and upper bounds; asymptotic and
-    floating-point entries never participate."""
-    entries = bound_report(g)
+    """tightness(bound_report(g))."""
+    return tightness(bound_report(g))
+
+
+def tightness(entries) -> TightnessResult:
+    """Compare the best exact lower and upper bounds of a bound report's
+    `entries`; asymptotic and floating-point entries never participate."""
     lows = [e.value for e in exact_entries(entries, "lower")]
     highs = [e.value for e in exact_entries(entries, "upper")]
     if not lows or not highs:

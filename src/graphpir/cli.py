@@ -21,7 +21,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .bounds import bound_report, tightness_check
+from .bounds import bound_report, tightness, tightness_check
 from .core import FileId, TranscriptError, dump_transcript, measured_rate
 from .graphs import GraphSpecError, build_family, parse_graph
 from .rng import BudgetExceeded, SeededSource
@@ -100,7 +100,7 @@ def _fmt_value(v) -> str:
 def cmd_bounds(args) -> int:
     g = parse_graph(args.graph)
     entries = bound_report(g)
-    tight = tightness_check(g)
+    tight = tightness(entries)
     # exact bounds grow with the multiplicity, past Python's default cap
     # of 4300 digits on int-to-str conversion (path:3^15000 has 9033)
     limit = sys.get_int_max_str_digits()

@@ -11,6 +11,7 @@ the inverse permutation at the end.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -24,14 +25,22 @@ class FileId(NamedTuple):
     copy: int
 
 
+# File orders kept at once. Every caller reads one graph's files build
+# after build (a walk, a sweep row), so one order hits almost every time,
+# and one order can hold 2^17 files (path:3^65536).
+FILE_ORDERS = 1
+
+
+@functools.lru_cache(maxsize=FILE_ORDERS)
+def _file_order(edges: int, copies: int) -> tuple[FileId, ...]:
+    """The files of `edges` edges of `copies` copies each, in FileId order."""
+    return tuple(FileId(e, c) for e in range(1, edges + 1) for c in range(1, copies + 1))
+
+
 def file_ids(graph: GraphSpec) -> list[FileId]:
     """Every file of graph in FileId order: edge by edge, each edge's
-    copies in turn."""
-    return [
-        FileId(e, c)
-        for e in range(1, graph.n_base_edges + 1)
-        for c in range(1, graph.multiplicity + 1)
-    ]
+    copies in turn; a new list on every call."""
+    return list(_file_order(graph.n_base_edges, graph.multiplicity))
 
 
 # A coordinate is (FileId, bit index); a form is a frozenset of them.
@@ -103,11 +112,11 @@ def assemble_transcript(
     for target t' must XOR to position t' of the desired file.
     """
     L = file_length
+    files = _file_order(graph.n_base_edges, graph.multiplicity)
     if identity_perms:
-        ident = tuple(range(1, L + 1))
-        perms = {f: ident for f in file_ids(graph)}
+        perms = dict.fromkeys(files, tuple(range(1, L + 1)))
     else:
-        perms = {f: rng.permutation(L) for f in file_ids(graph)}
+        perms = {f: rng.permutation(L) for f in files}
 
     per_server: list[list[tuple[LinearForm, int]]] = [
         [] for _ in range(graph.n_vertices)
@@ -161,7 +170,7 @@ def random_store(graph: GraphSpec, file_length: int, rng) -> dict:
     return {
         f: tuple(
             format(rng.getrandbits(file_length), fmt).encode().translate(_BIT_BYTES))
-        for f in file_ids(graph)
+        for f in _file_order(graph.n_base_edges, graph.multiplicity)
     }
 
 

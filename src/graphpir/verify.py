@@ -12,13 +12,19 @@ The checks come first: seed by seed (the CLI's --seeds), theta's check
 point, one point of a fresh seeded source, is drawn, counted, built by
 _replay unless the map holds it, and added to the map; reliability, SRP
 and rate all read that transcript, and once every named check has
-failed no further point is drawn. The privacy tally (_tally) comes
-second: it takes theta's stream as counts, a map from each point drawn
-to the times it was drawn, reads the transcript map at each point it
-holds (the exact stream's first point, the one point of an empty shape,
-every check point) and builds each other point by the same replay,
-writing nothing. The map and the wire key memo are theta's alone, and
-are dropped when the walk moves to the next theta.
+failed no further point is drawn. A check point is a function of the
+shape and the seed, and an empty shape's is (), drawn from no source.
+What reads only the transcript (symbolic decoding, SRP attribution, the
+rate) runs once per distinct check point of theta: a seed that draws a
+point already checked reads the same transcript, where every check
+still running has passed, so only its two random stores are decoded.
+The privacy tally (_tally) comes second: it takes theta's stream as
+counts, a map from each point drawn to the times it was drawn, reads
+the transcript map at each point it holds (the exact stream's first
+point, the one point of an empty shape, every check point) and builds
+each other point by the same replay, writing nothing. The map, the
+count of check points and the wire key memo are theta's alone, and are
+dropped when the walk moves to the next theta.
 Decoding, SRP attribution and the rate resolve the plan to positions
 in the order the wire has, and a permutation relabels every form and
 the decoding target alike, so neither changes them. A runner, a
@@ -196,9 +202,10 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
     "privacy" when `privacy` names a mode, to its CheckResult. The
     checks: reliability, symbolic zero-error decoding and decoding of
     two random stores; srp, theta's fresh bits split evenly between its
-    two servers; rate, within every applicable exact upper bound. rate
-    is the largest rate measured, or the failing one (None unless rate
-    is checked)."""
+    two servers; rate, within every applicable exact upper bound. A
+    seed whose check point theta has already checked decodes its stores
+    and nothing else. rate is the largest rate measured, or the failing
+    one (None unless rate is checked)."""
     if not isinstance(seeds, range):  # a range is walked lazily, however long
         seeds = list(seeds)
     if not seeds and (checks or privacy in ("auto", "structural")):
@@ -213,8 +220,8 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
     bounds = exact_entries(bound_report(g), "upper") if "rate" in checks else []
     rates = []
 
-    def reliability(t, theta, seed):
-        if not symbolic_decode_check(t):
+    def reliability(t, theta, seed, repeat):
+        if not repeat and not symbolic_decode_check(t):
             return "symbolic decode failed", {"seed": seed}
         data_rng = random.Random(_seed_for(seed, theta, "store"))
         for k in range(2):
@@ -222,7 +229,9 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
             if decode(t, answer_all(store, t)) != store[theta]:
                 return "end-to-end decode mismatch", {"seed": seed, "store": k}
 
-    def srp(t, theta, seed):
+    def srp(t, theta, seed, repeat):
+        if repeat:
+            return
         half = t.file_length // 2
         try:
             attr = srp_attribution(t)
@@ -231,7 +240,9 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
         if attr != (half, half):
             return "attribution %s, expected (%d, %d)" % (attr, half, half), {"seed": seed}
 
-    def rate(t, theta, seed):
+    def rate(t, theta, seed, repeat):
+        if repeat:
+            return
         rates.append(measured_rate(t))
         for e in bounds:
             if rates[-1] > e.value:
@@ -244,7 +255,10 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
                                  wire_key=functools.cache(wire_sort_key))
 
     def check_point(theta, seed):
-        return SeededSource(_seed_for(seed, theta, "rel")).point(shapes[theta])
+        """theta's check point at `seed`; an empty shape's is (), no source
+        seeded."""
+        shape = shapes[theta]
+        return SeededSource(_seed_for(seed, theta, "rel")).point(shape) if shape else ()
 
     def tally(theta, build, built=None, checked=()):
         """theta's counts; `checked` counts the check points the checks
@@ -282,11 +296,12 @@ def _walk(scheme, g: GraphSpec, checks: Sequence[str] = (), privacy: str | None 
             if len(failed) == len(checks):
                 break
             point = check_point(theta, seed)
+            repeat = point in checked  # each check still running passed there
             checked[point] += 1
             if (t := built.get(point)) is None:
                 t = built[point] = _replay(build, shape, point)
             for check in checks:
-                if check not in failed and (fault := faults[check](t, theta, seed)):
+                if check not in failed and (fault := faults[check](t, theta, seed, repeat)):
                     failed[check] = CheckResult(
                         check, False, fault[0], {"scheme": name, "theta": theta, **fault[1]})
         if tier:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -99,6 +100,31 @@ def test_bounds_md_and_csv(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["kind", "value", "precision", "source", "applicable"]
     assert ["lower", "1/3", "exact", "path scheme", "yes"] in rows
+
+
+@pytest.mark.parametrize("fmt", ["md", "json", "csv"])
+def test_bounds_builds_one_report(capsys, monkeypatch, fmt):
+    # the tightness line is read off the printed entries, so one bounds
+    # call makes one report, and prints what the two reports printed
+    import graphpir.bounds as bounds
+    import graphpir.cli as cli
+
+    real, calls = bounds.bound_report, []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    g = parse_graph("path:4^3")
+    entries = real(g)
+    expected = io.StringIO()
+    with contextlib.redirect_stdout(expected):
+        cli._print_bounds(fmt, g, entries, bounds.tightness_check(g))
+    monkeypatch.setattr(bounds, "bound_report", counted)
+    monkeypatch.setattr(cli, "bound_report", counted)
+    code, out, _ = run_cli(capsys, "bounds", "--graph", "path:4^3", "--format", fmt)
+    assert code == 0 and out == expected.getvalue()
+    assert calls == [g]
 
 
 def test_bounds_md_says_unknown_without_an_exact_pair(capsys):

@@ -121,6 +121,28 @@ def test_decode_end_to_end_random_stores():
         assert got == store[FileId(theta, 1)]
 
 
+def test_file_ids_is_a_new_list_on_every_call():
+    # the file order is kept per graph, so a caller's edit of one result
+    # must not reach the next
+    g = parse_graph("path:3^2")
+    files = file_ids(g)
+    files.reverse()
+    files.append(FileId(9, 9))
+    assert file_ids(g) == [FileId(1, 1), FileId(1, 2), FileId(2, 1), FileId(2, 2)]
+    assert file_ids(g) is not file_ids(g)
+
+
+def test_the_file_order_cache_is_bounded_after_a_sweep(capsys):
+    # a sweep reads a new graph on every row; the cache keeps FILE_ORDERS
+    # of them, not one per row
+    from graphpir import core
+    from graphpir.cli import main
+
+    assert main(["sweep", "--family", "path", "--n-max", "6", "--r-max", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 3  # path:2 to path:6
+    assert core._file_order.cache_info().currsize <= core.FILE_ORDERS
+
+
 @pytest.mark.parametrize("text,L,want", [
     ("path:5", 2,
      "8ebcbcee19a299b13b4e35e29104168989f0efe75be8859cecca7b842d730e9d"),

@@ -3,6 +3,7 @@ import functools
 import random
 import time
 from collections import Counter, defaultdict
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -918,15 +919,17 @@ def test_the_checks_read_transcripts_of_the_theta_they_check(monkeypatch, privac
     # over seeds 0-18, theta 1's check point at seed 18 is theta 2's at
     # seed 4: a memo of check transcripts that outlived one theta, or
     # that auto's fallback at theta 2 filled by re-tallying theta 1,
-    # would hand theta 2's checks a transcript of theta 1
+    # would hand theta 2's checks a transcript of theta 1, and a count of
+    # checked points that outlived it would skip that point at theta 2;
+    # the rate is read once per distinct check point of each theta
     import graphpir.verify as verify
 
     g = parse_graph("path:4")
     seeds = range(19)
-    points = [{SeededSource(_seed_for(seed, theta, "rel")).point([("choice", n)])
-               for seed in seeds}
-              for theta, n in zip(all_thetas(g), (EXACT_BUDGET, EXACT_BUDGET + 1))]
-    assert points[0] & points[1]
+    points = [dict.fromkeys(SeededSource(_seed_for(seed, theta, "rel")).point(
+                  [("choice", EXACT_BUDGET + (theta.edge > 1))]) for seed in seeds)
+              for theta in all_thetas(g)]
+    assert points[0].keys() & points[1].keys()
     read = []
 
     def rate(t):
@@ -937,7 +940,7 @@ def test_the_checks_read_transcripts_of_the_theta_they_check(monkeypatch, privac
     _, results, _ = _walk(_budget_passed_by_one_at_theta_2, g,
                           ["reliability", "srp", "rate"], privacy, seeds)
     assert all(c.passed for c in results.values()), [c.to_dict() for c in results.values()]
-    assert read == [theta for theta in all_thetas(g) for _ in seeds]
+    assert read == [theta for theta, drawn in zip(all_thetas(g), points) for _ in drawn]
     if privacy == "auto":
         assert results["privacy"].name == "privacy-structural"
 
@@ -988,9 +991,10 @@ def test_a_tally_reads_the_transcripts_it_is_given(monkeypatch):
 @pytest.mark.parametrize("privacy", [None, "exact", "structural", "statistical"])
 @pytest.mark.parametrize("graph", ["path:4^3", "complete:3^2", "complete:4"])
 def test_the_checks_read_the_builds_on_their_seeded_sources(monkeypatch, graph, privacy):
-    # each seed's checks read the build at its check point, whichever of
-    # the shape run, the checks' own builds or a tier's stream drew it
-    # first: the same transcript a run on that seed's source builds
+    # each distinct check point's checks read its build, whichever of the
+    # shape run, the checks' own builds or a tier's stream drew it first:
+    # the same transcript a run on the source of the seed that first drew
+    # it builds; a seed that draws it again reads no rate
     g = parse_graph(graph)
     _, run = resolve_scheme("auto", g)
     read = []
@@ -1002,9 +1006,15 @@ def test_the_checks_read_the_builds_on_their_seeded_sources(monkeypatch, graph, 
     monkeypatch.setattr(verify, "measured_rate", rate)
     _, results, _ = _walk(run, g, ["rate"], privacy, range(5), samples=10_000)
     assert all(c.passed for c in results.values()), [c.to_dict() for c in results.values()]
-    assert read == [
-        run(g, theta, SeededSource(_seed_for(seed, theta, "rel")), identity_perms=True).requests
-        for theta in all_thetas(g) for seed in range(5)]
+    expected = []
+    for theta in all_thetas(g):
+        shape, _ = record_shape(functools.partial(run, g, theta, identity_perms=True))
+        first = {}  # check point -> the first seed that drew it
+        for seed in range(5):
+            first.setdefault(SeededSource(_seed_for(seed, theta, "rel")).point(shape), seed)
+        expected += [run(g, theta, SeededSource(_seed_for(seed, theta, "rel")),
+                         identity_perms=True).requests for seed in first.values()]
+    assert read == expected
 
 
 def test_a_walk_stops_drawing_check_points_once_every_check_has_failed(monkeypatch):
@@ -1025,6 +1035,75 @@ def test_a_walk_stops_drawing_check_points_once_every_check_has_failed(monkeypat
                           range(10**4))
     assert not results["reliability"].passed and not results["srp"].passed
     assert draws == 1
+
+
+def test_the_transcript_checks_run_once_per_distinct_check_point(monkeypatch):
+    # every check point of path:4 is (), the one point of its empty draw
+    # shape, so each theta's transcript is decoded symbolically, attributed
+    # and rated once, while every seed still decodes its two random stores,
+    # and no source is seeded to draw ()
+    calls = Counter()
+
+    def count(name):
+        real = getattr(verify, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+
+    for name in ("symbolic_decode_check", "srp_attribution", "measured_rate", "random_store"):
+        count(name)
+
+    class Counted(SeededSource):
+        def __init__(self, seed):
+            calls["SeededSource"] += 1
+            super().__init__(seed)
+
+    monkeypatch.setattr(verify, "SeededSource", Counted)
+    g = parse_graph("path:4")
+    assert verify_scheme("auto", g, seeds=range(10)).passed
+    thetas = len(all_thetas(g))
+    assert dict(calls) == {"symbolic_decode_check": thetas, "srp_attribution": thetas,
+                           "measured_rate": thetas, "random_store": 2 * 10 * thetas}
+
+
+def _drop_request_at_2(g, theta, rng, **kw):
+    """The star composition after one choice of 3, with a planned request
+    dropped where that choice is 2: it fails reliability and SRP at those
+    points only."""
+    drop = rng.choice_index(3) == 2
+    t = compose_stars(g, theta, rng, **kw)
+    return drop_planned_request(t) if drop else t
+
+
+@pytest.mark.parametrize("scheme,seeds,theta,seed", [
+    (compose_stars_drop_request, range(10), 1, 0),
+    (_drop_request_at_2, range(10), 1, 6),
+    (_drop_request_at_2, range(3), 3, 0),
+    (_drop_request_at_2, [5, 1, 5, 9], 1, 9),
+])
+def test_a_failure_keeps_the_seed_that_first_drew_its_point(scheme, seeds, theta, seed):
+    # a check skipped at a repeated check point passed there, so the first
+    # failure is where it was before the skip: the first seed, theta-major,
+    # whose check point fails (seed 5 repeats a passing point above)
+    g = parse_graph("complete_bipartite:2,3")
+    failing = []
+    for th in all_thetas(g):
+        shape, _ = record_shape(functools.partial(scheme, g, th, identity_perms=True))
+        failing += [(th, s) for s in seeds
+                    if not verify.symbolic_decode_check(_replay(
+                        functools.partial(scheme, g, th, identity_perms=True), shape,
+                        SeededSource(_seed_for(s, th, "rel")).point(shape)))]
+    assert failing[0] == (FileId(theta, 1), seed)
+    _, results, rate = _walk(scheme, g, ["reliability", "srp", "rate"], None, seeds)
+    witness = {"scheme": scheme.__name__, "theta": FileId(theta, 1), "seed": seed}
+    assert (results["reliability"].detail, results["reliability"].witness) == (
+        "symbolic decode failed", witness)
+    assert (results["srp"].detail, results["srp"].witness) == (
+        "attribution undefined: target 1 has 0 fresh-coordinate requests", witness)
+    assert results["rate"].passed and rate == Fraction(2, 7)
 
 
 def test_a_statistical_walk_counts_its_stream_without_drawing_it_point_by_point(monkeypatch):
